@@ -1,7 +1,7 @@
 """hyquant: post-training quantization for hybrid conv+attention networks."""
 
 from .bridge import (BridgeBlockGroup, ReconstructionUnit,
-                     reconstruction_unit_of, resolve_bridge_blocks, units_for)
+                     resolve_bridge_blocks, units_for)
 from .calib import (CalibCache, CalibOptions, SearchSpace, UnitDecision,
                     calibrate, generate_candidates, objective,
                     pass1_cache_fp, pass2_cache_gradients, search_unit)
@@ -22,6 +22,6 @@ __all__ = [
     "detect_zero_point_overflow", "fit_minmax", "forward_fp", "forward_quant",
     "generate_candidates", "load_manifest", "load_tensor", "objective",
     "pass1_cache_fp", "pass2_cache_gradients", "quant_attention",
-    "quantize_dequantize", "reconstruction_unit_of", "resolve_bridge_blocks",
-    "save_manifest", "save_tensor", "search_unit", "units_for",
+    "quantize_dequantize", "resolve_bridge_blocks", "save_manifest",
+    "save_tensor", "search_unit", "units_for",
 ]

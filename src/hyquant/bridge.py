@@ -101,23 +101,6 @@ def units_for(graph: Graph, groups) -> list[ReconstructionUnit]:
     return units
 
 
-def reconstruction_unit_of(graph: Graph, layer_id: int, groups) -> ReconstructionUnit:
-    """Group containing the layer, else a singleton unit for the layer itself."""
-    if layer_id not in {layer.id for layer in graph.layers}:
-        raise GraphError(f"unknown layer id {layer_id}")
-    for g in groups:
-        if layer_id in g.layer_ids:
-            return ReconstructionUnit(label=g.label, layer_ids=g.layer_ids,
-                                      output_id=g.output_id, is_bridge=True)
-    return ReconstructionUnit(label=f"layer{layer_id}", layer_ids=(layer_id,),
-                              output_id=layer_id, is_bridge=False)
-
-
-def watch_set(graph: Graph, groups) -> frozenset[int]:
-    """Layer ids whose outputs the calibration passes must cache."""
-    return frozenset(u.output_id for u in units_for(graph, groups))
-
-
 def suggest_bridge_annotations(graph: Graph) -> list[dict]:
     """Advisory only: propose conv->conv chains that feed the token reshape.
 

@@ -12,13 +12,12 @@ only the unit's own layers on the cached full-precision inputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
-from .graph import GRAPH_INPUT, Graph, Site, forward_quant, run_layer, _execute
+from .graph import GRAPH_INPUT, Graph, Site, execute, forward_fp, forward_quant
 from .quant import QuantParams, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
@@ -51,13 +50,12 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class CalibOptions:
-    """Ablation flags (a monotone chain), objective metric, thread count."""
+    """Ablation flags (a monotone chain) and objective metric."""
 
     scale_search: bool = True
     granularity_search: bool = True
     scheme_search: bool = True
     metric: str = "hessian"
-    threads: int = 1
 
     def __post_init__(self):
         if self.granularity_search and not self.scale_search:
@@ -66,8 +64,6 @@ class CalibOptions:
             raise CalibError("scheme search requires granularity search")
         if self.metric not in METRICS:
             raise CalibError(f"unknown metric '{self.metric}'")
-        if self.threads < 1:
-            raise CalibError("threads must be >= 1")
 
 
 @dataclass
@@ -105,9 +101,14 @@ def objective(delta_o, grad) -> float:
     g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
     if d.shape != g.shape:
         raise CalibError(f"objective shapes disagree: {d.shape} vs {g.shape}")
-    d64 = d.astype(np.float64).ravel()
     g64 = g.astype(np.float64).ravel()
-    return float(np.dot(g64 * g64, d64 * d64))
+    return _g2_weighted(g64 * g64, d.astype(np.float64).ravel())
+
+
+def _g2_weighted(g2: np.ndarray, d: np.ndarray) -> float:
+    """sum_i g2_i * d_i^2 over flat float64 arrays; the one place the
+    objective's arithmetic lives, so search scores equal objective()."""
+    return float(np.dot(g2, d * d))
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,49 +150,29 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 # calibration passes
 
 
-def _watch_for_pass1(graph: Graph, units) -> set[int]:
-    watch = set()
-    member_sets = {u.output_id: set(u.layer_ids) for u in units}
-    for u in units:
-        watch.add(u.output_id)
-        for lid in u.layer_ids:
-            for pid in graph.layer(lid).inputs:
-                if pid != GRAPH_INPUT and pid not in member_sets[u.output_id]:
-                    watch.add(pid)
-    return watch
-
-
 def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     """Forward the calibration batch in full precision; cache unit outputs,
     member inputs, per-site values and the final logits."""
     if calib_batch.size == 0 or calib_batch.shape[0] == 0:
         raise CalibError("calibration batch is empty")
     cache = CalibCache()
-    capture: dict[tuple[int, str], np.ndarray] = {}
-    watch = _watch_for_pass1(graph, units)
-    logits, outs = _execute(graph, calib_batch, {}, watch, None, capture)
+    every_id = [GRAPH_INPUT] + [layer.id for layer in graph.layers]
+    logits, outs = forward_fp(graph, calib_batch, watch=every_id,
+                              capture=cache.site_values)
     cache.logits_fp = logits.data
-    cache.site_values = capture
     for u in units:
         cache.unit_outputs[u.output_id] = outs[u.output_id].data
-        members = set(u.layer_ids)
-        ext: dict[tuple[int, int], np.ndarray] = {}
-        for lid in u.layer_ids:
-            for pid in graph.layer(lid).inputs:
-                if pid in members:
-                    continue
-                ext[(lid, pid)] = (calib_batch.data if pid == GRAPH_INPUT
-                                   else outs[pid].data)
-        cache.unit_inputs[u.output_id] = ext
+        cache.unit_inputs[u.output_id] = {
+            (lid, pid): outs[pid].data
+            for lid in u.layer_ids for pid in graph.layer(lid).inputs
+            if pid not in u.layer_ids}
     return cache
 
 
 def default_qconfig(graph: Graph, bits: int, cache: CalibCache) -> dict:
     """Min-max per-layer init: weights symmetric, activations asymmetric."""
-    qcfg = {}
-    for site in graph.quant_sites:
-        qcfg[site.key] = _default_site_params(graph, site, cache, bits)
-    return qcfg
+    return {site.key: _default_site_params(graph, site, cache, bits)
+            for site in graph.quant_sites}
 
 
 def _site_fp_value(site: Site, cache: CalibCache) -> np.ndarray:
@@ -248,7 +229,8 @@ class _UnitEvaluator:
                  metric: str):
         self.members = [graph.layer(lid) for lid in unit.layer_ids]
         self.output_id = unit.output_id
-        self.ext = cache.unit_inputs[unit.output_id]
+        self.inputs = {pid: Tensor._wrap(arr)
+                       for (_, pid), arr in cache.unit_inputs[unit.output_id].items()}
         self.o_fp = cache.unit_outputs[unit.output_id]
         self.metric = metric
         grad = cache.unit_grads.get(unit.output_id)
@@ -264,20 +246,10 @@ class _UnitEvaluator:
 
     def run(self, params: dict) -> float:
         self.evals += 1
-        vals: dict[int, Tensor] = {}
-        for layer in self.members:
-            ins = []
-            for pid in layer.inputs:
-                if pid in vals:
-                    ins.append(vals[pid])
-                else:
-                    ins.append(Tensor._wrap(self.ext[(layer.id, pid)]))
-            vals[layer.id] = run_layer(layer, ins, params)
-        o_hat = vals[self.output_id].data
+        o_hat = execute(self.members, dict(self.inputs), params)[self.output_id].data
         if self.metric == "cosine":
             return cosine_distance(o_hat, self.o_fp)
-        d = o_hat.astype(np.float64).ravel() - self._o_fp64
-        return float(np.dot(self._g2, d * d))
+        return _g2_weighted(self._g2, o_hat.astype(np.float64).ravel() - self._o_fp64)
 
 
 def _combos(options: CalibOptions) -> list[tuple[str, str, str, str]]:
@@ -297,28 +269,14 @@ def _site_granularity(site: Site, granularity: str) -> str:
     return granularity
 
 
-def _scan_candidates(evaluator, params, site, cands, trace_rows, trace_meta,
-                     threads):
+def _scan_candidates(evaluator, params, site, cands, trace_rows, trace_meta):
     """Score every scale candidate for one site; returns (best_obj, best_params)."""
-    n = cands.shape[0]
     saved = params[site.key]
-
-    def score(ci):
-        params[site.key] = candidates_cache[ci]
-        return evaluator.run(params)
-
-    candidates_cache = [params_for_scale(saved, cands[ci]) for ci in range(n)]
-    if threads > 1:
-        # evaluations are pure; copy the param map per task
-        def score_copy(ci):
-            trial = dict(params)
-            trial[site.key] = candidates_cache[ci]
-            return evaluator.run(trial)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            objs = list(pool.map(score_copy, range(n)))
-    else:
-        objs = [score(ci) for ci in range(n)]
+    candidates_cache = [params_for_scale(saved, c) for c in cands]
+    objs = []
+    for p in candidates_cache:
+        params[site.key] = p
+        objs.append(evaluator.run(params))
     params[site.key] = saved
     if trace_rows is not None:
         label, g_lab, s_lab = trace_meta
@@ -357,12 +315,10 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
     decision = UnitDecision(label=unit.label, output_id=unit.output_id,
                             params=default_params, granularity="per_layer",
                             scheme="default", objective=default_obj)
-    if not options.scale_search:
-        decision.evals = evaluator.evals
-        return decision
-
-    if all(float(np.abs(stats[s.key]).max()) == 0.0 for s in sites):
-        decision.fallback = True
+    # an all-zero unit has nothing to scale: it keeps min-max, flagged
+    decision.fallback = options.scale_search and all(
+        float(np.abs(stats[s.key]).max()) == 0.0 for s in sites)
+    if not options.scale_search or decision.fallback:
         decision.evals = evaluator.evals
         return decision
 
@@ -402,7 +358,7 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                         site.channel_axis))
                 obj, p = _scan_candidates(
                     evaluator, params, site, cand_cache[ck], trace,
-                    (unit.label, g, s_label), options.threads)
+                    (unit.label, g, s_label))
                 if obj < cur_obj:
                     params[site.key] = p
                     cur_obj = obj

@@ -12,15 +12,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
 
-from .bridge import BridgeAnnotationError
 from .calib import CalibError, CalibOptions, SearchSpace, calibrate
-from .graph import (Graph, GraphError, SiteCoverageError, forward_fp,
-                    forward_quant, load_manifest)
+from .graph import Graph, GraphError, forward_fp, forward_quant, load_manifest
 from .quant import QuantError, QuantParams, detect_zero_point_overflow
 from .tensor import Tensor, TensorError, load_tensor
 from .zoo import FIXTURES, ZooError, build_fixture, export_fixture
@@ -28,61 +25,13 @@ from .zoo import FIXTURES, ZooError, build_fixture, export_fixture
 QCONFIG_FORMAT = "hyquant-qconfig/1"
 METRICS_FORMAT = "hyquant-metrics/1"
 
-_ERRORS = (GraphError, QuantError, CalibError, TensorError, ZooError,
-           BridgeAnnotationError, OSError, json.JSONDecodeError)
-
-
-@dataclass
-class RunConfig:
-    """Everything a quantize run depends on; flags form a monotone chain."""
-
-    model: str | None = None
-    fixture: str | None = None
-    calib: str | None = None
-    bits: int = 8
-    mode: str | None = None  # None: keep the model's declared mode
-    scale_search: bool = True
-    granularity_search: bool = True
-    scheme_search: bool = True
-    metric: str = "hessian"
-    space: SearchSpace = field(default_factory=SearchSpace)
-    seed: int | None = None
-    threads: int = 1
-    out: str | None = None
-    trace: str | None = None
-
-    def validate(self) -> None:
-        if self.bits not in (6, 8):
-            raise ValueError(f"bits must be 6 or 8, got {self.bits}")
-        if self.granularity_search and not self.scale_search:
-            raise ValueError("--granularity-search requires --scale-search")
-        if self.scheme_search and not self.granularity_search:
-            raise ValueError("--scheme-search requires --granularity-search")
-        if (self.model is None) == (self.fixture is None):
-            raise ValueError("give exactly one of --model or --fixture")
-        if self.model is not None and self.calib is None:
-            raise ValueError("--model requires --calib data")
+# bridge annotation errors are GraphErrors
+_ERRORS = (GraphError, QuantError, CalibError, TensorError, ZooError, OSError,
+           json.JSONDecodeError)
 
 
 # ---------------------------------------------------------------------------
 # artifact documents
-
-
-def _param_doc(p: QuantParams) -> dict:
-    def scalar_or_list(arr, cast):
-        if arr.ndim == 0:
-            return cast(arr)
-        return [cast(v) for v in arr]
-
-    return {
-        "bits": p.bits,
-        "scheme": p.scheme,
-        "granularity": p.granularity,
-        "channel_axis": p.channel_axis,
-        "scale": scalar_or_list(p.scale, float),
-        "zero_point": scalar_or_list(p.zero_point, int),
-        "zero_point_raw": scalar_or_list(p.zero_point_raw, float),
-    }
 
 
 def qconfig_to_doc(qcfg: dict, bits: int, mode: str,
@@ -90,8 +39,11 @@ def qconfig_to_doc(qcfg: dict, bits: int, mode: str,
     sites = []
     for (lid, name) in sorted(qcfg):
         p = qcfg[(lid, name)]
-        entry = {"layer": lid, "site": name}
-        entry.update(_param_doc(p))
+        # tolist() gives a scalar for per-layer and a list for per-channel
+        entry = {"layer": lid, "site": name, "bits": p.bits, "scheme": p.scheme,
+                 "granularity": p.granularity, "channel_axis": p.channel_axis,
+                 "scale": p.scale.tolist(), "zero_point": p.zero_point.tolist(),
+                 "zero_point_raw": p.zero_point_raw.tolist()}
         if objectives and (lid, name) in objectives:
             entry["objective"] = float(objectives[(lid, name)])
         sites.append(entry)
@@ -106,24 +58,56 @@ def save_qconfig(path: str, qcfg: dict, bits: int, mode: str,
         f.write("\n")
 
 
+# the JSON types each qconfig site entry field may take; a list holds values
+# of the types listed before it
+_ENTRY_TYPES = {
+    "layer": (int,), "site": (str,), "bits": (int,), "scheme": (str,),
+    "granularity": (str,), "channel_axis": (int, type(None)),
+    "scale": (int, float, list), "zero_point": (int, list),
+    "zero_point_raw": (int, float, list),
+}
+
+
+def _entry_params(path: str, entry, bits: int):
+    """((layer, site), QuantParams) for one entry; QuantError names the file,
+    the entry's layer:site and the offending field."""
+    if type(entry) is not dict:
+        raise QuantError(f"{path}: site entry {entry!r} is not an object")
+    where = f"{path}: entry {entry.get('layer', '?')}:{entry.get('site', '?')}"
+    for name, types in _ENTRY_TYPES.items():
+        if name not in entry:
+            raise QuantError(f"{where}: missing field '{name}'")
+        v = entry[name]
+        if type(v) not in types or (type(v) is list and any(
+                type(x) not in types[:-1] for x in v)):
+            raise QuantError(f"{where}: field '{name}' has the wrong type: {v!r}")
+    if entry["bits"] != bits:
+        raise QuantError(f"{where}: field 'bits' is {entry['bits']} but the "
+                         f"document's bits is {bits}")
+    fields = {name: entry[name] for name in _ENTRY_TYPES}
+    key = (fields.pop("layer"), fields.pop("site"))
+    try:
+        return key, QuantParams(**fields)
+    except (QuantError, OverflowError) as e:  # OverflowError: int32 zero_point
+        raise QuantError(f"{where}: {e}") from None
+
+
 def load_qconfig(path: str):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != QCONFIG_FORMAT:
-        raise QuantError(f"unsupported qconfig format {doc.get('format')!r}, "
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != QCONFIG_FORMAT:
+        raise QuantError(f"{path}: unsupported qconfig format {fmt!r}, "
                          f"expected {QCONFIG_FORMAT!r}")
-    qcfg = {}
-    for entry in doc["sites"]:
-        qcfg[(int(entry["layer"]), str(entry["site"]))] = QuantParams(
-            bits=int(entry["bits"]),
-            scheme=entry["scheme"],
-            granularity=entry["granularity"],
-            channel_axis=entry["channel_axis"],
-            scale=np.asarray(entry["scale"], dtype=np.float32),
-            zero_point=np.asarray(entry["zero_point"], dtype=np.int32),
-            zero_point_raw=np.asarray(entry["zero_point_raw"], dtype=np.float64),
-        )
-    return qcfg, int(doc.get("bits", 8)), doc.get("mode", "partial")
+    bits = doc.get("bits", 8)
+    sites = doc.get("sites")
+    mode = doc.get("mode", "partial")
+    if type(bits) is not int or type(sites) is not list \
+            or mode not in ("partial", "full"):
+        raise QuantError(f"{path}: a qconfig needs integer 'bits', a 'sites' "
+                         f"list and mode 'partial' or 'full'")
+    qcfg = dict(_entry_params(path, entry, bits) for entry in sites)
+    return qcfg, bits, mode
 
 
 def with_mode(graph: Graph, mode: str) -> Graph:
@@ -161,9 +145,8 @@ def range_report(graph: Graph, calib_x: Tensor, val_x: Tensor, bits: int):
     batches plus zero-point overflow flags on the calibration ranges."""
     capture_c: dict = {}
     capture_v: dict = {}
-    from .graph import _execute
-    _execute(graph, calib_x, {}, frozenset(), None, capture_c)
-    _execute(graph, val_x, {}, frozenset(), None, capture_v)
+    forward_fp(graph, calib_x, capture=capture_c)
+    forward_fp(graph, val_x, capture=capture_v)
     rows = []
     for site in graph.quant_sites:
         if site.kind != "activation":
@@ -190,8 +173,11 @@ def range_report(graph: Graph, calib_x: Tensor, val_x: Tensor, bits: int):
     return rows
 
 
-REPORT_COLUMNS = ("layer", "site", "channel", "calib_min", "calib_max",
-                  "val_min", "val_max", "zero_point_raw", "flagged")
+# report CSV columns and the type each is read back as (flags are 0/1)
+_REPORT_TYPES = {"layer": int, "site": str, "channel": int, "calib_min": float,
+                 "calib_max": float, "val_min": float, "val_max": float,
+                 "zero_point_raw": float, "flagged": bool}
+REPORT_COLUMNS = tuple(_REPORT_TYPES)
 
 
 def write_report_csv(path: str, rows: list[dict]) -> None:
@@ -199,29 +185,16 @@ def write_report_csv(path: str, rows: list[dict]) -> None:
         writer = csv.writer(f)
         writer.writerow(REPORT_COLUMNS)
         for r in rows:
-            writer.writerow([r["layer"], r["site"], r["channel"],
-                             repr(r["calib_min"]), repr(r["calib_max"]),
-                             repr(r["val_min"]), repr(r["val_max"]),
-                             repr(r["zero_point_raw"]), int(r["flagged"])])
+            # csv writes floats with repr(), so they read back exactly
+            writer.writerow([int(r[c]) if c == "flagged" else r[c]
+                             for c in REPORT_COLUMNS])
 
 
 def read_report_csv(path: str) -> list[dict]:
-    rows = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            rows.append({
-                "layer": int(rec["layer"]),
-                "site": rec["site"],
-                "channel": int(rec["channel"]),
-                "calib_min": float(rec["calib_min"]),
-                "calib_max": float(rec["calib_max"]),
-                "val_min": float(rec["val_min"]),
-                "val_max": float(rec["val_max"]),
-                "zero_point_raw": float(rec["zero_point_raw"]),
-                "flagged": bool(int(rec["flagged"])),
-            })
-    return rows
+        return [{c: bool(int(rec[c])) if typ is bool else typ(rec[c])
+                 for c, typ in _REPORT_TYPES.items()}
+                for rec in csv.DictReader(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +209,37 @@ def _load_labels(path: str) -> np.ndarray:
     return labels.reshape(-1)
 
 
-def _resolve_model(config: RunConfig):
-    """Returns (graph, calib_x, eval_x, eval_labels|None) for either source."""
-    if config.fixture is not None:
-        graph, calib_x, eval_x, labels = build_fixture(config.fixture,
-                                                       seed=config.seed)
+def _check_source(model, fixture, needs: str, *data) -> None:
+    """Usage error unless exactly one model source is given and a --model
+    comes with every data blob it needs."""
+    if (model is None) == (fixture is None):
+        raise click.UsageError("give exactly one of --model or --fixture")
+    if model is not None and any(d is None for d in data):
+        raise click.UsageError(f"--model requires {needs}")
+
+
+def _load_source(model, fixture, seed, mode, calib_path=None, eval_path=None,
+                 labels_path=None):
+    """(graph, calib batch, eval batch, eval labels) of a fixture, or of the
+    --model manifest and the blob paths given (None for the others); mode,
+    unless None, overrides the model's declared mode."""
+    if fixture is not None:
+        graph, *data = build_fixture(fixture, seed=seed)
     else:
-        graph = load_manifest(config.model)
-        calib_x = load_tensor(config.calib)
-        eval_x = labels = None
-    if config.mode is not None:
-        graph = with_mode(graph, config.mode)
-    return graph, calib_x, eval_x, labels
+        graph = load_manifest(model)
+        data = [load(path) if path else None for load, path in (
+            (load_tensor, calib_path), (load_tensor, eval_path),
+            (_load_labels, labels_path))]
+    return (graph if mode is None else with_mode(graph, mode), *data)
+
+
+def _check_threads_env() -> None:
+    """HYQUANT_THREADS is accepted for compatibility; the search runs on one
+    thread, so the value only has to be a positive integer."""
+    raw = os.environ.get("HYQUANT_THREADS", "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise click.UsageError(
+            f"HYQUANT_THREADS must be a positive integer, got {raw!r}")
 
 
 def _fail(e: Exception) -> None:
@@ -264,18 +256,6 @@ def main():
     """Post-training quantization for hybrid conv+attention models."""
 
 
-def _search_flags(fn):
-    fn = click.option("--scale-search/--no-scale-search", default=True,
-                      show_default=True, help="search scale candidates")(fn)
-    fn = click.option("--granularity-search/--no-granularity-search", default=True,
-                      show_default=True,
-                      help="also search per-layer vs per-channel")(fn)
-    fn = click.option("--scheme-search/--no-scheme-search", default=True,
-                      show_default=True,
-                      help="also search symmetric vs asymmetric")(fn)
-    return fn
-
-
 @main.command()
 @click.option("--model", type=click.Path(exists=True), help="model manifest")
 @click.option("--fixture", type=str, help="built-in fixture name")
@@ -283,7 +263,12 @@ def _search_flags(fn):
 @click.option("--bits", type=click.Choice(["8", "6"]), default="8", show_default=True)
 @click.option("--mode", type=click.Choice(["partial", "full"]), default=None,
               help="override the model's declared quantization mode")
-@_search_flags
+@click.option("--scheme-search/--no-scheme-search", default=True,
+              show_default=True, help="also search symmetric vs asymmetric")
+@click.option("--granularity-search/--no-granularity-search", default=True,
+              show_default=True, help="also search per-layer vs per-channel")
+@click.option("--scale-search/--no-scale-search", default=True,
+              show_default=True, help="search scale candidates")
 @click.option("--metric", type=click.Choice(["hessian", "cosine"]),
               default="hessian", show_default=True)
 @click.option("--alpha", type=float, default=0.0, show_default=True)
@@ -297,39 +282,31 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
              scheme_search, metric, alpha, beta, candidates, iterations, seed,
              out, trace):
     """Calibrate a model and write the quantization config document."""
+    _check_source(model, fixture, "--calib data", calib)
+    _check_threads_env()
     try:
         space = SearchSpace(alpha=alpha, beta=beta, candidates=candidates,
                             iterations=iterations)
+        options = CalibOptions(scale_search=scale_search,
+                               granularity_search=granularity_search,
+                               scheme_search=scheme_search, metric=metric)
     except CalibError as e:
         raise click.UsageError(str(e))
-    config = RunConfig(model=model, fixture=fixture, calib=calib, bits=int(bits),
-                       mode=mode, scale_search=scale_search,
-                       granularity_search=granularity_search,
-                       scheme_search=scheme_search, metric=metric, space=space,
-                       seed=seed, out=out, trace=trace,
-                       threads=int(os.environ.get("HYQUANT_THREADS", "1")))
+    bits = int(bits)
     try:
-        config.validate()
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    try:
-        graph, calib_x, _, _ = _resolve_model(config)
-        options = CalibOptions(scale_search=config.scale_search,
-                               granularity_search=config.granularity_search,
-                               scheme_search=config.scheme_search,
-                               metric=config.metric, threads=config.threads)
+        graph, calib_x, _, _ = _load_source(model, fixture, seed, mode,
+                                            calib_path=calib)
         trace_rows: list | None = [] if trace else None
-        qcfg, decisions = calibrate(graph, calib_x, space, options,
-                                    bits=config.bits, trace=trace_rows)
+        qcfg, decisions = calibrate(graph, calib_x, space, options, bits=bits,
+                                    trace=trace_rows)
         objectives = {key: d.objective for d in decisions for key in d.params}
-        save_qconfig(out, qcfg, config.bits, graph.mode, objectives)
+        save_qconfig(out, qcfg, bits, graph.mode, objectives)
         if trace:
             with open(trace, "w", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(["unit", "granularity", "scheme",
                                  "candidate", "objective"])
-                for row in trace_rows:
-                    writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
+                writer.writerows(trace_rows)  # floats are written with repr()
         click.echo(f"wrote {out} ({len(qcfg)} sites, {len(decisions)} units)")
         fallbacks = [d.label for d in decisions if d.fallback]
         if fallbacks:
@@ -352,24 +329,12 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
 @click.option("--out", type=click.Path(), default=None, help="metrics JSON path")
 def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
     """Report FP vs quantized top-1, agreement and logit MSE."""
-    if (model is None) == (fixture is None):
-        raise click.UsageError("give exactly one of --model or --fixture")
-    if model is not None and (eval_path is None or labels_path is None):
-        raise click.UsageError("--model requires --eval and --labels")
+    _check_source(model, fixture, "--eval and --labels", eval_path, labels_path)
     try:
         qcfg, _, mode = load_qconfig(qconfig_path)
-        if fixture is not None:
-            graph, _, eval_x, labels = build_fixture(fixture, seed=seed)
-        else:
-            graph = load_manifest(model)
-            eval_x = load_tensor(eval_path)
-            labels = _load_labels(labels_path)
-        graph = with_mode(graph, mode)
-        declared = {s.key for s in graph.quant_sites}
-        unknown = set(qcfg) - declared
-        if unknown:
-            names = ", ".join(f"{l}:{n}" for l, n in sorted(unknown))
-            raise SiteCoverageError(f"qconfig names sites absent from the model: {names}")
+        graph, _, eval_x, labels = _load_source(
+            model, fixture, seed, mode, eval_path=eval_path,
+            labels_path=labels_path)
         metrics = evaluate_model(graph, qcfg, eval_x, labels)
         doc = json.dumps(metrics, indent=2, sort_keys=True)
         click.echo(doc)
@@ -392,19 +357,10 @@ def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
 @click.option("--out", type=click.Path(), required=True, help="report CSV path")
 def report(model, fixture, calib, val, bits, mode, seed, out):
     """Per-channel activation ranges, overflow flags, calib-vs-val gap."""
-    if (model is None) == (fixture is None):
-        raise click.UsageError("give exactly one of --model or --fixture")
-    if model is not None and (calib is None or val is None):
-        raise click.UsageError("--model requires --calib and --val")
+    _check_source(model, fixture, "--calib and --val", calib, val)
     try:
-        if fixture is not None:
-            graph, calib_x, val_x, _ = build_fixture(fixture, seed=seed)
-        else:
-            graph = load_manifest(model)
-            calib_x = load_tensor(calib)
-            val_x = load_tensor(val)
-        if mode is not None:
-            graph = with_mode(graph, mode)
+        graph, calib_x, val_x, _ = _load_source(model, fixture, seed, mode,
+                                                calib_path=calib, eval_path=val)
         rows = range_report(graph, calib_x, val_x, int(bits))
         write_report_csv(out, rows)
         flagged = [r for r in rows if r["flagged"]]

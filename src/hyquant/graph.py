@@ -90,33 +90,29 @@ class Graph:
             raise GraphError("graph needs at least one layer")
         if self.mode not in ("partial", "full"):
             raise GraphError(f"unknown quantization mode '{self.mode}'")
-        seen: set[int] = set()
+        self._by_id: dict[int, LayerSpec] = {}
         for layer in self.layers:
             if layer.kind not in LAYER_KINDS:
                 raise GraphError(f"unknown layer kind '{layer.kind}' at layer {layer.id}")
-            if layer.id in seen:
+            if layer.id in self._by_id:
                 raise GraphError(f"duplicate layer id {layer.id}")
             for pid in layer.inputs:
-                if pid != GRAPH_INPUT and pid not in seen:
+                if pid != GRAPH_INPUT and pid not in self._by_id:
                     raise GraphError(
                         f"layer {layer.id} consumes {pid} before it is produced")
-            seen.add(layer.id)
+            self._by_id[layer.id] = layer
             _validate_layer(layer)
         if self.output_id is None:
             self.output_id = self.layers[-1].id
-        if self.output_id not in seen:
+        if self.output_id not in self._by_id:
             raise GraphError(f"output layer {self.output_id} does not exist")
         self.input_shape = tuple(int(d) for d in self.input_shape)
 
     def layer(self, layer_id: int) -> LayerSpec:
-        for layer in self.layers:
-            if layer.id == layer_id:
-                return layer
-        raise GraphError(f"no layer with id {layer_id}")
-
-    @cached_property
-    def _layer_index(self) -> dict[int, int]:
-        return {layer.id: i for i, layer in enumerate(self.layers)}
+        try:
+            return self._by_id[layer_id]
+        except KeyError:
+            raise GraphError(f"no layer with id {layer_id}") from None
 
     @cached_property
     def consumers(self) -> dict[int, tuple[int, ...]]:
@@ -141,12 +137,6 @@ class Graph:
             out[s.layer].append(s)
         return {k: tuple(v) for k, v in out.items()}
 
-    def site(self, layer_id: int, name: str) -> Site:
-        for s in self.sites_by_layer.get(layer_id, ()):
-            if s.name == name:
-                return s
-        raise GraphError(f"no quant site '{name}' on layer {layer_id}")
-
 
 def _validate_layer(layer: LayerSpec) -> None:
     k, a, w = layer.kind, layer.attrs, layer.weights
@@ -162,9 +152,15 @@ def _validate_layer(layer: LayerSpec) -> None:
             raise GraphError(f"layer {layer.id}: linear weight must be 2-D (out, in)")
     elif k == "mhsa":
         heads = a.get("heads")
-        if not heads or "w_q" not in w:
-            raise GraphError(f"layer {layer.id}: mhsa needs 'heads' attr and projections")
-        embed = w["w_q"].shape[0]
+        if not heads:
+            raise GraphError(f"layer {layer.id}: mhsa needs a 'heads' attr")
+        embed = w["w_q"].shape[0] if "w_q" in w and w["w_q"].ndim == 2 else -1
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            if name not in w or w[name].shape != (embed, embed):
+                got = w[name].shape if name in w else "missing"
+                raise GraphError(
+                    f"layer {layer.id}: mhsa projection '{name}' must be a 2-D "
+                    f"(E, E) matrix with E the embedding dim, got {got}")
         if embed % heads != 0:
             raise GraphError(
                 f"layer {layer.id}: embedding dim {embed} not divisible by heads {heads}")
@@ -230,14 +226,19 @@ def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
 # execution
 
 
+def _no_quant(name: str, x: Tensor) -> Tensor:
+    return x
+
+
 def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                    d_k: int | None = None, qparams: dict | None = None,
-                    tape: Tape | None = None, capture=None) -> Tensor:
+                    d_k: int | None = None, site=None,
+                    tape: Tape | None = None) -> Tensor:
     """Per-head softmax(QK^T / sqrt(d_k)) V over (N, T, E) projections.
 
-    qparams may quantize the operands of both matrix products ("q", "k", "v",
-    "probs") and, in full mode, the softmax input ("softmax_in"). capture is
-    an optional callable(name, Tensor) observing the pre-quant values.
+    site, when given, is the layer's site hook, a callable(name, Tensor)
+    returning the (possibly fake-quantized) tensor. It is applied to the
+    operands of both matrix products ("attn_q", "attn_k", "attn_v",
+    "attn_probs") and to the softmax input ("softmax_in").
     """
     n, t, e = q.shape
     if heads < 1 or e % heads != 0:
@@ -245,26 +246,20 @@ def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     dk = e // heads
     if d_k is not None and d_k != dk:
         raise GraphError(f"d_k={d_k} inconsistent with embed {e} / heads {heads}")
-    qparams = qparams or {}
-
-    def site(name: str, x: Tensor) -> Tensor:
-        if capture is not None:
-            capture(name, x)
-        p = qparams.get(name)
-        return quantize_dequantize(x, p, tape) if p is not None else x
+    site = site or _no_quant
 
     def split(x: Tensor) -> Tensor:
         x = T.reshape(x, (n, t, heads, dk), tape)
         return T.transpose(x, (0, 2, 1, 3), tape)
 
-    qh = split(site("q", q))
-    kh = split(site("k", k))
-    vh = split(site("v", v))
+    qh = split(site("attn_q", q))
+    kh = split(site("attn_k", k))
+    vh = split(site("attn_v", v))
     scores = T.scale(T.matmul(qh, kh, tape, transpose_b=True),
                      1.0 / math.sqrt(dk), tape)
     scores = site("softmax_in", scores)
     probs = T.softmax(scores, axis=-1, tape=tape)
-    probs = site("probs", probs)
+    probs = site("attn_probs", probs)
     ctx = T.matmul(probs, vh, tape)
     ctx = T.transpose(ctx, (0, 2, 1, 3), tape)
     return T.reshape(ctx, (n, t, e), tape)
@@ -303,7 +298,7 @@ def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
         xb = site("input_b", inputs[1])
         return T.matmul(xa, xb, tape, transpose_b=a.get("transpose_b", False))
     if k == "mhsa":
-        return _run_mhsa(layer, inputs[0], qcfg, tape, capture)
+        return _run_mhsa(layer, inputs[0], site, tape)
     if k == "softmax":
         x = site("input", inputs[0])
         return T.softmax(x, axis=a.get("axis", -1), tape=tape)
@@ -333,15 +328,8 @@ def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
     raise GraphError(f"unknown layer kind '{k}'")
 
 
-def _run_mhsa(layer: LayerSpec, x: Tensor, qcfg: dict, tape, capture) -> Tensor:
+def _run_mhsa(layer: LayerSpec, x: Tensor, site, tape) -> Tensor:
     w = layer.weights
-    heads = layer.attrs["heads"]
-
-    def site(name: str, t: Tensor) -> Tensor:
-        if capture is not None:
-            capture[(layer.id, name)] = t.data
-        p = qcfg.get((layer.id, name))
-        return quantize_dequantize(t, p, tape) if p is not None else t
 
     def project(xq: Tensor, wname: str, bname: str) -> Tensor:
         out = T.matmul(xq, site(wname, w[wname]), tape, transpose_b=True)
@@ -353,23 +341,8 @@ def _run_mhsa(layer: LayerSpec, x: Tensor, qcfg: dict, tape, capture) -> Tensor:
     q = project(xq, "w_q", "b_q")
     k = project(xq, "w_k", "b_k")
     v = project(xq, "w_v", "b_v")
-
-    local_names = {"q": "attn_q", "k": "attn_k", "v": "attn_v",
-                   "probs": "attn_probs", "softmax_in": "softmax_in"}
-    local_params = {short: qcfg[(layer.id, name)]
-                    for short, name in local_names.items()
-                    if (layer.id, name) in qcfg}
-    cap = None
-    if capture is not None:
-        def cap(short, t):
-            capture[(layer.id, local_names[short])] = t.data
-    ctx = quant_attention(q, k, v, heads, qparams=local_params, tape=tape,
-                          capture=cap)
-    ctx = site("proj_in", ctx)
-    out = T.matmul(ctx, site("w_o", w["w_o"]), tape, transpose_b=True)
-    if "b_o" in w:
-        out = T.add(out, w["b_o"], tape)
-    return out
+    ctx = quant_attention(q, k, v, layer.attrs["heads"], site=site, tape=tape)
+    return project(site("proj_in", ctx), "w_o", "b_o")
 
 
 def _run_reshape(attrs: dict, x: Tensor, tape) -> Tensor:
@@ -389,17 +362,16 @@ def _run_reshape(attrs: dict, x: Tensor, tape) -> Tensor:
     return T.reshape(x, (n, int(np.prod(x.shape[1:]))), tape)
 
 
-def _execute(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
-             capture: dict | None = None):
-    if tuple(x.shape[1:]) != graph.input_shape:
-        raise GraphExecutionError(
-            f"input shape {tuple(x.shape[1:])} does not match graph input "
-            f"{graph.input_shape}")
-    watch = frozenset(watch)
-    cur = tape.leaf(x) if tape is not None else x
-    vals: dict[int, Tensor] = {GRAPH_INPUT: cur}
-    outputs: dict[int, Tensor] = {}
-    for layer in graph.layers:
+def execute(layers, vals: dict[int, Tensor], qcfg: dict,
+            tape: Tape | None = None, capture: dict | None = None) -> dict[int, Tensor]:
+    """Run layers in order on vals, a {producer_id: Tensor} map that must hold
+    every input the layers do not produce themselves; each layer's output is
+    added under its id and the map is returned.
+
+    The whole model, pass 1 and a reconstruction unit re-run on cached inputs
+    all execute through here, so they share one site hook (see run_layer).
+    """
+    for layer in layers:
         ins = []
         for pid in layer.inputs:
             if pid not in vals:
@@ -407,36 +379,50 @@ def _execute(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
                     f"layer {layer.id} ({layer.kind}): missing producer {pid}")
             ins.append(vals[pid])
         try:
-            out = run_layer(layer, ins, qcfg, tape, capture)
-        except GraphExecutionError:
-            raise
+            vals[layer.id] = run_layer(layer, ins, qcfg, tape, capture)
         except Exception as e:
             raise GraphExecutionError(
                 f"layer {layer.id} ({layer.kind}): {e}") from e
-        vals[layer.id] = out
-        if layer.id in watch:
-            outputs[layer.id] = out
-            if tape is not None and out.node is not None:
+    return vals
+
+
+def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
+             capture: dict | None):
+    if tuple(x.shape[1:]) != graph.input_shape:
+        raise GraphExecutionError(
+            f"input shape {tuple(x.shape[1:])} does not match graph input "
+            f"{graph.input_shape}")
+    inputs = {GRAPH_INPUT: tape.leaf(x) if tape is not None else x}
+    vals = execute(graph.layers, inputs, qcfg, tape, capture)
+    outputs = {lid: vals[lid] for lid in watch if lid in vals}
+    if tape is not None:
+        for out in outputs.values():
+            if out.node is not None:
                 tape.watch(out.node)
     return vals[graph.output_id], outputs
 
 
-def forward_fp(graph: Graph, x: Tensor, watch=(), tape: Tape | None = None):
-    """Full-precision forward; returns (logits, {layer_id: output}) for watch."""
-    return _execute(graph, x, {}, watch, tape)
+def forward_fp(graph: Graph, x: Tensor, watch=(), tape: Tape | None = None,
+               capture: dict | None = None):
+    """Full-precision forward; returns (logits, {id: output}) for the ids in
+    watch (GRAPH_INPUT allowed). capture, when given, receives the value of
+    every quant site keyed by (layer_id, site_name)."""
+    return _forward(graph, x, {}, watch, tape, capture)
 
 
 def forward_quant(graph: Graph, x: Tensor, qcfg: dict, watch=(),
                   tape: Tape | None = None):
     """Fake-quant forward. Sites absent from qcfg run in full precision, so an
     empty qcfg reproduces forward_fp bit for bit."""
-    for key in qcfg:
-        lid, name = key
-        try:
-            graph.site(lid, name)
-        except GraphError as e:
-            raise SiteCoverageError(f"qconfig entry for unknown site {lid}:{name}") from e
-    return _execute(graph, x, qcfg, watch, tape)
+    unknown = set(qcfg) - {s.key for s in graph.quant_sites}
+    if unknown:
+        raise SiteCoverageError("qconfig names unknown sites, absent from the "
+                                f"model: {_fmt_keys(unknown)}")
+    return _forward(graph, x, qcfg, watch, tape, None)
+
+
+def _fmt_keys(keys) -> str:
+    return ", ".join(f"{l}:{n}" for l, n in sorted(keys)) or "-"
 
 
 def check_site_coverage(graph: Graph, qcfg: dict) -> None:
@@ -446,11 +432,9 @@ def check_site_coverage(graph: Graph, qcfg: dict) -> None:
     missing = declared - got
     extra = got - declared
     if missing or extra:
-        def fmt(keys):
-            return ", ".join(f"{l}:{n}" for l, n in sorted(keys)) or "-"
         raise SiteCoverageError(
-            f"site coverage mismatch: missing [{fmt(missing)}], "
-            f"unexpected [{fmt(extra)}]")
+            f"site coverage mismatch: missing [{_fmt_keys(missing)}], "
+            f"unexpected [{_fmt_keys(extra)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +488,7 @@ def load_manifest(manifest_path: str) -> Graph:
             raise GraphError(
                 f"unknown layer kind '{kind}' at layer {ldoc.get('id')}; "
                 f"known kinds: {', '.join(LAYER_KINDS)}")
-        weights = {name: T.load_tensor(os.path.join(base, rel))
+        weights = {name: T.load_tensor(_blob_path(base, ldoc.get("id"), name, rel))
                    for name, rel in ldoc.get("weights", {}).items()}
         layers.append(LayerSpec(id=int(ldoc["id"]), kind=kind,
                                 attrs=dict(ldoc.get("attrs", {})),
@@ -515,3 +499,14 @@ def load_manifest(manifest_path: str) -> Graph:
                  output_id=doc.get("output"),
                  mode=doc.get("mode", "partial"),
                  bridge_annotations=list(doc.get("bridge_blocks", [])))
+
+
+def _blob_path(base: str, layer_id, name: str, rel) -> str:
+    """Resolve a weight blob path, refusing any that leaves the manifest dir."""
+    inside = isinstance(rel, str) and not os.path.isabs(rel)
+    path = os.path.normpath(os.path.join(base, rel)) if inside else ""
+    if not inside or os.path.commonpath([base, path]) != base:
+        raise GraphError(
+            f"layer {layer_id}: weight '{name}' path {rel!r} is not inside the "
+            f"manifest directory")
+    return path

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hyquant.bridge import (BridgeAnnotationError, reconstruction_unit_of,
-                            resolve_bridge_blocks, suggest_bridge_annotations,
-                            units_for, watch_set)
-from hyquant.graph import Graph, GraphError, LayerSpec
+from hyquant.bridge import (BridgeAnnotationError, resolve_bridge_blocks,
+                            suggest_bridge_annotations, units_for)
+from hyquant.graph import Graph, LayerSpec
 from hyquant.tensor import Tensor
 from hyquant.zoo import BRIDGE_1X1_ID, BRIDGE_KXK_ID, build_fixture
 
@@ -80,12 +79,19 @@ class TestResolve:
             resolve_bridge_blocks(g, [{"label": "a", "layer_ids": []}])
 
 
+def unit_of(units, layer_id):
+    """The one unit whose members include layer_id."""
+    (unit,) = [u for u in units if layer_id in u.layer_ids]
+    return unit
+
+
 class TestUnits:
     def test_member_maps_to_group_with_tail_output(self):
         g = chain_graph()
         groups = resolve_bridge_blocks(g, [{"label": "a", "layer_ids": [1, 2, 3]}])
+        units = units_for(g, groups)
         for lid in (1, 2, 3):
-            unit = reconstruction_unit_of(g, lid, groups)
+            unit = unit_of(units, lid)
             assert unit.layer_ids == (1, 2, 3)
             assert unit.output_id == 3
             assert unit.is_bridge
@@ -93,13 +99,8 @@ class TestUnits:
     def test_non_member_maps_to_singleton(self):
         g = chain_graph()
         groups = resolve_bridge_blocks(g, [{"label": "a", "layer_ids": [1, 2]}])
-        unit = reconstruction_unit_of(g, 4, groups)
+        unit = unit_of(units_for(g, groups), 4)
         assert unit.layer_ids == (4,) and not unit.is_bridge
-
-    def test_unknown_id_rejected(self):
-        g = chain_graph()
-        with pytest.raises(GraphError, match="unknown layer"):
-            reconstruction_unit_of(g, 99, [])
 
     def test_units_cover_every_layer_exactly_once(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
@@ -112,7 +113,7 @@ class TestUnits:
     def test_watch_set_is_group_tails_plus_singletons(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
         groups = resolve_bridge_blocks(graph, graph.bridge_annotations)
-        got = watch_set(graph, groups)
+        got = frozenset(u.output_id for u in units_for(graph, groups))
         member_ids = {lid for g in groups for lid in g.layer_ids}
         want = {g.output_id for g in groups} | \
             {l.id for l in graph.layers if l.id not in member_ids}

@@ -8,10 +8,11 @@ from hyquant.bridge import resolve_bridge_blocks, units_for
 from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
                            cosine_distance, generate_candidates, objective,
                            pass1_cache_fp, pass2_cache_gradients, search_unit)
-from hyquant.graph import Graph, LayerSpec, forward_fp, run_layer
+from hyquant.cli import with_mode
+from hyquant.graph import Graph, LayerSpec, forward_fp, forward_quant, run_layer
 from hyquant.quant import fit_minmax
 from hyquant.tensor import Tensor, cross_entropy
-from hyquant.zoo import build_fixture
+from hyquant.zoo import FIXTURES, build_fixture
 from oracles import dense_objective_oracle
 
 F32 = np.float32
@@ -401,10 +402,42 @@ class TestCalibrate:
         assert set(qcfg) == {s.key for s in graph.quant_sites}
         assert all(0.0 <= d.objective <= 2.0 for d in decisions)
 
-    def test_threaded_scan_matches_serial(self):
-        graph, calib, _, _ = build_fixture("tiny-mvit-ln")
-        space = SearchSpace(candidates=4, iterations=1)
-        a, _ = calibrate(graph, calib, space, CalibOptions(threads=1), bits=8)
-        b, _ = calibrate(graph, calib, space, CalibOptions(threads=4), bits=8)
-        from hyquant.cli import qconfig_to_doc
-        assert qconfig_to_doc(a, 8, "partial") == qconfig_to_doc(b, 8, "partial")
+
+class TestOneExecutor:
+    """A unit re-run on cached inputs is the whole-model forward restricted to
+    the unit's sites: the same output bits, so the same objective."""
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_unit_rerun_equals_full_forward(self, name, mode):
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        units = fixture_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache, bits=8)
+        default = C.default_qconfig(graph, 8, cache)
+        searched, objectives = [], []
+        for unit in units:
+            keys = [s.key for lid in unit.layer_ids
+                    for s in graph.sites_by_layer[lid]]
+            if not keys:
+                with pytest.raises(CalibError, match="no quant sites"):
+                    search_unit(graph, unit, cache, SearchSpace(),
+                                CalibOptions(), bits=8)
+                continue
+            params = {key: default[key] for key in keys}
+            _, outs = forward_quant(graph, calib, params, watch={unit.output_id})
+            delta = (outs[unit.output_id].data.astype(np.float64)
+                     - cache.unit_outputs[unit.output_id].astype(np.float64))
+            want = objective(delta, cache.unit_grads[unit.output_id])
+            ev = C._UnitEvaluator(graph, unit, cache, "hessian")
+            assert ev.run(params).hex() == want.hex(), unit.label
+            searched.append(unit.label)
+            objectives.append(want)
+        # calibrate skips exactly the site-less units and, with the search
+        # off, scores the rest with the same default objective
+        off = CalibOptions(scale_search=False, granularity_search=False,
+                           scheme_search=False)
+        _, decisions = calibrate(graph, calib, options=off, bits=8)
+        assert [d.label for d in decisions] == searched
+        assert [d.objective for d in decisions] == objectives

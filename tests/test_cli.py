@@ -25,6 +25,11 @@ def run_quantize(runner, out, extra=()):
     return runner.invoke(main, args)
 
 
+def error_lines(output):
+    return [line for line in output.splitlines()
+            if line.lower().startswith("error:")]
+
+
 class TestQuantizeCommand:
     def test_writes_qconfig_covering_all_sites(self, runner, tmp_path):
         out = tmp_path / "q.json"
@@ -106,6 +111,17 @@ class TestQuantizeCommand:
         assert result.exit_code == 0, result.output
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_thread_env_var_is_usage_error(self, runner, tmp_path,
+                                                     value):
+        result = runner.invoke(
+            main, ["quantize", "--fixture", "tiny-mvit-ln",
+                   "--out", str(tmp_path / "q.json")],
+            env={"HYQUANT_THREADS": value})
+        assert result.exit_code == 2
+        errors = error_lines(result.output)
+        assert len(errors) == 1 and "HYQUANT_THREADS" in errors[0]
+
 
 class TestEvaluateCommand:
     def test_empty_qconfig_reproduces_fp_metrics(self, runner, tmp_path):
@@ -145,6 +161,38 @@ class TestEvaluateCommand:
                                       "--qconfig", str(qpath)])
         assert result.exit_code == 1
         assert "absent" in result.output
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("scale", None, "missing field 'scale'"),
+        ("zero_point_raw", None, "missing field 'zero_point_raw'"),
+        ("scale", "wide", "field 'scale' has the wrong type"),
+        ("zero_point", [[0]], "field 'zero_point' has the wrong type"),
+        ("channel_axis", "0", "field 'channel_axis' has the wrong type"),
+        ("bits", 6, "document's bits is 8"),
+        ("zero_point", 2 ** 40, "out of bounds"),
+    ])
+    def test_malformed_qconfig_entry_fails_cleanly(self, runner, tmp_path,
+                                                   field, value, message):
+        graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        from hyquant.quant import fit_minmax
+        key = graph.quant_sites[0].key
+        p = fit_minmax(Tensor([-1.0, 1.0]), 8, "symmetric", "per_layer")
+        doc = qconfig_to_doc({key: p}, 8, "partial")
+        if value is None:
+            del doc["sites"][0][field]
+        else:
+            doc["sites"][0][field] = value
+        qpath = tmp_path / "bad.json"
+        qpath.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--fixture", "tiny-mvit-ln",
+                                      "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert str(qpath) in errors[0] and f"{key[0]}:{key[1]}" in errors[0]
+        assert message in errors[0]
 
     def test_metrics_file_written(self, runner, tmp_path):
         qpath, mpath = tmp_path / "q.json", tmp_path / "metrics.json"

@@ -46,6 +46,22 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="before it is produced"):
             Graph(layers=layers, input_shape=(4,))
 
+    @pytest.mark.parametrize("name, shape", [
+        ("w_k", None), ("w_v", None), ("w_o", None),
+        ("w_k", (6, 4)), ("w_v", (6,)), ("w_o", (2, 6, 6)), ("w_q", (4, 6)),
+    ])
+    def test_mhsa_projections_checked_at_construction(self, name, shape):
+        rng = np.random.default_rng(0)
+        weights = {n: t(rng.normal(0, 1, (6, 6)).astype(F32))
+                   for n in ("w_q", "w_k", "w_v", "w_o")}
+        if shape is None:
+            del weights[name]
+        else:
+            weights[name] = t(np.ones(shape, dtype=F32))
+        with pytest.raises(GraphError, match=f"layer 3: mhsa projection '{name}'"):
+            Graph(layers=[LayerSpec(3, "mhsa", {"heads": 2}, [-1], weights)],
+                  input_shape=(3, 6))
+
     def test_mhsa_head_divisibility(self):
         rng = np.random.default_rng(0)
         weights = {n: t(rng.normal(0, 1, (6, 6)).astype(F32))
@@ -96,9 +112,8 @@ class TestForwardQuant:
         assert y_fp.data.tobytes() == y_q.data.tobytes()
 
     def _minmax_qconfig(self, graph, calib, bits):
-        from hyquant.graph import _execute
         capture = {}
-        _execute(graph, calib, {}, frozenset(), None, capture)
+        forward_fp(graph, calib, capture=capture)
         cfg = {}
         for site in graph.quant_sites:
             scheme = "symmetric" if site.kind == "weight" else "asymmetric"
@@ -223,7 +238,7 @@ class TestSites:
 
     def test_probs_site_pins_per_layer(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
-        site = graph.site(7, "attn_probs")
+        (site,) = [s for s in graph.sites_by_layer[7] if s.name == "attn_probs"]
         assert not site.allow_per_channel
 
 
@@ -310,6 +325,22 @@ class TestManifest:
         doc["layers"][0]["kind"] = "quantum_fold"
         path.write_text(json.dumps(doc))
         with pytest.raises(GraphError, match="unknown layer kind 'quantum_fold'"):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("escape", ["../outside.hqt", "ABSOLUTE"])
+    def test_blob_path_leaving_the_manifest_dir_rejected(self, tmp_path, escape):
+        graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        export = tmp_path / "export"
+        export.mkdir()
+        path = export / "model.json"
+        save_manifest(graph, str(path))
+        outside = tmp_path / "outside.hqt"
+        outside.write_bytes((export / "blobs" / "l0_w.hqt").read_bytes())
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["weights"]["w"] = \
+            str(outside) if escape == "ABSOLUTE" else escape
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match="layer 0: weight 'w' path"):
             load_manifest(str(path))
 
     def test_bad_format_string_rejected(self, tmp_path):

@@ -7,7 +7,9 @@ the default-quantized model (min-max fits), takes cross-entropy against the
 full-precision argmax labels, and backpropagates to cache each unit's output
 gradient. The search then minimizes the squared-gradient reconstruction
 objective per unit over scale candidates, granularity and scheme, re-running
-only the unit's own layers on the cached full-precision inputs.
+only the unit's own layers on the cached full-precision inputs. A scale
+candidate re-runs only what depends on the scanned site; every value upstream
+of it is reused from the unit's current parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
-from .graph import GRAPH_INPUT, Graph, Site, execute, forward_fp, forward_quant
+from .graph import (GRAPH_INPUT, MHSA_CONES, Graph, Site, execute, forward_fp,
+                    forward_quant, run_steps, site_hook)
 from .quant import QuantParams, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
@@ -223,11 +226,21 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
 
 
 class _UnitEvaluator:
-    """Re-runs one unit's layers on cached FP inputs and scores the output."""
+    """Re-runs one unit's layers on cached FP inputs and scores the output.
+
+    run() re-runs the whole unit and keeps what it computed, every member's
+    output and each mhsa member's step values, as the state of its params.
+    score_site() scores params that differ from that state's only at one
+    site by re-running just that site's cone: the site's mhsa steps
+    (MHSA_CONES) or its whole layer, then the later members. The result is
+    bitwise run()'s, since the cone repeats the same operations on the same
+    values.
+    """
 
     def __init__(self, graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                  metric: str):
         self.members = [graph.layer(lid) for lid in unit.layer_ids]
+        self._pos = {layer.id: i for i, layer in enumerate(self.members)}
         self.output_id = unit.output_id
         self.inputs = {pid: Tensor._wrap(arr)
                        for (_, pid), arr in cache.unit_inputs[unit.output_id].items()}
@@ -242,11 +255,44 @@ class _UnitEvaluator:
             g64 = grad.astype(np.float64).ravel()
             self._g2 = g64 * g64
         self._o_fp64 = self.o_fp.astype(np.float64).ravel()
+        self._vals: dict[int, Tensor] = {}
+        self._steps: dict[int, dict] = {}
         self.evals = 0
 
     def run(self, params: dict) -> float:
+        """Objective of params from a full re-run; params become the state."""
         self.evals += 1
-        o_hat = execute(self.members, dict(self.inputs), params)[self.output_id].data
+        self._steps = {}
+        self._vals = execute(self.members, dict(self.inputs), params,
+                             step_values=self._steps)
+        return self._score(self._vals)
+
+    def score_site(self, params: dict, site: Site) -> float:
+        """run(params)'s objective, re-running only the cone of site."""
+        self.evals += 1
+        return self._score(self._rerun(params, site)[0])
+
+    def adopt(self, params: dict, site: Site) -> None:
+        """Make params, changed from the state's at site only, the state."""
+        vals, steps = self._rerun(params, site)
+        self._vals = vals
+        self._steps.update(steps)
+
+    def _rerun(self, params: dict, site: Site):
+        i = self._pos[site.layer]
+        layer = self.members[i]
+        vals, steps = dict(self._vals), {}
+        if layer.kind == "mhsa":
+            sv = steps[layer.id] = run_steps(
+                MHSA_CONES[site.name], dict(self._steps[layer.id]),
+                site_hook(layer.id, params))
+            vals[layer.id] = sv["out"]
+            i += 1
+        execute(self.members[i:], vals, params, step_values=steps)
+        return vals, steps
+
+    def _score(self, vals: dict[int, Tensor]) -> float:
+        o_hat = vals[self.output_id].data
         if self.metric == "cosine":
             return cosine_distance(o_hat, self.o_fp)
         return _g2_weighted(self._g2, o_hat.astype(np.float64).ravel() - self._o_fp64)
@@ -269,21 +315,22 @@ def _site_granularity(site: Site, granularity: str) -> str:
     return granularity
 
 
-def _scan_candidates(evaluator, params, site, cands, trace_rows, trace_meta):
-    """Score every scale candidate for one site; returns (best_obj, best_params)."""
+def _scan_candidates(evaluator, params, site, candidates, trace_rows,
+                     trace_meta):
+    """Score every candidate QuantParams for one site against the evaluator's
+    state; returns (best_obj, best_params)."""
     saved = params[site.key]
-    candidates_cache = [params_for_scale(saved, c) for c in cands]
     objs = []
-    for p in candidates_cache:
+    for p in candidates:
         params[site.key] = p
-        objs.append(evaluator.run(params))
+        objs.append(evaluator.score_site(params, site))
     params[site.key] = saved
     if trace_rows is not None:
         label, g_lab, s_lab = trace_meta
         for ci, obj in enumerate(objs):
             trace_rows.append((label, g_lab, s_lab, ci, obj))
     best_ci = int(np.argmin(objs))
-    return objs[best_ci], candidates_cache[best_ci]
+    return objs[best_ci], candidates[best_ci]
 
 
 def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
@@ -325,6 +372,7 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
     weight_sites = [s for s in sites if s.kind == "weight"]
     act_sites = [s for s in sites if s.kind == "activation"]
     best_obj, best_params, best_g, best_s = None, None, None, None
+    scales: dict[tuple[tuple[int, str], str], np.ndarray] = {}
 
     for g, s_w, s_a, s_label in _combos(options):
         params: dict[tuple[int, str], QuantParams] = {}
@@ -346,21 +394,25 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
         cur_obj = evaluator.run(params)
         if trace is not None:
             trace.append((unit.label, g, s_label, -1, cur_obj))
-        cand_cache: dict[tuple[tuple[int, str], str], np.ndarray] = {}
+        # candidates keep the fit's zero-point, so one list serves every round
+        candidates = {}
+        for site in sites:
+            ck = (site.key, params[site.key].granularity)
+            if ck not in scales:
+                scales[ck] = np.atleast_1d(generate_candidates(
+                    Tensor._wrap(stats[site.key]), bits, space, ck[1],
+                    site.channel_axis))
+            candidates[site.key] = [params_for_scale(params[site.key], c)
+                                    for c in scales[ck]]
         for _ in range(space.iterations):
             changed = False
             for site in weight_sites + act_sites:
-                gran = _site_granularity(site, g)
-                ck = (site.key, gran)
-                if ck not in cand_cache:
-                    cand_cache[ck] = np.atleast_1d(generate_candidates(
-                        Tensor._wrap(stats[site.key]), bits, space, gran,
-                        site.channel_axis))
                 obj, p = _scan_candidates(
-                    evaluator, params, site, cand_cache[ck], trace,
+                    evaluator, params, site, candidates[site.key], trace,
                     (unit.label, g, s_label))
                 if obj < cur_obj:
                     params[site.key] = p
+                    evaluator.adopt(params, site)
                     cur_obj = obj
                     changed = True
             if not changed:

@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -230,6 +231,133 @@ def _no_quant(name: str, x: Tensor) -> Tensor:
     return x
 
 
+def site_hook(layer_id: int, qcfg: dict, tape: Tape | None = None,
+              capture: dict | None = None):
+    """The one site hook: a callable(name, Tensor) that fake-quantizes the
+    tensor at site (layer_id, name) when qcfg holds params for it.
+
+    capture, when given, is filled with the full-precision value of every
+    site tensor keyed by (layer_id, site_name).
+    """
+
+    def site(name: str, x: Tensor) -> Tensor:
+        if capture is not None:
+            capture[(layer_id, name)] = x.data
+        p = qcfg.get((layer_id, name))
+        return quantize_dequantize(x, p, tape) if p is not None else x
+
+    return site
+
+
+# Attention as an ordered step list. A step computes out = op(*ins, tape)
+# from named values, or, when op is None, passes its one input through the
+# site hook under the step's site name. One loop (run_steps) runs the list,
+# so the whole-model forward, both calibration passes and the search's
+# re-run of one site's downstream steps (MHSA_CONES) share one implementation.
+
+
+class Step(NamedTuple):
+    out: str
+    op: Callable | None
+    ins: tuple[str, ...]
+    site: str | None = None
+
+
+def _project(x: Tensor, w: Tensor, b: Tensor | None, tape) -> Tensor:
+    out = T.matmul(x, w, tape, transpose_b=True)
+    return T.add(out, b, tape) if b is not None else out
+
+
+def _split_heads(x: Tensor, heads: int, tape) -> Tensor:
+    n, t, e = x.shape
+    x = T.reshape(x, (n, t, heads, e // heads), tape)
+    return T.transpose(x, (0, 2, 1, 3), tape)
+
+
+def _scores(qh: Tensor, kh: Tensor, tape) -> Tensor:
+    return T.scale(T.matmul(qh, kh, tape, transpose_b=True),
+                   1.0 / math.sqrt(qh.shape[-1]), tape)
+
+
+def _softmax(scores: Tensor, tape) -> Tensor:
+    return T.softmax(scores, axis=-1, tape=tape)
+
+
+def _merge_heads(probs: Tensor, vh: Tensor, tape) -> Tensor:
+    ctx = T.transpose(T.matmul(probs, vh, tape), (0, 2, 1, 3), tape)
+    n, t, heads, dk = ctx.shape
+    return T.reshape(ctx, (n, t, heads * dk), tape)
+
+
+# (N, T, E) projections "q", "k", "v" and the head count "heads" -> "ctx"
+ATTENTION_STEPS = (
+    Step("qs", None, ("q",), "attn_q"),
+    Step("qh", _split_heads, ("qs", "heads")),
+    Step("ks", None, ("k",), "attn_k"),
+    Step("kh", _split_heads, ("ks", "heads")),
+    Step("vs", None, ("v",), "attn_v"),
+    Step("vh", _split_heads, ("vs", "heads")),
+    Step("scores", _scores, ("qh", "kh")),
+    Step("scores_q", None, ("scores",), "softmax_in"),
+    Step("probs", _softmax, ("scores_q",)),
+    Step("probs_q", None, ("probs",), "attn_probs"),
+    Step("ctx", _merge_heads, ("probs_q", "vh")),
+)
+
+# the mhsa layer: input "x", its weights by name and "heads" -> "out"
+MHSA_STEPS = (
+    Step("xq", None, ("x",), "input"),
+    Step("wq", None, ("w_q",), "w_q"),
+    Step("q", _project, ("xq", "wq", "b_q")),
+    Step("wk", None, ("w_k",), "w_k"),
+    Step("k", _project, ("xq", "wk", "b_k")),
+    Step("wv", None, ("w_v",), "w_v"),
+    Step("v", _project, ("xq", "wv", "b_v")),
+    *ATTENTION_STEPS,
+    Step("ctx_q", None, ("ctx",), "proj_in"),
+    Step("wo", None, ("w_o",), "w_o"),
+    Step("out", _project, ("ctx_q", "wo", "b_o")),
+)
+
+
+def run_steps(steps, vals: dict, site, tape: Tape | None = None,
+              keep: bool = True) -> dict:
+    """Run steps in order on vals, a {name: value} map (a name it lacks reads
+    as None, an absent bias); each step's output is added under its name and
+    the map is returned.
+
+    keep=False drops each value from the map after its last use, so a forward
+    that needs only the final output holds no more intermediates at once
+    than the attention computation itself requires.
+    """
+    last_use = {} if keep else {n: i for i, step in enumerate(steps)
+                                for n in step.ins}
+    for i, (out, op, ins, name) in enumerate(steps):
+        if op is None:
+            vals[out] = site(name, vals[ins[0]])
+        else:
+            vals[out] = op(*[vals.get(n) for n in ins], tape)
+        if not keep:
+            for n in ins:
+                if last_use[n] == i:
+                    vals.pop(n, None)
+    return vals
+
+
+def _site_cone(steps, site: str) -> tuple[Step, ...]:
+    """The step that quantizes site plus every later step depending on it."""
+    dirty: set[str] = set()
+    for step in steps:
+        if step.site == site or dirty.intersection(step.ins):
+            dirty.add(step.out)
+    return tuple(step for step in steps if step.out in dirty)
+
+
+# by site name, the mhsa steps to re-run when only that site's params change
+MHSA_CONES = {step.site: _site_cone(MHSA_STEPS, step.site)
+              for step in MHSA_STEPS if step.site is not None}
+
+
 def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                     d_k: int | None = None, site=None,
                     tape: Tape | None = None) -> Tensor:
@@ -240,45 +368,26 @@ def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     operands of both matrix products ("attn_q", "attn_k", "attn_v",
     "attn_probs") and to the softmax input ("softmax_in").
     """
-    n, t, e = q.shape
+    _, _, e = q.shape
     if heads < 1 or e % heads != 0:
         raise GraphError(f"embedding dim {e} not divisible by head count {heads}")
-    dk = e // heads
-    if d_k is not None and d_k != dk:
+    if d_k is not None and d_k != e // heads:
         raise GraphError(f"d_k={d_k} inconsistent with embed {e} / heads {heads}")
-    site = site or _no_quant
-
-    def split(x: Tensor) -> Tensor:
-        x = T.reshape(x, (n, t, heads, dk), tape)
-        return T.transpose(x, (0, 2, 1, 3), tape)
-
-    qh = split(site("attn_q", q))
-    kh = split(site("attn_k", k))
-    vh = split(site("attn_v", v))
-    scores = T.scale(T.matmul(qh, kh, tape, transpose_b=True),
-                     1.0 / math.sqrt(dk), tape)
-    scores = site("softmax_in", scores)
-    probs = T.softmax(scores, axis=-1, tape=tape)
-    probs = site("attn_probs", probs)
-    ctx = T.matmul(probs, vh, tape)
-    ctx = T.transpose(ctx, (0, 2, 1, 3), tape)
-    return T.reshape(ctx, (n, t, e), tape)
+    vals = {"q": q, "k": k, "v": v, "heads": heads}
+    return run_steps(ATTENTION_STEPS, vals, site or _no_quant, tape,
+                     keep=False)["ctx"]
 
 
 def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
-              tape: Tape | None = None, capture: dict | None = None) -> Tensor:
+              tape: Tape | None = None, capture: dict | None = None,
+              step_values: dict | None = None) -> Tensor:
     """Execute one layer, fake-quantizing every site present in qcfg.
 
     capture, when given, is filled with the full-precision value of every
-    site tensor keyed by (layer_id, site_name).
+    site tensor keyed by (layer_id, site_name); step_values, when given,
+    receives an mhsa layer's {step name: value} map under its layer id.
     """
-
-    def site(name: str, x: Tensor) -> Tensor:
-        if capture is not None:
-            capture[(layer.id, name)] = x.data
-        p = qcfg.get((layer.id, name))
-        return quantize_dequantize(x, p, tape) if p is not None else x
-
+    site = site_hook(layer.id, qcfg, tape, capture)
     k, a, w = layer.kind, layer.attrs, layer.weights
     if k in ("conv2d", "depthwise_conv2d"):
         x = site("input", inputs[0])
@@ -288,17 +397,17 @@ def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
                         padding=a.get("padding", 0), groups=groups, tape=tape)
     if k == "linear":
         x = site("input", inputs[0])
-        wq = site("weight", w["w"])
-        out = T.matmul(x, wq, tape, transpose_b=True)
-        if "b" in w:
-            out = T.add(out, w["b"], tape)
-        return out
+        return _project(x, site("weight", w["w"]), w.get("b"), tape)
     if k == "matmul":
         xa = site("input_a", inputs[0])
         xb = site("input_b", inputs[1])
         return T.matmul(xa, xb, tape, transpose_b=a.get("transpose_b", False))
     if k == "mhsa":
-        return _run_mhsa(layer, inputs[0], site, tape)
+        vals = run_steps(MHSA_STEPS, {**w, "x": inputs[0], "heads": a["heads"]},
+                         site, tape, keep=step_values is not None)
+        if step_values is not None:
+            step_values[layer.id] = vals
+        return vals["out"]
     if k == "softmax":
         x = site("input", inputs[0])
         return T.softmax(x, axis=a.get("axis", -1), tape=tape)
@@ -328,23 +437,6 @@ def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
     raise GraphError(f"unknown layer kind '{k}'")
 
 
-def _run_mhsa(layer: LayerSpec, x: Tensor, site, tape) -> Tensor:
-    w = layer.weights
-
-    def project(xq: Tensor, wname: str, bname: str) -> Tensor:
-        out = T.matmul(xq, site(wname, w[wname]), tape, transpose_b=True)
-        if bname in w:
-            out = T.add(out, w[bname], tape)
-        return out
-
-    xq = site("input", x)
-    q = project(xq, "w_q", "b_q")
-    k = project(xq, "w_k", "b_k")
-    v = project(xq, "w_v", "b_v")
-    ctx = quant_attention(q, k, v, layer.attrs["heads"], site=site, tape=tape)
-    return project(site("proj_in", ctx), "w_o", "b_o")
-
-
 def _run_reshape(attrs: dict, x: Tensor, tape) -> Tensor:
     op = attrs["op"]
     if op == "nchw_to_tokens":
@@ -363,10 +455,12 @@ def _run_reshape(attrs: dict, x: Tensor, tape) -> Tensor:
 
 
 def execute(layers, vals: dict[int, Tensor], qcfg: dict,
-            tape: Tape | None = None, capture: dict | None = None) -> dict[int, Tensor]:
+            tape: Tape | None = None, capture: dict | None = None,
+            step_values: dict | None = None) -> dict[int, Tensor]:
     """Run layers in order on vals, a {producer_id: Tensor} map that must hold
     every input the layers do not produce themselves; each layer's output is
-    added under its id and the map is returned.
+    added under its id and the map is returned. capture and step_values are
+    passed to run_layer.
 
     The whole model, pass 1 and a reconstruction unit re-run on cached inputs
     all execute through here, so they share one site hook (see run_layer).
@@ -379,7 +473,8 @@ def execute(layers, vals: dict[int, Tensor], qcfg: dict,
                     f"layer {layer.id} ({layer.kind}): missing producer {pid}")
             ins.append(vals[pid])
         try:
-            vals[layer.id] = run_layer(layer, ins, qcfg, tape, capture)
+            vals[layer.id] = run_layer(layer, ins, qcfg, tape, capture,
+                                       step_values)
         except Exception as e:
             raise GraphExecutionError(
                 f"layer {layer.id} ({layer.kind}): {e}") from e

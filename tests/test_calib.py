@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,9 @@ from hyquant.bridge import resolve_bridge_blocks, units_for
 from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
                            cosine_distance, generate_candidates, objective,
                            pass1_cache_fp, pass2_cache_gradients, search_unit)
-from hyquant.cli import with_mode
+from hyquant.cli import qconfig_to_doc, with_mode
 from hyquant.graph import Graph, LayerSpec, forward_fp, forward_quant, run_layer
-from hyquant.quant import fit_minmax
+from hyquant.quant import fit_minmax, params_for_scale
 from hyquant.tensor import Tensor, cross_entropy
 from hyquant.zoo import FIXTURES, build_fixture
 from oracles import dense_objective_oracle
@@ -441,3 +444,68 @@ class TestOneExecutor:
         _, decisions = calibrate(graph, calib, options=off, bits=8)
         assert [d.label for d in decisions] == searched
         assert [d.objective for d in decisions] == objectives
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_site_cone_score_equals_full_rerun(self, name, mode):
+        # every combination, every site of every unit, one of two candidate
+        # scales each (alternating): the cone re-run scores bitwise what a
+        # full re-run scores, also once earlier sites' changes are adopted
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        units = fixture_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache, bits=8)
+        space = SearchSpace(alpha=0.5, beta=1.1, candidates=2)
+        checks = 0
+        for metric in C.METRICS:
+            for unit in units:
+                sites = [s for lid in unit.layer_ids
+                         for s in graph.sites_by_layer[lid]]
+                if not sites:
+                    continue
+                ev = C._UnitEvaluator(graph, unit, cache, metric)
+                ref = C._UnitEvaluator(graph, unit, cache, metric)
+                for ci, (g, s_w, s_a, _) in enumerate(C._combos(CalibOptions())):
+                    params = {}
+                    for s in sites:
+                        gran = C._site_granularity(s, g)
+                        params[s.key] = fit_minmax(
+                            Tensor._wrap(cache.site_values[s.key]), 8,
+                            s_w if s.kind == "weight" else s_a, gran,
+                            s.channel_axis if gran == "per_channel" else None)
+                    ev.run(params)
+                    for si, s in enumerate(sites):
+                        scales = generate_candidates(
+                            Tensor._wrap(cache.site_values[s.key]), 8, space,
+                            params[s.key].granularity, s.channel_axis)
+                        trial = {**params, s.key: params_for_scale(
+                            params[s.key], scales[(si + ci) % 2])}
+                        got = ev.score_site(trial, s)
+                        assert got.hex() == ref.run(trial).hex(), (
+                            metric, unit.label, g, s_w, s.name)
+                        checks += 1
+                        params = trial
+                        ev.adopt(params, s)
+                    assert ev.run(params).hex() == ref.run(params).hex()
+        assert checks > 0
+
+
+class TestSearchPin:
+    def test_overflow_full_w6_search_matches_recorded_result(self):
+        # recorded before candidate scoring re-ran only a site's cone: the
+        # qconfig, the evaluation count of every unit and the trace length
+        graph, calib, _, _ = build_fixture("overflow-bridge")
+        graph = with_mode(graph, "full")
+        rows = []
+        qcfg, decisions = calibrate(graph, calib,
+                                    SearchSpace(candidates=8, iterations=2),
+                                    CalibOptions(), bits=6, trace=rows)
+        doc = json.dumps(qconfig_to_doc(qcfg, 6, "full"), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "f64e03f1b225426e43da18e526975b97f8b7bd1fc5f2f88c820cb9195cc67e69")
+        assert {d.label: d.evals for d in decisions} == {
+            "layer0": 133, "layer1": 61, "bridge0": 196, "layer6": 61,
+            "layer7": 709, "layer9": 61, "layer10": 117, "layer12": 85,
+            "layer15": 100}
+        assert len(rows) == 1523

@@ -1,7 +1,6 @@
 """hyquant: post-training quantization for hybrid conv+attention networks."""
 
-from .bridge import (BridgeBlockGroup, ReconstructionUnit,
-                     resolve_bridge_blocks, units_for)
+from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
 from .calib import (CalibCache, CalibOptions, SearchSpace, UnitDecision,
                     calibrate, generate_candidates, objective,
                     pass1_cache_fp, pass2_cache_gradients, search_unit)
@@ -15,7 +14,7 @@ from .zoo import FIXTURES, FixtureSpec, build_fixture, build_norm_variants
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeBlockGroup", "CalibCache", "CalibOptions", "FIXTURES", "FixtureSpec",
+    "CalibCache", "CalibOptions", "FIXTURES", "FixtureSpec",
     "Graph", "LayerSpec", "OverflowReport", "QuantParams", "ReconstructionUnit",
     "SearchSpace", "Site", "Tape", "Tensor", "UnitDecision", "backward",
     "build_fixture", "build_norm_variants", "calibrate", "check_site_coverage",

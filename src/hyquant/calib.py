@@ -14,14 +14,14 @@ of it is reused from the unit's current parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
 from .graph import (GRAPH_INPUT, MHSA_CONES, Graph, Site, execute, forward_fp,
                     forward_quant, run_steps, site_hook)
-from .quant import QuantParams, fit_minmax, params_for_scale
+from .quant import QuantParams, channel_ranges, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
 _F32 = np.float32
@@ -137,16 +137,13 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
     data = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=_F32)
     if data.size == 0:
         raise CalibError("cannot generate candidates from an empty tensor")
-    denom = float(2 ** (bits - 1))
+    if granularity != "per_channel":
+        channel_axis = None
+    elif channel_axis is None:
+        raise CalibError("per_channel candidates need a channel_axis")
+    absmax = channel_ranges(data, channel_axis)[2]
     mult = np.linspace(space.alpha, space.beta, space.candidates, dtype=np.float64)
-    if granularity == "per_channel":
-        if channel_axis is None:
-            raise CalibError("per_channel candidates need a channel_axis")
-        ax = channel_axis % data.ndim
-        absmax = np.abs(np.moveaxis(data, ax, 0).reshape(data.shape[ax], -1)).max(axis=1)
-        return mult[:, None] * (absmax.astype(np.float64) / denom)[None, :]
-    base = float(np.abs(data).max()) / denom
-    return mult * base
+    return np.multiply.outer(mult, absmax / float(2 ** (bits - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +236,13 @@ class _UnitEvaluator:
 
     def __init__(self, graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                  metric: str):
+        if unit.output_id not in cache.unit_inputs:
+            raise CalibError(f"unit {unit.label}: no pass 1 values cached; "
+                             f"run pass1_cache_fp first")
+        grad = cache.unit_grads.get(unit.output_id)
+        if metric == "hessian" and grad is None:
+            raise CalibError(f"unit {unit.label}: no pass 2 gradient cached; "
+                             f"run pass2_cache_gradients first")
         self.members = [graph.layer(lid) for lid in unit.layer_ids]
         self._pos = {layer.id: i for i, layer in enumerate(self.members)}
         self.output_id = unit.output_id
@@ -246,12 +250,7 @@ class _UnitEvaluator:
                        for (_, pid), arr in cache.unit_inputs[unit.output_id].items()}
         self.o_fp = cache.unit_outputs[unit.output_id]
         self.metric = metric
-        grad = cache.unit_grads.get(unit.output_id)
         if metric == "hessian":
-            if grad is None:
-                raise CalibError(
-                    f"no cached gradient for unit output {unit.output_id}; "
-                    f"run pass2_cache_gradients first")
             g64 = grad.astype(np.float64).ravel()
             self._g2 = g64 * g64
         self._o_fp64 = self.o_fp.astype(np.float64).ravel()
@@ -348,9 +347,6 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
     sites = [s for lid in unit.layer_ids for s in graph.sites_by_layer[lid]]
     if not sites:
         raise CalibError(f"unit {unit.label} has no quant sites to search")
-    if not cache.complete and options.metric == "hessian":
-        raise CalibError("calibration cache incomplete; run both passes first")
-
     evaluator = _UnitEvaluator(graph, unit, cache, options.metric)
     stats = {s.key: _site_fp_value(s, cache) for s in sites}
     default_params = {s.key: _default_site_params(graph, s, cache, bits)
@@ -371,7 +367,6 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
 
     weight_sites = [s for s in sites if s.kind == "weight"]
     act_sites = [s for s in sites if s.kind == "activation"]
-    best_obj, best_params, best_g, best_s = None, None, None, None
     scales: dict[tuple[tuple[int, str], str], np.ndarray] = {}
 
     for g, s_w, s_a, s_label in _combos(options):
@@ -417,14 +412,10 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                     changed = True
             if not changed:
                 break
-        if best_obj is None or cur_obj < best_obj:
-            best_obj, best_params = cur_obj, dict(params)
-            best_g, best_s = g, s_label
-
-    if best_obj is not None and best_obj < default_obj:
-        decision = UnitDecision(label=unit.label, output_id=unit.output_id,
-                                params=best_params, granularity=best_g,
-                                scheme=best_s, objective=best_obj)
+        # strictly lower only: ties keep the default or the earlier combination
+        if cur_obj < decision.objective:
+            decision = replace(decision, params=dict(params), granularity=g,
+                               scheme=s_label, objective=cur_obj)
     decision.evals = evaluator.evals
     return decision
 

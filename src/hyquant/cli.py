@@ -18,7 +18,8 @@ import numpy as np
 
 from .calib import CalibError, CalibOptions, SearchSpace, calibrate
 from .graph import Graph, GraphError, forward_fp, forward_quant, load_manifest
-from .quant import QuantError, QuantParams, detect_zero_point_overflow
+from .quant import (QuantError, QuantParams, channel_ranges,
+                    detect_zero_point_overflow)
 from .tensor import Tensor, TensorError, load_tensor
 from .zoo import FIXTURES, ZooError, build_fixture, export_fixture
 
@@ -151,22 +152,18 @@ def range_report(graph: Graph, calib_x: Tensor, val_x: Tensor, bits: int):
     for site in graph.quant_sites:
         if site.kind != "activation":
             continue
-        cvals = capture_c[site.key]
-        vvals = capture_v[site.key]
-        rep = detect_zero_point_overflow(Tensor._wrap(cvals), bits,
-                                         site.channel_axis)
-        ax = site.channel_axis % cvals.ndim
-        cm = np.moveaxis(cvals, ax, 0).reshape(cvals.shape[ax], -1)
-        vm = np.moveaxis(vvals, ax, 0).reshape(vvals.shape[ax], -1)
+        rep = detect_zero_point_overflow(Tensor._wrap(capture_c[site.key]),
+                                         bits, site.channel_axis)
+        v_min, v_max, _ = channel_ranges(capture_v[site.key], site.channel_axis)
         for ch in rep.channels:
             rows.append({
                 "layer": site.layer,
                 "site": site.name,
                 "channel": ch.channel,
-                "calib_min": float(cm[ch.channel].min()),
-                "calib_max": float(cm[ch.channel].max()),
-                "val_min": float(vm[ch.channel].min()),
-                "val_max": float(vm[ch.channel].max()),
+                "calib_min": ch.r_min,
+                "calib_max": ch.r_max,
+                "val_min": float(v_min[ch.channel]),
+                "val_max": float(v_max[ch.channel]),
                 "zero_point_raw": ch.zero_point_raw,
                 "flagged": ch.flagged,
             })

@@ -536,16 +536,16 @@ def check_site_coverage(graph: Graph, qcfg: dict) -> None:
 # manifest + weight blobs
 
 
-def save_manifest(graph: Graph, manifest_path: str, blobs_dirname: str = "blobs") -> None:
-    """Write the model manifest plus one blob file per weight tensor."""
+def save_manifest(graph: Graph, manifest_path: str) -> None:
+    """Write the model manifest plus one blob file per weight tensor, under
+    blobs/ beside it."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    blob_dir = os.path.join(base, blobs_dirname)
-    os.makedirs(blob_dir, exist_ok=True)
+    os.makedirs(os.path.join(base, "blobs"), exist_ok=True)
     layers_doc = []
     for layer in graph.layers:
         wdoc = {}
         for name, t in sorted(layer.weights.items()):
-            rel = f"{blobs_dirname}/l{layer.id}_{name}.hqt"
+            rel = f"blobs/l{layer.id}_{name}.hqt"
             T.save_tensor(os.path.join(base, rel), t)
             wdoc[name] = rel
         layers_doc.append({
@@ -569,31 +569,65 @@ def save_manifest(graph: Graph, manifest_path: str, blobs_dirname: str = "blobs"
 
 
 def load_manifest(manifest_path: str) -> Graph:
+    """Read a manifest and its weight blobs; a malformed document raises one
+    GraphError naming the file and, where there is one, the layer and field."""
     with open(manifest_path) as f:
         doc = json.load(f)
+    try:
+        return _graph_from_doc(doc, os.path.dirname(os.path.abspath(manifest_path)))
+    except GraphError as e:
+        raise GraphError(f"{manifest_path}: {e}") from None
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(type(i) is int for i in v)
+
+
+def _field(doc: dict, name: str, ok, what: str, default=None, where: str = ""):
+    """doc[name], or default when absent; GraphError unless ok(value)."""
+    v = doc.get(name, default)
+    if not ok(v):
+        raise GraphError(f"{where}field '{name}' must be {what}, got {v!r}")
+    return v
+
+
+def _graph_from_doc(doc, base: str) -> Graph:
+    if not isinstance(doc, dict):
+        raise GraphError("a manifest must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise GraphError(
             f"unsupported manifest format {doc.get('format')!r}, "
             f"expected {MANIFEST_FORMAT!r}")
-    base = os.path.dirname(os.path.abspath(manifest_path))
     layers = []
-    for ldoc in doc["layers"]:
+    for ldoc in _field(doc, "layers", lambda v: isinstance(v, list) and all(
+            isinstance(x, dict) for x in v), "a list of layer objects"):
+        where = f"layer {ldoc.get('id')}: "
+        lid = _field(ldoc, "id", lambda v: type(v) is int, "an integer",
+                     where=where)
         kind = ldoc.get("kind")
         if kind not in LAYER_KINDS:
             raise GraphError(
-                f"unknown layer kind '{kind}' at layer {ldoc.get('id')}; "
+                f"unknown layer kind '{kind}' at layer {lid}; "
                 f"known kinds: {', '.join(LAYER_KINDS)}")
-        weights = {name: T.load_tensor(_blob_path(base, ldoc.get("id"), name, rel))
-                   for name, rel in ldoc.get("weights", {}).items()}
-        layers.append(LayerSpec(id=int(ldoc["id"]), kind=kind,
-                                attrs=dict(ldoc.get("attrs", {})),
-                                inputs=[int(i) for i in ldoc.get("inputs", [])],
-                                weights=weights))
+        blobs = _field(ldoc, "weights", lambda v: isinstance(v, dict),
+                       "an object", {}, where)
+        layers.append(LayerSpec(
+            id=lid, kind=kind,
+            attrs=dict(_field(ldoc, "attrs", lambda v: isinstance(v, dict),
+                              "an object", {}, where)),
+            inputs=list(_field(ldoc, "inputs", _is_ints, "a list of integers",
+                               [], where)),
+            weights={name: T.load_tensor(_blob_path(base, lid, name, rel))
+                     for name, rel in blobs.items()}))
+    output = _field(doc, "output", lambda v: v is None or type(v) is int,
+                    "an integer")
+    bridges = _field(doc, "bridge_blocks", lambda v: isinstance(v, list),
+                     "a list", [])
     return Graph(layers=layers,
-                 input_shape=tuple(doc["input_shape"]),
-                 output_id=doc.get("output"),
-                 mode=doc.get("mode", "partial"),
-                 bridge_annotations=list(doc.get("bridge_blocks", [])))
+                 input_shape=tuple(_field(doc, "input_shape", _is_ints,
+                                          "a list of integers")),
+                 output_id=output, mode=doc.get("mode", "partial"),
+                 bridge_annotations=list(bridges))
 
 
 def _blob_path(base: str, layer_id, name: str, rel) -> str:

@@ -100,14 +100,10 @@ class QuantParams:
         return grid_range(self.bits)[1]
 
     @property
-    def clamped_mask(self) -> np.ndarray:
-        """True where the stored integer zero-point was altered by clamping."""
-        rounded = round_half_away(self.zero_point_raw)
-        return (rounded < self.q_min) | (rounded > self.q_max)
-
-    @property
     def any_clamped(self) -> bool:
-        return bool(np.any(self.clamped_mask))
+        """True when clamping altered a stored integer zero-point."""
+        rounded = round_half_away(self.zero_point_raw)
+        return bool(np.any((rounded < self.q_min) | (rounded > self.q_max)))
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,9 @@ class OverflowReport:
         return len(self.flagged_channels)
 
 
-def _reduce(t: np.ndarray, channel_axis: int | None):
-    """(min, max, absmax) over everything, or per channel along channel_axis."""
+def channel_ranges(t: np.ndarray, channel_axis: int | None):
+    """float64 (min, max, absmax) over everything, or per channel along
+    channel_axis (vectors indexed by channel)."""
     if channel_axis is None:
         return (np.asarray(t.min(), dtype=np.float64),
                 np.asarray(t.max(), dtype=np.float64),
@@ -175,7 +172,7 @@ def fit_minmax(t: Tensor, bits: int, scheme: str, granularity: str,
         channel_axis = None
     elif channel_axis is None:
         raise QuantError("per_channel fit requires a channel_axis")
-    r_min, r_max, r_abs = _reduce(data, channel_axis)
+    r_min, r_max, r_abs = channel_ranges(data, channel_axis)
     q_min, q_max = grid_range(bits)
     if scheme == "symmetric":
         denom = max(2 ** (bits - 1) - 1, 1)
@@ -255,10 +252,10 @@ def detect_zero_point_overflow(t: Tensor, bits: int, axis: int) -> OverflowRepor
     data = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=_F32)
     if not -data.ndim <= axis < data.ndim:
         raise QuantError(f"axis {axis} invalid for shape {data.shape}")
-    r_min, r_max, _ = _reduce(data, axis)
+    r_min, r_max, _ = channel_ranges(data, axis)
     sc = floor_scale((r_max - r_min) / (2 ** bits - 1))
+    raw, _ = _asym_zero_points(r_min, sc, bits)
     q_min, q_max = grid_range(bits)
-    raw = q_min - r_min / sc
     flagged = (raw < q_min) | (raw > q_max)
     channels = tuple(
         ChannelOverflow(channel=i, r_min=float(r_min[i]), r_max=float(r_max[i]),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -117,16 +117,15 @@ class Tape:
         self.watched.add(node_id)
 
 
-def backward(loss_grad: Tensor, tape: Tape,
-             wrt: Iterable[int] | None = None) -> dict[int, Tensor]:
-    """Reverse sweep; returns gradients for watched (or `wrt`) nodes.
+def backward(loss_grad: Tensor, tape: Tape) -> dict[int, Tensor]:
+    """Reverse sweep; returns gradients for the watched nodes.
 
     Watched nodes never reached by the sweep get zero gradients of their
     recorded shape.
     """
     if tape is None or not tape.nodes:
         raise EmptyTapeError("backward() on an empty tape")
-    targets = set(tape.watched if wrt is None else wrt)
+    targets = set(tape.watched)
     last = len(tape.nodes) - 1
     if tuple(loss_grad.shape) != tape.nodes[last].shape:
         raise ShapeMismatchError(

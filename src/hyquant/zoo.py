@@ -73,8 +73,6 @@ FIXTURES: dict[str, FixtureSpec] = {
 
 BRIDGE_KXK_ID = 3
 BRIDGE_1X1_ID = 4
-POOL_ID = 14   # depth-1 fixtures; deeper graphs shift these
-HEAD_ID = 15
 
 
 def fixture_spec(name: str) -> FixtureSpec:

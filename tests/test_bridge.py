@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyquant.bridge import (BridgeAnnotationError, resolve_bridge_blocks,
-                            suggest_bridge_annotations, units_for)
+                            units_for)
 from hyquant.graph import Graph, LayerSpec
 from hyquant.tensor import Tensor
 from hyquant.zoo import BRIDGE_1X1_ID, BRIDGE_KXK_ID, build_fixture
@@ -120,14 +120,3 @@ class TestUnits:
         assert got == frozenset(want)
         assert BRIDGE_KXK_ID not in got and BRIDGE_1X1_ID in got
 
-
-class TestSuggestions:
-    def test_advisory_suggestion_matches_fixture_annotation(self):
-        graph, _, _, _ = build_fixture("tiny-mvit-ln")
-        suggestions = suggest_bridge_annotations(graph)
-        assert len(suggestions) == 1
-        assert suggestions[0]["layer_ids"] == \
-            list(graph.bridge_annotations[0]["layer_ids"])
-
-    def test_no_suggestion_without_token_reshape(self):
-        assert suggest_bridge_annotations(chain_graph()) == []

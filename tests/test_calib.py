@@ -98,6 +98,21 @@ class TestGenerateCandidates:
         assert cands.shape == (2, 2)
         np.testing.assert_allclose(cands[1], [1.0 / 128, 4.0 / 128])
 
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_per_channel_uses_channel_maxima_of_3d_tensor(self, axis):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, (2, 3, 4)).astype(F32)
+        x *= np.arange(1, x.shape[axis] + 1, dtype=F32).reshape(
+            [-1 if a == axis % 3 else 1 for a in range(3)])
+        others = tuple(a for a in range(3) if a != axis % 3)
+        absmax = np.abs(x).max(axis=others).astype(np.float64)
+        space = SearchSpace(alpha=0.0, beta=1.0, candidates=2)
+        cands = generate_candidates(t(x), 8, space, "per_channel",
+                                    channel_axis=axis)
+        assert cands.shape == (2, x.shape[axis])
+        assert cands[0].tolist() == [0.0] * x.shape[axis]
+        assert cands[1].tolist() == (absmax / 128).tolist()
+
     def test_empty_tensor_rejected(self):
         with pytest.raises(CalibError, match="empty"):
             generate_candidates(Tensor(np.zeros((0,), F32)), 8,
@@ -330,6 +345,34 @@ class TestSearchUnit:
             search_unit(graph, no_site_unit, cache, SearchSpace(),
                         CalibOptions(), bits=8)
 
+
+    def test_ties_keep_the_minmax_default(self):
+        # a zero output gradient scores every combination and candidate 0
+        g, unit, cache = _toy_unit_setup(seed=2)
+        cache.unit_grads[unit.output_id] = np.zeros_like(
+            cache.unit_grads[unit.output_id])
+        d = search_unit(g, unit, cache, SearchSpace(candidates=3),
+                        CalibOptions(), bits=8)
+        assert (d.granularity, d.scheme, d.objective) == \
+            ("per_layer", "default", 0.0)
+        assert d.params == {s.key: C._default_site_params(g, s, cache, 8)
+                            for s in g.quant_sites}
+
+    @pytest.mark.parametrize("metric", ["hessian", "cosine"])
+    def test_empty_cache_names_unit_and_missing_pass(self, metric):
+        g, unit, _ = _toy_unit_setup(seed=1)
+        with pytest.raises(CalibError,
+                           match=f"unit {unit.label}: no pass 1 values"):
+            search_unit(g, unit, C.CalibCache(), SearchSpace(candidates=2),
+                        CalibOptions(metric=metric), bits=8)
+
+    def test_hessian_without_pass2_names_unit_and_missing_pass(self):
+        g, unit, _ = _toy_unit_setup(seed=1)
+        cache = pass1_cache_fp(g, Tensor(np.ones((2, 4), F32)), [unit])
+        with pytest.raises(CalibError,
+                           match=f"unit {unit.label}: no pass 2 gradient"):
+            search_unit(g, unit, cache, SearchSpace(candidates=2),
+                        CalibOptions(), bits=8)
 
 class TestCalibrate:
     def test_covers_every_site_exactly_once(self):

@@ -6,11 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 from hyquant.cli import (evaluate_model, load_qconfig, main, qconfig_to_doc,
-                         read_report_csv, save_qconfig, write_report_csv)
+                         range_report, read_report_csv, save_qconfig,
+                         with_mode, write_report_csv)
 from hyquant.graph import forward_fp
 from hyquant.quant import detect_zero_point_overflow
 from hyquant.tensor import Tensor, load_tensor
-from hyquant.zoo import build_fixture
+from hyquant.zoo import build_fixture, export_fixture
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,46 @@ class TestEvaluateCommand:
         assert str(qpath) in errors[0] and f"{key[0]}:{key[1]}" in errors[0]
         assert message in errors[0]
 
+    @pytest.mark.parametrize("layer, field, value, message", [
+        (None, None, None, "a manifest must be a JSON object"),
+        (None, "layers", None, "field 'layers'"),
+        (None, "input_shape", None, "field 'input_shape'"),
+        (0, "id", None, "field 'id'"),
+        (1, "inputs", ["x"], "layer 1: field 'inputs'"),
+        (0, "weights", "w", "layer 0: field 'weights'"),
+        (None, "bridge_blocks", ["b"], "annotation 0 is not an object"),
+        (None, "bridge_blocks", [{"layer_ids": ["x"]}],
+         "'layer_ids' must list integer layer ids"),
+    ], ids=["not-object", "no-layers", "no-input-shape", "no-id", "bad-inputs",
+            "bad-weights", "bridge-not-object", "bridge-bad-ids"])
+    def test_malformed_manifest_fails_cleanly(self, runner, tmp_path, layer,
+                                              field, value, message):
+        # field None wraps the whole document in a list; value None deletes
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        with open(paths["manifest"]) as f:
+            doc = json.load(f)
+        entry = doc if layer is None else doc["layers"][layer]
+        if field is None:
+            doc = [doc]
+        elif value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        with open(paths["manifest"], "w") as f:
+            json.dump(doc, f)
+        result = runner.invoke(main, [
+            "quantize", "--model", paths["manifest"], "--calib", paths["calib"],
+            "--out", str(tmp_path / "q.json"), "--candidates", "1",
+            "--iterations", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert message in errors[0]
+        if field != "bridge_blocks":  # load_manifest errors name the file
+            assert paths["manifest"] in errors[0]
+
     def test_metrics_file_written(self, runner, tmp_path):
         qpath, mpath = tmp_path / "q.json", tmp_path / "metrics.json"
         save_qconfig(str(qpath), {}, 8, "partial")
@@ -231,6 +272,25 @@ class TestReportCommand:
         rows = [r for r in read_report_csv(str(out))
                 if r["layer"] == BRIDGE_KXK_ID]
         assert rows and not any(r["flagged"] for r in rows)
+
+    def test_value_columns_are_channel_extremes(self):
+        graph, calib, val, _ = build_fixture("overflow-bridge")
+        graph = with_mode(graph, "full")
+        rows = range_report(graph, calib, val, 8)
+        for name, batch in (("calib", calib), ("val", val)):
+            captured = {}
+            forward_fp(graph, batch, capture=captured)
+            checked = set()
+            for r in rows:
+                site = [s for s in graph.sites_by_layer[r["layer"]]
+                        if s.name == r["site"]][0]
+                ch = np.moveaxis(captured[site.key], site.channel_axis,
+                                 0)[r["channel"]]
+                assert r[f"{name}_min"] == float(np.min(ch))
+                assert r[f"{name}_max"] == float(np.max(ch))
+                checked.add(site.key)
+            assert checked == {s.key for s in graph.quant_sites
+                               if s.kind == "activation"}
 
     def test_csv_round_trips_exactly(self, tmp_path):
         rows = [{"layer": 3, "site": "input", "channel": 5,

@@ -245,6 +245,13 @@ class _UnitEvaluator:
                              f"run pass2_cache_gradients first")
         self.members = [graph.layer(lid) for lid in unit.layer_ids]
         self._pos = {layer.id: i for i, layer in enumerate(self.members)}
+        # layers whose kept state a later cone reads: an mhsa layer's cones
+        # start from its step values, and a later member's cone starts from
+        # the outputs of the members before it
+        self._read_later = {
+            layer.id for i, layer in enumerate(self.members)
+            if layer.kind == "mhsa" or any(graph.sites_by_layer[m.id]
+                                           for m in self.members[i + 1:])}
         self.output_id = unit.output_id
         self.inputs = {pid: Tensor._wrap(arr)
                        for (_, pid), arr in cache.unit_inputs[unit.output_id].items()}
@@ -272,7 +279,12 @@ class _UnitEvaluator:
         return self._score(self._rerun(params, site)[0])
 
     def adopt(self, params: dict, site: Site) -> None:
-        """Make params, changed from the state's at site only, the state."""
+        """Make params, changed from the state's at site only, the state.
+
+        Nothing is re-run when no later cone reads the refreshed values.
+        """
+        if site.layer not in self._read_later:
+            return
         vals, steps = self._rerun(params, site)
         self._vals = vals
         self._steps.update(steps)

@@ -139,8 +139,46 @@ class Graph:
         return {k: tuple(v) for k, v in out.items()}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_positive_int(v) -> bool:
+    return _is_int(v) and v > 0
+
+
+def _int_or_pair(ok):
+    return lambda v: ok(v) or (isinstance(v, (list, tuple)) and len(v) == 2
+                               and all(ok(i) for i in v))
+
+
+# attribute name -> (check, what a valid value is); checked wherever the
+# attribute appears, since manifests hand these values straight to numpy
+_ATTR_CHECKS = {
+    "heads": (_is_positive_int, "a positive integer"),
+    "groups": (_is_positive_int, "a positive integer"),
+    "h": (_is_positive_int, "a positive integer"),
+    "w": (_is_positive_int, "a positive integer"),
+    "stride": (_int_or_pair(_is_positive_int),
+               "a positive integer or a pair of them"),
+    "padding": (_int_or_pair(lambda v: _is_int(v) and v >= 0),
+                "a non-negative integer or a pair of them"),
+    "eps": (lambda v: (_is_int(v) or isinstance(v, (float, np.floating)))
+            and v >= 0, "a non-negative number"),
+    "channel_axis": (_is_int, "an integer"),
+    "axis": (_is_int, "an integer"),
+    "transpose_b": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
 def _validate_layer(layer: LayerSpec) -> None:
     k, a, w = layer.kind, layer.attrs, layer.weights
+    for name, value in a.items():
+        check = _ATTR_CHECKS.get(name)
+        if check and not check[0](value):
+            raise GraphError(
+                f"layer {layer.id}: attribute '{name}' must be {check[1]}, "
+                f"got {value!r}")
     if k in ("conv2d", "depthwise_conv2d"):
         if "w" not in w or w["w"].ndim != 4:
             raise GraphError(f"layer {layer.id}: conv weight must be 4-D")

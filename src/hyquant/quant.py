@@ -16,6 +16,7 @@ All functions are pure over immutable inputs and freely parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,10 @@ from .tensor import Tape, Tensor
 _F32 = np.float32
 
 SCALE_FLOOR = 1e-8
+
+# Elements per block of quantize_dequantize: a block's two float64 work
+# arrays take 128 KiB each, so they stay in L2 cache from pass to pass.
+_BLOCK = 16384
 
 SCHEMES = ("symmetric", "asymmetric")
 GRANULARITIES = ("per_layer", "per_channel")
@@ -62,6 +67,8 @@ class QuantParams:
     scale/zero_point are scalars (shape ()) for per_layer granularity and
     vectors (C,) along channel_axis for per_channel. zero_point_raw retains
     the continuous pre-round, pre-clamp zero-point for overflow diagnosis.
+    q_min/q_max and the float64 forms of scale and zero_point, which every
+    quantize_dequantize call reads, are derived once at construction.
     """
 
     bits: int
@@ -71,6 +78,10 @@ class QuantParams:
     scale: np.ndarray
     zero_point: np.ndarray
     zero_point_raw: np.ndarray
+    q_min: int = field(init=False, repr=False, compare=False)
+    q_max: int = field(init=False, repr=False, compare=False)
+    scale64: np.ndarray = field(init=False, repr=False, compare=False)
+    zero_point64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -90,14 +101,10 @@ class QuantParams:
             raise QuantError("symmetric scheme requires zero_point == 0")
         if np.any(self.zero_point < q_min) or np.any(self.zero_point > q_max):
             raise QuantError(f"stored zero_point outside grid [{q_min}, {q_max}]")
-
-    @property
-    def q_min(self) -> int:
-        return grid_range(self.bits)[0]
-
-    @property
-    def q_max(self) -> int:
-        return grid_range(self.bits)[1]
+        object.__setattr__(self, "q_min", q_min)
+        object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "scale64", self.scale.astype(np.float64))
+        object.__setattr__(self, "zero_point64", self.zero_point.astype(np.float64))
 
     @property
     def any_clamped(self) -> bool:
@@ -220,23 +227,61 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
 
     Computed in float64 then cast to float32 so the high-bit limit collapses
     to identity within float32 rounding. Backward is a clip-aware
-    straight-through estimator.
+    straight-through estimator: the gradient passes where the rounded,
+    unclipped code lies in [q_min, q_max] and is zero elsewhere.
+
+    The tensor is evaluated in blocks of about _BLOCK elements along axis 0,
+    each through two reused float64 work arrays that stay in cache, and
+    written into one preallocated float32 output. A block goes through the
+    operations of the reference formula
+    `((clip(round_half_away(x64 / sc + zp)) - zp) * sc).astype(float32)` in
+    its order and in the same float64 arithmetic, in place, so the output is
+    bit for bit the reference's. round_half_away(y) is computed as
+    trunc(y + copysign(0.5, y)): for y >= 0 the sum is the reference's
+    |y| + 0.5, and for y < 0 it is its exact negation, so trunc gives
+    -floor(|y| + 0.5) with the reference's negative zero. The two differ
+    only at y = -0.0, which cannot occur: zp is never -0.0, so a zero
+    x/sc + zp is +0.0. The gradient mask is taken from the rounded codes
+    before they are clipped and is stored as bool; g * mask gives the bits
+    of g times a float32 0/1 mask.
     """
     xa = t.data
+    ax = None
     if p.granularity == "per_channel":
         ax = p.channel_axis % xa.ndim
         if xa.shape[ax] != p.scale.size:
             raise QuantError(
                 f"per_channel params carry {p.scale.size} channels but tensor "
                 f"has {xa.shape[ax]} along axis {ax}")
-    sc = _broadcast_param(p.scale.astype(np.float64), xa.ndim, p.channel_axis)
-    zp = _broadcast_param(p.zero_point.astype(np.float64), xa.ndim, p.channel_axis)
-    q_unclipped = round_half_away(xa.astype(np.float64) / sc + zp)
-    q = np.clip(q_unclipped, p.q_min, p.q_max)
-    out = ((q - zp) * sc).astype(_F32)
-    if tape is None or t.node is None:
+    sc = _broadcast_param(p.scale64, xa.ndim, p.channel_axis)
+    zp = _broadcast_param(p.zero_point64, xa.ndim, p.channel_axis)
+    q_min, q_max = p.q_min, p.q_max
+    x = xa.reshape(1) if xa.ndim == 0 else xa
+    out = np.empty(x.shape, _F32)
+    taped = tape is not None and t.node is not None
+    mask = np.empty(x.shape, np.bool_) if taped else None
+    rows = max(1, min(len(x), _BLOCK // max(1, math.prod(x.shape[1:]))))
+    y_buf = np.empty((rows,) + x.shape[1:])
+    h_buf = np.empty_like(y_buf)
+    for i in range(0, len(x), rows):
+        blk = slice(i, i + rows)
+        s, z = (sc[blk], zp[blk]) if ax == 0 else (sc, zp)
+        xb = x[blk]
+        y, h = y_buf[:len(xb)], h_buf[:len(xb)]
+        np.divide(xb, s, out=y)
+        y += z
+        np.copysign(0.5, y, out=h)
+        y += h
+        np.trunc(y, out=y)
+        if taped:
+            np.logical_and(y >= q_min, y <= q_max, out=mask[blk])
+        np.clip(y, q_min, q_max, out=y)
+        y -= z
+        np.multiply(y, s, out=out[blk], casting="same_kind")
+    out = out.reshape(xa.shape)
+    if not taped:
         return Tensor._wrap(out)
-    mask = ((q_unclipped >= p.q_min) & (q_unclipped <= p.q_max)).astype(_F32)
+    mask = mask.reshape(xa.shape)
     parent = t.node
     nid = tape.record("fake_quant", (parent,), out.shape,
                       lambda g: [(parent, g * mask)])

@@ -235,6 +235,35 @@ class TestEvaluateCommand:
         if field != "bridge_blocks":  # load_manifest errors name the file
             assert paths["manifest"] in errors[0]
 
+    @pytest.mark.parametrize("layer, attr, value", [
+        (7, "heads", "2"),
+        (0, "stride", 0),
+        (3, "padding", [1]),
+        (6, "eps", "1e-5"),
+        (1, "channel_axis", 1.5),
+    ], ids=["heads-string", "stride-zero", "padding-short-pair", "eps-string",
+            "channel-axis-float"])
+    def test_bad_layer_attribute_fails_cleanly(self, runner, tmp_path, layer,
+                                               attr, value):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        with open(paths["manifest"]) as f:
+            doc = json.load(f)
+        assert doc["layers"][layer]["id"] == layer
+        doc["layers"][layer]["attrs"][attr] = value
+        with open(paths["manifest"], "w") as f:
+            json.dump(doc, f)
+        result = runner.invoke(main, [
+            "quantize", "--model", paths["manifest"], "--calib", paths["calib"],
+            "--out", str(tmp_path / "q.json"), "--candidates", "1",
+            "--iterations", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert paths["manifest"] in errors[0]
+        assert f"layer {layer}: attribute '{attr}'" in errors[0]
+
     def test_metrics_file_written(self, runner, tmp_path):
         qpath, mpath = tmp_path / "q.json", tmp_path / "metrics.json"
         save_qconfig(str(qpath), {}, 8, "partial")

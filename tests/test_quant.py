@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyquant.graph as graph_module
+import hyquant.quant as quant_module
+from hyquant.bridge import resolve_bridge_blocks, units_for
+from hyquant.calib import pass1_cache_fp, pass2_cache_gradients
+from hyquant.cli import with_mode
 from hyquant.quant import (QuantError, QuantParams, SCALE_FLOOR,
                            detect_zero_point_overflow, fit_minmax, grid_range,
                            params_for_scale, quantize_dequantize,
                            round_half_away)
-from hyquant.tensor import Tensor
+from hyquant.tensor import Tape, Tensor, backward
+from hyquant.zoo import FIXTURES, build_fixture
 from oracles import raw_zero_point_oracle
 
 F32 = np.float32
@@ -164,6 +170,163 @@ class TestQuantizeDequantize:
         p = fit_minmax(t(x), 32, "symmetric", "per_layer")
         out = quantize_dequantize(t(x), p).data
         assert np.abs(out - x).max() < 1e-4
+
+
+def _param_shape(p: QuantParams, ndim: int):
+    """Shape that broadcasts p's scale and zero-point against ndim axes."""
+    if p.granularity != "per_channel":
+        return ()
+    shape = [1] * ndim
+    shape[p.channel_axis % ndim] = -1
+    return shape
+
+
+def reference_fake_quant(x: np.ndarray, p: QuantParams):
+    """The formula quantize_dequantize must reproduce bit for bit, computed
+    on the whole tensor at once; also returns the unclipped codes."""
+    sc = p.scale.astype(np.float64).reshape(_param_shape(p, x.ndim))
+    zp = p.zero_point.astype(np.float64).reshape(_param_shape(p, x.ndim))
+    r = round_half_away(x.astype(np.float64) / sc + zp)
+    q = np.clip(r, p.q_min, p.q_max)
+    return ((q - zp) * sc).astype(F32), r
+
+
+def reference_quantize_dequantize(t, p, tape=None):
+    """quantize_dequantize from the reference formula, with a float32 0/1
+    straight-through mask."""
+    out, r = reference_fake_quant(t.data, p)
+    if tape is None or t.node is None:
+        return Tensor._wrap(out)
+    mask = ((r >= p.q_min) & (r <= p.q_max)).astype(F32)
+    parent = t.node
+    nid = tape.record("fake_quant", (parent,), out.shape,
+                      lambda g: [(parent, g * mask)])
+    return Tensor._wrap(out, nid)
+
+
+def power_of_two_params(bits, scheme, axis, channels, rng):
+    """Params with power-of-two scales, so that chosen inputs land exactly
+    on .5 ties, and random in-grid zero-points for the asymmetric scheme."""
+    q_min, q_max = grid_range(bits)
+    n = 1 if axis is None else channels
+    scale = 2.0 ** rng.integers(-6, 2, n)
+    zp = np.zeros(n, np.int32) if scheme == "symmetric" else \
+        rng.integers(max(q_min, -100), min(q_max, 100) + 1, n).astype(np.int32)
+    if axis is None:
+        scale, zp = scale[0], zp[0]
+    return QuantParams(bits=bits, scheme=scheme,
+                       granularity="per_layer" if axis is None else "per_channel",
+                       channel_axis=axis, scale=scale, zero_point=zp,
+                       zero_point_raw=np.asarray(zp, np.float64))
+
+
+def hard_inputs(shape, p: QuantParams, rng) -> np.ndarray:
+    """Normal values, a quarter of them replaced by exact .5 ties, a quarter
+    by +-0.0 and a quarter by values beyond either clip bound."""
+    x = np.asarray(rng.normal(0, 4, shape), dtype=F32)
+    flat = x.reshape(-1)
+    ps = _param_shape(p, len(shape))
+    sc = np.broadcast_to(p.scale.astype(np.float64).reshape(ps), shape).reshape(-1)
+    zp = np.broadcast_to(p.zero_point.astype(np.float64).reshape(ps),
+                         shape).reshape(-1)
+    ties, zeros, far = np.array_split(
+        rng.permutation(flat.size)[: 3 * flat.size // 4], 3)
+    flat[ties] = (rng.integers(-700, 700, ties.size) + 0.5 - zp[ties]) * sc[ties]
+    flat[zeros] = np.where(rng.random(zeros.size) < 0.5, -0.0, 0.0)
+    bound = np.where(rng.random(far.size) < 0.5, p.q_min - 1.0, p.q_max + 1.0)
+    flat[far] = (bound * rng.uniform(1, 4, far.size) - zp[far]) * sc[far]
+    return x
+
+
+# leading sizes chosen against the kernel's block so that the axis-0 split
+# covers several blocks with a ragged last one
+BLOCK_ROWS_1000 = quant_module._BLOCK // 1000
+KERNEL_SHAPES = [(), (7,), (3 * quant_module._BLOCK + 11,),
+                 (2, 3, 5, 4), (5, 6, 40, 40),
+                 (3 * BLOCK_ROWS_1000 + 5, 4, 250)]
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("bits", [1, 2, 4, 6, 8, 16, 32])
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_bytes_equal_reference_formula(self, bits, scheme):
+        rng = np.random.default_rng(bits * 7 + len(scheme))
+        for shape in KERNEL_SHAPES:
+            for axis in (None, 0, 1, -1):
+                if axis is not None and len(shape) <= (1 if axis == 1 else 0):
+                    continue
+                channels = shape[axis] if axis is not None else 1
+                p = power_of_two_params(bits, scheme, axis, channels, rng)
+                x = hard_inputs(shape, p, rng)
+                got = quantize_dequantize(t(x), p).data
+                want, _ = reference_fake_quant(x, p)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (shape, axis)
+
+    def test_inputs_cover_ties_zeros_and_both_bounds(self):
+        rng = np.random.default_rng(0)
+        p = power_of_two_params(6, "symmetric", None, 1, rng)
+        x = hard_inputs((64, 50), p, rng)
+        y = x.astype(np.float64) / float(p.scale)
+        assert np.any(y - np.floor(y) == 0.5)
+        assert np.any((x == 0) & np.signbit(x)) and np.any((x == 0) & ~np.signbit(x))
+        assert np.any(y < p.q_min - 1) and np.any(y > p.q_max + 1)
+        out, _ = reference_fake_quant(x, p)
+        assert np.any((out == 0) & np.signbit(out))
+
+    @pytest.mark.parametrize("bits", [2, 6, 8])
+    @pytest.mark.parametrize("axis", [None, 0, -1])
+    def test_ste_gradient_is_g_times_unclipped_code_mask(self, bits, axis):
+        rng = np.random.default_rng(bits + (axis or 0) + 10)
+        shape = (3 * BLOCK_ROWS_1000 + 5, 1000)
+        p = power_of_two_params(bits, "asymmetric", axis, shape[axis or 0], rng)
+        x = hard_inputs(shape, p, rng)
+        # codes that round to just outside the grid, and ones whose unclipped
+        # value lies past a bound but rounds back onto it
+        sc, zp = p.scale.astype(np.float64), p.zero_point
+        if axis == 0:
+            sc, zp = sc[:, None], zp[:, None]
+        elif axis == -1:
+            sc, zp = sc[:6], zp[:6]
+        edge = np.array([p.q_min - 1, p.q_min - 0.6, p.q_min - 0.4,
+                         p.q_max + 0.4, p.q_max + 0.6, p.q_max + 1])
+        x[:, :6] = ((edge - zp) * sc).astype(F32)
+        tape = Tape()
+        xt = tape.leaf(t(x))
+        tape.watch(xt.node)
+        out = quantize_dequantize(xt, p, tape)
+        g = rng.normal(0, 1, shape).astype(F32)
+        got = backward(Tensor(g), tape)[xt.node].data
+        want_out, r = reference_fake_quant(x, p)
+        in_grid = (r >= p.q_min) & (r <= p.q_max)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert got.tobytes() == (g * in_grid.astype(F32)).tobytes()
+        assert np.any(r == p.q_min - 1) and np.any(r == p.q_max + 1)
+        assert np.any(~in_grid) and np.any(in_grid[:, :6])
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_pass2_gradients_equal_reference_formula_run(self, monkeypatch,
+                                                          name, mode, bits):
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        units = units_for(graph, resolve_bridge_blocks(graph,
+                                                        graph.bridge_annotations))
+
+        def unit_grads():
+            cache = pass1_cache_fp(graph, calib, units)
+            pass2_cache_gradients(graph, calib, units, cache, bits)
+            return cache.unit_grads
+
+        got = unit_grads()
+        monkeypatch.setattr(graph_module, "quantize_dequantize",
+                            reference_quantize_dequantize)
+        want = unit_grads()
+        assert got.keys() == want.keys()
+        assert any(np.any(g) for g in got.values())
+        for key in got:
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class TestParamsForScale:

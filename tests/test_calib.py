@@ -552,3 +552,81 @@ class TestSearchPin:
             "layer7": 709, "layer9": 61, "layer10": 117, "layer12": 85,
             "layer15": 100}
         assert len(rows) == 1523
+
+
+# (fixture, mode) -> (qconfig sha256, evaluations per unit, trace rows) of
+# calibrate at W8 with SearchSpace(candidates=4, iterations=2), recorded
+# before every layer kind ran as a step list
+_W8_PINS = {
+    ("overflow-bridge", "partial"): (
+        "d7e1247b8796504bd1a10b9bc37e671247328d4b492010f9d57ce297733beafe",
+        {"layer0": 37, "bridge0": 100, "layer7": 163, "layer10": 37,
+         "layer12": 37, "layer15": 52},
+        426),
+    ("overflow-bridge", "full"): (
+        "715c3a576ac004c9d9c8e015f7ac1d0c14cf22a81f7135e0a6ddea7bf72d8b60",
+        {"layer0": 45, "layer1": 29, "bridge0": 100, "layer6": 21,
+         "layer7": 179, "layer9": 21, "layer10": 37, "layer12": 37,
+         "layer15": 52},
+        521),
+    ("tiny-mvit-bn", "partial"): (
+        "cd4d10cf233edc5dc5d42b3f94fb88e1a21475f39fe260cf50e85db783709483",
+        {"layer0": 45, "bridge0": 101, "layer7": 325, "layer10": 37,
+         "layer12": 53, "layer15": 36},
+        597),
+    ("tiny-mvit-bn", "full"): (
+        "7c845a4cdb1cb401a24a389d3676f26a88349cd7dbb6feb4a89a971b0a9c35e7",
+        {"layer0": 37, "layer1": 29, "bridge0": 101, "layer6": 25,
+         "layer7": 357, "layer9": 25, "layer10": 37, "layer12": 53,
+         "layer15": 36},
+        700),
+    ("tiny-mvit-gn", "partial"): (
+        "8a7e3d5c8db1a354df93f94963f908bd860eb55b1c5b6227b73edd85e1441543",
+        {"layer0": 61, "bridge0": 101, "layer7": 205, "layer10": 37,
+         "layer12": 53, "layer15": 44},
+        501),
+    ("tiny-mvit-gn", "full"): (
+        "4339aae474d799684ef9964d1e50c5d1686f9f85ab7300ff260e7b1c89f71d58",
+        {"layer0": 61, "layer1": 29, "bridge0": 117, "layer6": 29,
+         "layer7": 269, "layer9": 29, "layer10": 37, "layer12": 53,
+         "layer15": 44},
+        668),
+    ("tiny-mvit-ln", "partial"): (
+        "7803c647c0214143368e6d6acb18242f62c3e77d6a9bf86eced0777b61801c3e",
+        {"layer0": 45, "bridge0": 101, "layer7": 325, "layer10": 37,
+         "layer12": 53, "layer15": 52},
+        613),
+    ("tiny-mvit-ln", "full"): (
+        "4bf9dc6fcf6c363cc87296fb5bfb94d40e556f3a4389f57b42391c594d6b0a29",
+        {"layer0": 45, "layer1": 29, "bridge0": 101, "layer6": 37,
+         "layer7": 357, "layer9": 24, "layer10": 37, "layer12": 53,
+         "layer15": 52},
+        735),
+    ("wide-mvit-ln", "partial"): (
+        "283c7089080d7e377db54ede804018ca23915e61afa60458d327e5322063a319",
+        {"layer0": 37, "bridge0": 68, "layer7": 205, "layer10": 45,
+         "layer12": 37, "layer15": 36},
+        428),
+    ("wide-mvit-ln", "full"): (
+        "536adf2f4d1bd99c6859a78ed40b22999120d3d81297c82325c6c285afdd3263",
+        {"layer0": 37, "layer1": 29, "bridge0": 68, "layer6": 29,
+         "layer7": 313, "layer9": 29, "layer10": 45, "layer12": 37,
+         "layer15": 36},
+        623),
+}
+
+
+class TestSearchPinAllFixtures:
+    @pytest.mark.parametrize("name,mode", sorted(_W8_PINS))
+    def test_w8_search_matches_recorded_result(self, name, mode):
+        sha, evals, n_rows = _W8_PINS[(name, mode)]
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        rows = []
+        qcfg, decisions = calibrate(graph, calib,
+                                    SearchSpace(candidates=4, iterations=2),
+                                    CalibOptions(), bits=8, trace=rows)
+        doc = json.dumps(qconfig_to_doc(qcfg, 8, mode), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == sha
+        assert {d.label: d.evals for d in decisions} == evals
+        assert len(rows) == n_rows

@@ -8,8 +8,8 @@ full-precision argmax labels, and backpropagates to cache each unit's output
 gradient. The search then minimizes the squared-gradient reconstruction
 objective per unit over scale candidates, granularity and scheme, re-running
 only the unit's own layers on the cached full-precision inputs. A scale
-candidate re-runs only what depends on the scanned site; every value upstream
-of it is reused from the unit's current parameters.
+candidate re-runs only the steps that depend on the scanned site (its cone);
+every other value is reused from the unit's current parameters.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
-from .graph import (GRAPH_INPUT, MHSA_CONES, Graph, Site, execute, forward_fp,
-                    forward_quant, run_steps, site_hook)
+from .graph import (GRAPH_INPUT, INPUT_NAMES, LAYER_STEPS, Graph, Site,
+                    execute, forward_fp, forward_quant, run_steps, site_cone,
+                    site_hook)
 from .quant import QuantParams, channel_ranges, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
@@ -225,13 +226,13 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
 class _UnitEvaluator:
     """Re-runs one unit's layers on cached FP inputs and scores the output.
 
-    run() re-runs the whole unit and keeps what it computed, every member's
-    output and each mhsa member's step values, as the state of its params.
-    score_site() scores params that differ from that state's only at one
-    site by re-running just that site's cone: the site's mhsa steps
-    (MHSA_CONES) or its whole layer, then the later members. The result is
-    bitwise run()'s, since the cone repeats the same operations on the same
-    values.
+    run() re-runs the whole unit and keeps every member's step values
+    (graph.LAYER_STEPS) as the state of its params. score_site() scores
+    params that differ from that state's only at one site by re-running just
+    that site's cone: in the site's layer, the step quantizing it and the
+    steps reading its result; in each later member (a unit is a chain), the
+    steps reading the changed input. Every other value, quantized operands
+    included, is the state's, so the result is bitwise run()'s.
     """
 
     def __init__(self, graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
@@ -244,14 +245,8 @@ class _UnitEvaluator:
             raise CalibError(f"unit {unit.label}: no pass 2 gradient cached; "
                              f"run pass2_cache_gradients first")
         self.members = [graph.layer(lid) for lid in unit.layer_ids]
-        self._pos = {layer.id: i for i, layer in enumerate(self.members)}
-        # layers whose kept state a later cone reads: an mhsa layer's cones
-        # start from its step values, and a later member's cone starts from
-        # the outputs of the members before it
-        self._read_later = {
-            layer.id for i, layer in enumerate(self.members)
-            if layer.kind == "mhsa" or any(graph.sites_by_layer[m.id]
-                                           for m in self.members[i + 1:])}
+        self._cones = {s.key: self._cone(s) for layer in self.members
+                       for s in graph.sites_by_layer[layer.id]}
         self.output_id = unit.output_id
         self.inputs = {pid: Tensor._wrap(arr)
                        for (_, pid), arr in cache.unit_inputs[unit.output_id].items()}
@@ -261,49 +256,50 @@ class _UnitEvaluator:
             g64 = grad.astype(np.float64).ravel()
             self._g2 = g64 * g64
         self._o_fp64 = self.o_fp.astype(np.float64).ravel()
-        self._vals: dict[int, Tensor] = {}
         self._steps: dict[int, dict] = {}
         self.evals = 0
+
+    def _cone(self, site: Site):
+        """[(member, [(input name, changed producer)], steps)] to re-run, in
+        order, when only site's params change."""
+        cone, changed = [], set()
+        for layer in self.members:
+            own = site.name if layer.id == site.layer else None
+            fresh = [(n, pid) for n, pid in zip(INPUT_NAMES, layer.inputs)
+                     if pid in changed]
+            if own or fresh:
+                cone.append((layer, fresh, site_cone(
+                    LAYER_STEPS[layer.kind], own, [n for n, _ in fresh])))
+                changed.add(layer.id)
+        return cone
 
     def run(self, params: dict) -> float:
         """Objective of params from a full re-run; params become the state."""
         self.evals += 1
         self._steps = {}
-        self._vals = execute(self.members, dict(self.inputs), params,
-                             step_values=self._steps)
-        return self._score(self._vals)
+        vals = execute(self.members, dict(self.inputs), params,
+                       step_values=self._steps)
+        return self._score(vals[self.output_id])
 
     def score_site(self, params: dict, site: Site) -> float:
         """run(params)'s objective, re-running only the cone of site."""
         self.evals += 1
-        return self._score(self._rerun(params, site)[0])
+        return self._score(self._rerun(params, site)[self.output_id]["out"])
 
     def adopt(self, params: dict, site: Site) -> None:
-        """Make params, changed from the state's at site only, the state.
+        """Make params, changed from the state's at site only, the state."""
+        self._steps.update(self._rerun(params, site))
 
-        Nothing is re-run when no later cone reads the refreshed values.
-        """
-        if site.layer not in self._read_later:
-            return
-        vals, steps = self._rerun(params, site)
-        self._vals = vals
-        self._steps.update(steps)
+    def _rerun(self, params: dict, site: Site) -> dict[int, dict]:
+        steps: dict[int, dict] = {}
+        for layer, fresh, cone in self._cones[site.key]:
+            vals = dict(self._steps[layer.id],
+                        **{name: steps[pid]["out"] for name, pid in fresh})
+            steps[layer.id] = run_steps(cone, vals, site_hook(layer.id, params))
+        return steps
 
-    def _rerun(self, params: dict, site: Site):
-        i = self._pos[site.layer]
-        layer = self.members[i]
-        vals, steps = dict(self._vals), {}
-        if layer.kind == "mhsa":
-            sv = steps[layer.id] = run_steps(
-                MHSA_CONES[site.name], dict(self._steps[layer.id]),
-                site_hook(layer.id, params))
-            vals[layer.id] = sv["out"]
-            i += 1
-        execute(self.members[i:], vals, params, step_values=steps)
-        return vals, steps
-
-    def _score(self, vals: dict[int, Tensor]) -> float:
-        o_hat = vals[self.output_id].data
+    def _score(self, out: Tensor) -> float:
+        o_hat = out.data
         if self.metric == "cosine":
             return cosine_distance(o_hat, self.o_fp)
         return _g2_weighted(self._g2, o_hat.astype(np.float64).ravel() - self._o_fp64)

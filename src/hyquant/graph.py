@@ -1,13 +1,11 @@
 """Typed layer IR and executor for hybrid conv+attention models.
 
 A Graph is an ordered DAG of LayerSpec entries (ids topologically ordered,
-single output). Execution is one engine shared by the full-precision and the
-fake-quant paths: a site absent from the qconfig simply runs in full
-precision, so an empty qconfig is bitwise identical to forward_fp.
-
-Quantizable sites per layer: the weight tensor and the input activation, plus
-for attention the operands of both internal matrix products. Softmax/norm
-input sites exist only when the graph's mode is "full".
+single output). Every layer kind is a step list run by one loop, shared by
+the full-precision and the fake-quant paths: a site absent from the qconfig
+runs in full precision, so an empty qconfig is bitwise forward_fp. Sites are
+a layer's weights and input activations, plus the operands of attention's
+two matrix products; softmax/norm inputs are sites only in "full" mode.
 """
 
 from __future__ import annotations
@@ -24,12 +22,6 @@ import numpy as np
 from . import tensor as T
 from .quant import quantize_dequantize
 from .tensor import Tape, Tensor
-
-LAYER_KINDS = (
-    "conv2d", "depthwise_conv2d", "linear", "mhsa", "softmax", "layer_norm",
-    "group_norm", "batch_norm", "activation", "add", "reshape", "pool",
-    "matmul",
-)
 
 ACTIVATION_FNS = ("gelu", "silu", "relu")
 
@@ -240,13 +232,9 @@ def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
                 Site(lid, "input_b", "activation", -1)]
     if k == "mhsa":
         sites = [Site(lid, "input", "activation", -1),
-                 Site(lid, "w_q", "weight", 0),
-                 Site(lid, "w_k", "weight", 0),
-                 Site(lid, "w_v", "weight", 0),
-                 Site(lid, "w_o", "weight", 0),
-                 Site(lid, "attn_q", "activation", -1),
-                 Site(lid, "attn_k", "activation", -1),
-                 Site(lid, "attn_v", "activation", -1),
+                 *(Site(lid, n, "weight", 0) for n in ("w_q", "w_k", "w_v", "w_o")),
+                 *(Site(lid, n, "activation", -1)
+                   for n in ("attn_q", "attn_k", "attn_v")),
                  Site(lid, "attn_probs", "activation", -1, allow_per_channel=False),
                  Site(lid, "proj_in", "activation", -1)]
         if full:
@@ -263,10 +251,6 @@ def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
 
 # ---------------------------------------------------------------------------
 # execution
-
-
-def _no_quant(name: str, x: Tensor) -> Tensor:
-    return x
 
 
 def site_hook(layer_id: int, qcfg: dict, tape: Tape | None = None,
@@ -287,11 +271,15 @@ def site_hook(layer_id: int, qcfg: dict, tape: Tape | None = None,
     return site
 
 
-# Attention as an ordered step list. A step computes out = op(*ins, tape)
-# from named values, or, when op is None, passes its one input through the
-# site hook under the step's site name. One loop (run_steps) runs the list,
-# so the whole-model forward, both calibration passes and the search's
-# re-run of one site's downstream steps (MHSA_CONES) share one implementation.
+# Every layer kind is an ordered list of steps (LAYER_STEPS). A step computes
+# out = op(*ins, tape) from named values or, when op is None, passes its one
+# input through the site hook under its site name. A layer's values start as
+# its weights by name, its attrs as "attrs" and its inputs as "x" and "y"; its
+# last step writes "out". One loop (run_steps) runs every list, so forwards,
+# calibration passes and the search's re-run of a site's cone (site_cone)
+# share one implementation.
+
+INPUT_NAMES = ("x", "y")
 
 
 class Step(NamedTuple):
@@ -299,6 +287,32 @@ class Step(NamedTuple):
     op: Callable | None
     ins: tuple[str, ...]
     site: str | None = None
+    drop: tuple[str, ...] = ()  # the names this step is the last to read
+
+
+def _step_list(*steps: Step) -> tuple[Step, ...]:
+    """steps with each one's drop names filled in, once per list."""
+    last = {n: i for i, step in enumerate(steps) for n in step.ins}
+    return tuple(step._replace(drop=tuple(n for n in step.ins if last[n] == i))
+                 for i, step in enumerate(steps))
+
+
+# Ops look T.<name> up when they run, so a tracer that rebinds the tensor
+# functions sees every call.
+def _tensor_op(name: str, **defaults):
+    """An op whose last input is the layer's attrs: T.<name>(*tensors, **kw),
+    kw holding each attr named in defaults, or its default when absent."""
+    def op(*ins):
+        *tensors, attrs, tape = ins
+        kw = {k: attrs.get(k, v) for k, v in defaults.items()}
+        return getattr(T, name)(*tensors, tape=tape, **kw)
+    return op
+
+
+def _depthwise_conv(x, w, b, attrs, tape) -> Tensor:
+    return T.conv2d(x, w, b, stride=attrs.get("stride", 1),
+                    padding=attrs.get("padding", 0), groups=w.shape[0],
+                    tape=tape)
 
 
 def _project(x: Tensor, w: Tensor, b: Tensor | None, tape) -> Tensor:
@@ -306,176 +320,11 @@ def _project(x: Tensor, w: Tensor, b: Tensor | None, tape) -> Tensor:
     return T.add(out, b, tape) if b is not None else out
 
 
-def _split_heads(x: Tensor, heads: int, tape) -> Tensor:
-    n, t, e = x.shape
-    x = T.reshape(x, (n, t, heads, e // heads), tape)
-    return T.transpose(x, (0, 2, 1, 3), tape)
+def _activation(x, attrs, tape) -> Tensor:
+    return getattr(T, attrs["fn"])(x, tape)
 
 
-def _scores(qh: Tensor, kh: Tensor, tape) -> Tensor:
-    return T.scale(T.matmul(qh, kh, tape, transpose_b=True),
-                   1.0 / math.sqrt(qh.shape[-1]), tape)
-
-
-def _softmax(scores: Tensor, tape) -> Tensor:
-    return T.softmax(scores, axis=-1, tape=tape)
-
-
-def _merge_heads(probs: Tensor, vh: Tensor, tape) -> Tensor:
-    ctx = T.transpose(T.matmul(probs, vh, tape), (0, 2, 1, 3), tape)
-    n, t, heads, dk = ctx.shape
-    return T.reshape(ctx, (n, t, heads * dk), tape)
-
-
-# (N, T, E) projections "q", "k", "v" and the head count "heads" -> "ctx"
-ATTENTION_STEPS = (
-    Step("qs", None, ("q",), "attn_q"),
-    Step("qh", _split_heads, ("qs", "heads")),
-    Step("ks", None, ("k",), "attn_k"),
-    Step("kh", _split_heads, ("ks", "heads")),
-    Step("vs", None, ("v",), "attn_v"),
-    Step("vh", _split_heads, ("vs", "heads")),
-    Step("scores", _scores, ("qh", "kh")),
-    Step("scores_q", None, ("scores",), "softmax_in"),
-    Step("probs", _softmax, ("scores_q",)),
-    Step("probs_q", None, ("probs",), "attn_probs"),
-    Step("ctx", _merge_heads, ("probs_q", "vh")),
-)
-
-# the mhsa layer: input "x", its weights by name and "heads" -> "out"
-MHSA_STEPS = (
-    Step("xq", None, ("x",), "input"),
-    Step("wq", None, ("w_q",), "w_q"),
-    Step("q", _project, ("xq", "wq", "b_q")),
-    Step("wk", None, ("w_k",), "w_k"),
-    Step("k", _project, ("xq", "wk", "b_k")),
-    Step("wv", None, ("w_v",), "w_v"),
-    Step("v", _project, ("xq", "wv", "b_v")),
-    *ATTENTION_STEPS,
-    Step("ctx_q", None, ("ctx",), "proj_in"),
-    Step("wo", None, ("w_o",), "w_o"),
-    Step("out", _project, ("ctx_q", "wo", "b_o")),
-)
-
-
-def run_steps(steps, vals: dict, site, tape: Tape | None = None,
-              keep: bool = True) -> dict:
-    """Run steps in order on vals, a {name: value} map (a name it lacks reads
-    as None, an absent bias); each step's output is added under its name and
-    the map is returned.
-
-    keep=False drops each value from the map after its last use, so a forward
-    that needs only the final output holds no more intermediates at once
-    than the attention computation itself requires.
-    """
-    last_use = {} if keep else {n: i for i, step in enumerate(steps)
-                                for n in step.ins}
-    for i, (out, op, ins, name) in enumerate(steps):
-        if op is None:
-            vals[out] = site(name, vals[ins[0]])
-        else:
-            vals[out] = op(*[vals.get(n) for n in ins], tape)
-        if not keep:
-            for n in ins:
-                if last_use[n] == i:
-                    vals.pop(n, None)
-    return vals
-
-
-def _site_cone(steps, site: str) -> tuple[Step, ...]:
-    """The step that quantizes site plus every later step depending on it."""
-    dirty: set[str] = set()
-    for step in steps:
-        if step.site == site or dirty.intersection(step.ins):
-            dirty.add(step.out)
-    return tuple(step for step in steps if step.out in dirty)
-
-
-# by site name, the mhsa steps to re-run when only that site's params change
-MHSA_CONES = {step.site: _site_cone(MHSA_STEPS, step.site)
-              for step in MHSA_STEPS if step.site is not None}
-
-
-def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                    d_k: int | None = None, site=None,
-                    tape: Tape | None = None) -> Tensor:
-    """Per-head softmax(QK^T / sqrt(d_k)) V over (N, T, E) projections.
-
-    site, when given, is the layer's site hook, a callable(name, Tensor)
-    returning the (possibly fake-quantized) tensor. It is applied to the
-    operands of both matrix products ("attn_q", "attn_k", "attn_v",
-    "attn_probs") and to the softmax input ("softmax_in").
-    """
-    _, _, e = q.shape
-    if heads < 1 or e % heads != 0:
-        raise GraphError(f"embedding dim {e} not divisible by head count {heads}")
-    if d_k is not None and d_k != e // heads:
-        raise GraphError(f"d_k={d_k} inconsistent with embed {e} / heads {heads}")
-    vals = {"q": q, "k": k, "v": v, "heads": heads}
-    return run_steps(ATTENTION_STEPS, vals, site or _no_quant, tape,
-                     keep=False)["ctx"]
-
-
-def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
-              tape: Tape | None = None, capture: dict | None = None,
-              step_values: dict | None = None) -> Tensor:
-    """Execute one layer, fake-quantizing every site present in qcfg.
-
-    capture, when given, is filled with the full-precision value of every
-    site tensor keyed by (layer_id, site_name); step_values, when given,
-    receives an mhsa layer's {step name: value} map under its layer id.
-    """
-    site = site_hook(layer.id, qcfg, tape, capture)
-    k, a, w = layer.kind, layer.attrs, layer.weights
-    if k in ("conv2d", "depthwise_conv2d"):
-        x = site("input", inputs[0])
-        wq = site("weight", w["w"])
-        groups = w["w"].shape[0] if k == "depthwise_conv2d" else a.get("groups", 1)
-        return T.conv2d(x, wq, w.get("b"), stride=a.get("stride", 1),
-                        padding=a.get("padding", 0), groups=groups, tape=tape)
-    if k == "linear":
-        x = site("input", inputs[0])
-        return _project(x, site("weight", w["w"]), w.get("b"), tape)
-    if k == "matmul":
-        xa = site("input_a", inputs[0])
-        xb = site("input_b", inputs[1])
-        return T.matmul(xa, xb, tape, transpose_b=a.get("transpose_b", False))
-    if k == "mhsa":
-        vals = run_steps(MHSA_STEPS, {**w, "x": inputs[0], "heads": a["heads"]},
-                         site, tape, keep=step_values is not None)
-        if step_values is not None:
-            step_values[layer.id] = vals
-        return vals["out"]
-    if k == "softmax":
-        x = site("input", inputs[0])
-        return T.softmax(x, axis=a.get("axis", -1), tape=tape)
-    if k == "layer_norm":
-        x = site("input", inputs[0])
-        return T.layer_norm(x, w["gamma"], w["beta"], eps=a.get("eps", 1e-5), tape=tape)
-    if k == "group_norm":
-        x = site("input", inputs[0])
-        return T.group_norm(x, w["gamma"], w["beta"], groups=a["groups"],
-                            eps=a.get("eps", 1e-5),
-                            channel_axis=a.get("channel_axis", 1), tape=tape)
-    if k == "batch_norm":
-        x = site("input", inputs[0])
-        return T.batch_norm_folded(x, w["scale"], w["shift"],
-                                   channel_axis=a.get("channel_axis", 1), tape=tape)
-    if k == "activation":
-        fn = {"gelu": T.gelu, "silu": T.silu, "relu": T.relu}[a["fn"]]
-        return fn(inputs[0], tape)
-    if k == "add":
-        return T.add(inputs[0], inputs[1], tape)
-    if k == "reshape":
-        return _run_reshape(a, inputs[0], tape)
-    if k == "pool":
-        if a["op"] == "mean_tokens":
-            return T.mean(inputs[0], (1,), tape)
-        return T.mean(inputs[0], (2, 3), tape)
-    raise GraphError(f"unknown layer kind '{k}'")
-
-
-def _run_reshape(attrs: dict, x: Tensor, tape) -> Tensor:
+def _reshape(x: Tensor, attrs: dict, tape) -> Tensor:
     op = attrs["op"]
     if op == "nchw_to_tokens":
         n, c, h, w = x.shape
@@ -490,6 +339,155 @@ def _run_reshape(attrs: dict, x: Tensor, tape) -> Tensor:
         return T.transpose(grid, (0, 3, 1, 2), tape)
     n = x.shape[0]
     return T.reshape(x, (n, int(np.prod(x.shape[1:]))), tape)
+
+
+def _pool(x, attrs, tape) -> Tensor:
+    return T.mean(x, (1,) if attrs["op"] == "mean_tokens" else (2, 3), tape)
+
+
+def _split_heads(x: Tensor, attrs: dict, tape) -> Tensor:
+    n, t, e = x.shape
+    heads = attrs["heads"]
+    x = T.reshape(x, (n, t, heads, e // heads), tape)
+    return T.transpose(x, (0, 2, 1, 3), tape)
+
+
+def _scores(qh: Tensor, kh: Tensor, tape) -> Tensor:
+    return T.scale(T.matmul(qh, kh, tape, transpose_b=True),
+                   1.0 / math.sqrt(qh.shape[-1]), tape)
+
+
+def _merge_heads(probs: Tensor, vh: Tensor, tape) -> Tensor:
+    ctx = T.transpose(T.matmul(probs, vh, tape), (0, 2, 1, 3), tape)
+    n, t, heads, dk = ctx.shape
+    return T.reshape(ctx, (n, t, heads * dk), tape)
+
+
+# (N, T, E) projections "q", "k", "v" and attrs holding "heads" -> "ctx"
+ATTENTION_STEPS = _step_list(
+    Step("qs", None, ("q",), "attn_q"),
+    Step("qh", _split_heads, ("qs", "attrs")),
+    Step("ks", None, ("k",), "attn_k"),
+    Step("kh", _split_heads, ("ks", "attrs")),
+    Step("vs", None, ("v",), "attn_v"),
+    Step("vh", _split_heads, ("vs", "attrs")),
+    Step("scores", _scores, ("qh", "kh")),
+    Step("scores_q", None, ("scores",), "softmax_in"),
+    Step("probs", _tensor_op("softmax"), ("scores_q", "attrs")),
+    Step("probs_q", None, ("probs",), "attn_probs"),
+    Step("ctx", _merge_heads, ("probs_q", "vh")),
+)
+
+_INPUT = Step("xq", None, ("x",), "input")
+_WEIGHT = Step("wq", None, ("w",), "weight")
+
+# by layer kind, in the order of LAYER_KINDS
+LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
+    ("conv2d", (_INPUT, _WEIGHT, Step("out", _tensor_op(
+        "conv2d", stride=1, padding=0, groups=1), ("xq", "wq", "b", "attrs")))),
+    ("depthwise_conv2d", (_INPUT, _WEIGHT,
+                          Step("out", _depthwise_conv, ("xq", "wq", "b", "attrs")))),
+    ("linear", (_INPUT, _WEIGHT, Step("out", _project, ("xq", "wq", "b")))),
+    ("mhsa", (
+        _INPUT,
+        Step("wq", None, ("w_q",), "w_q"),
+        Step("q", _project, ("xq", "wq", "b_q")),
+        Step("wk", None, ("w_k",), "w_k"),
+        Step("k", _project, ("xq", "wk", "b_k")),
+        Step("wv", None, ("w_v",), "w_v"),
+        Step("v", _project, ("xq", "wv", "b_v")),
+        *ATTENTION_STEPS,
+        Step("ctx_q", None, ("ctx",), "proj_in"),
+        Step("wo", None, ("w_o",), "w_o"),
+        Step("out", _project, ("ctx_q", "wo", "b_o")))),
+    ("softmax", (_INPUT, Step("out", _tensor_op("softmax", axis=-1), ("xq", "attrs")))),
+    ("layer_norm", (_INPUT, Step("out", _tensor_op("layer_norm", eps=1e-5),
+                                 ("xq", "gamma", "beta", "attrs")))),
+    ("group_norm", (_INPUT, Step("out", _tensor_op(
+        "group_norm", groups=None, eps=1e-5, channel_axis=1),
+        ("xq", "gamma", "beta", "attrs")))),
+    ("batch_norm", (_INPUT, Step("out", _tensor_op(
+        "batch_norm_folded", channel_axis=1), ("xq", "scale", "shift", "attrs")))),
+    ("activation", (Step("out", _activation, ("x", "attrs")),)),
+    ("add", (Step("out", _tensor_op("add"), ("x", "y", "attrs")),)),
+    ("reshape", (Step("out", _reshape, ("x", "attrs")),)),
+    ("pool", (Step("out", _pool, ("x", "attrs")),)),
+    ("matmul", (Step("aq", None, ("x",), "input_a"),
+                Step("bq", None, ("y",), "input_b"),
+                Step("out", _tensor_op("matmul", transpose_b=False),
+                     ("aq", "bq", "attrs")))),
+)}
+
+LAYER_KINDS = tuple(LAYER_STEPS)
+
+
+def run_steps(steps, vals: dict, site, tape: Tape | None = None,
+              keep: bool = True) -> dict:
+    """Run steps in order on vals, a {name: value} map (a name it lacks reads
+    as None, an absent bias); each step's output is added under its name and
+    the map is returned.
+
+    keep=False drops each value after its last use (Step.drop), so a forward
+    holds no more intermediates at once than the layer itself requires.
+    """
+    for out, op, ins, name, drop in steps:
+        if op is None:
+            vals[out] = site(name, vals[ins[0]])
+        else:
+            vals[out] = op(*[vals.get(n) for n in ins], tape)
+        if not keep:
+            for n in drop:
+                vals.pop(n, None)
+    return vals
+
+
+def site_cone(steps, site: str | None, inputs=()) -> tuple[Step, ...]:
+    """The steps to re-run when only site's params, or only the values named
+    in inputs, change: the step that quantizes site plus every step that
+    reads a changed value, in list order."""
+    dirty, cone = set(inputs), []
+    for step in steps:
+        if (site and step.site == site) or dirty.intersection(step.ins):
+            dirty.add(step.out)
+            cone.append(step)
+    return tuple(cone)
+
+
+def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, site=None,
+                    tape: Tape | None = None) -> Tensor:
+    """Per-head softmax(QK^T / sqrt(d_k)) V over (N, T, E) projections, with
+    d_k = E / heads.
+
+    site, when given, is the layer's site hook, a callable(name, Tensor)
+    returning the (possibly fake-quantized) tensor. It is applied to the
+    operands of both matrix products ("attn_q", "attn_k", "attn_v",
+    "attn_probs") and to the softmax input ("softmax_in").
+    """
+    if heads < 1 or q.shape[-1] % heads != 0:
+        raise GraphError(f"embedding dim {q.shape[-1]} not divisible by head "
+                         f"count {heads}")
+    vals = {"q": q, "k": k, "v": v, "attrs": {"heads": heads}}
+    return run_steps(ATTENTION_STEPS, vals, site or (lambda name, x: x), tape,
+                     keep=False)["ctx"]
+
+
+def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
+              tape: Tape | None = None, capture: dict | None = None,
+              step_values: dict | None = None) -> Tensor:
+    """Execute one layer: run its kind's step list (LAYER_STEPS) on its
+    values, fake-quantizing every site present in qcfg. capture, when given,
+    is filled with the full-precision value of every site tensor keyed by
+    (layer_id, site_name); step_values, when given, receives the layer's
+    {step name: value} map under its layer id.
+    """
+    vals = {**layer.weights, "attrs": layer.attrs}
+    vals.update(zip(INPUT_NAMES, inputs))
+    run_steps(LAYER_STEPS[layer.kind], vals,
+              site_hook(layer.id, qcfg, tape, capture), tape,
+              keep=step_values is not None)
+    if step_values is not None:
+        step_values[layer.id] = vals
+    return vals["out"]
 
 
 def execute(layers, vals: dict[int, Tensor], qcfg: dict,
@@ -527,6 +525,9 @@ def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
             f"{graph.input_shape}")
     inputs = {GRAPH_INPUT: tape.leaf(x) if tape is not None else x}
     vals = execute(graph.layers, inputs, qcfg, tape, capture)
+    if capture is not None:  # site steps run in every mode; keep the mode's
+        for key in set(capture) - {s.key for s in graph.quant_sites}:
+            del capture[key]
     outputs = {lid: vals[lid] for lid in watch if lid in vals}
     if tape is not None:
         for out in outputs.values():
@@ -539,7 +540,7 @@ def forward_fp(graph: Graph, x: Tensor, watch=(), tape: Tape | None = None,
                capture: dict | None = None):
     """Full-precision forward; returns (logits, {id: output}) for the ids in
     watch (GRAPH_INPUT allowed). capture, when given, receives the value of
-    every quant site keyed by (layer_id, site_name)."""
+    every quant site of the graph's mode keyed by (layer_id, site_name)."""
     return _forward(graph, x, {}, watch, tape, capture)
 
 

@@ -248,6 +248,9 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
     xa = t.data
     ax = None
     if p.granularity == "per_channel":
+        if not -xa.ndim <= p.channel_axis < xa.ndim:
+            raise QuantError(f"channel_axis {p.channel_axis} is out of range "
+                             f"for a tensor of shape {xa.shape}")
         ax = p.channel_axis % xa.ndim
         if xa.shape[ax] != p.scale.size:
             raise QuantError(

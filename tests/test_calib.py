@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyquant.calib as C
+import hyquant.graph as graph_module
 from hyquant.bridge import resolve_bridge_blocks, units_for
 from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
                            cosine_distance, generate_candidates, objective,
@@ -532,6 +533,39 @@ class TestOneExecutor:
                         ev.adopt(params, s)
                     assert ev.run(params).hex() == ref.run(params).hex()
         assert checks > 0
+
+    @pytest.mark.parametrize("label, site, calls", [
+        ("layer0", (0, "weight"), 1),    # conv: the weight only
+        ("layer10", (10, "weight"), 1),  # linear: the weight only
+        ("bridge0", (3, "weight"), 2),   # and the next member's input
+    ])
+    def test_weight_scan_requantizes_only_what_the_weight_reaches(
+            self, monkeypatch, label, site, calls):
+        graph, calib, _, _ = build_fixture("tiny-mvit-ln")
+        units = fixture_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache, bits=8)
+        unit = next(u for u in units if u.label == label)
+        sites = {s.key: s for lid in unit.layer_ids
+                 for s in graph.sites_by_layer[lid]}
+        params = {k: C._default_site_params(graph, s, cache, 8)
+                  for k, s in sites.items()}
+        ev = C._UnitEvaluator(graph, unit, cache, "hessian")
+        ev.run(params)
+        seen = []
+        qdq = graph_module.quantize_dequantize
+        monkeypatch.setattr(graph_module, "quantize_dequantize",
+                            lambda *a: seen.append(a) or qdq(*a))
+        ev.score_site(params, sites[site])
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_pass1_caches_only_declared_sites(self, name, mode):
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        cache = pass1_cache_fp(graph, calib, fixture_units(graph))
+        assert set(cache.site_values) == {s.key for s in graph.quant_sites}
 
 
 class TestSearchPin:

@@ -195,6 +195,27 @@ class TestEvaluateCommand:
         assert str(qpath) in errors[0] and f"{key[0]}:{key[1]}" in errors[0]
         assert message in errors[0]
 
+    def test_channel_axis_outside_the_site_tensor_fails_cleanly(
+            self, runner, tmp_path):
+        # w_q is a square (E, E) matrix: a channel count that fits axis 0
+        # must not be applied along an axis the tensor lacks
+        graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        from hyquant.quant import fit_minmax
+        p = fit_minmax(graph.layer(7).weights["w_q"], 8, "symmetric",
+                       "per_channel", 0)
+        doc = qconfig_to_doc({(7, "w_q"): p}, 8, "partial")
+        doc["sites"][0]["channel_axis"] = 3
+        qpath = tmp_path / "bad_axis.json"
+        qpath.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--fixture", "tiny-mvit-ln",
+                                      "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert "layer 7" in errors[0] and "channel_axis 3" in errors[0]
+
     @pytest.mark.parametrize("layer, field, value, message", [
         (None, None, None, "a manifest must be a JSON object"),
         (None, "layers", None, "field 'layers'"),

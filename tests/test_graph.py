@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from hyquant.graph import (Graph, GraphError, GraphExecutionError, LayerSpec,
-                           SiteCoverageError, check_site_coverage, forward_fp,
-                           forward_quant, load_manifest, quant_attention,
-                           run_layer, save_manifest)
+from hyquant.graph import (LAYER_KINDS, LAYER_STEPS, Graph, GraphError,
+                           GraphExecutionError, LayerSpec, SiteCoverageError,
+                           check_site_coverage, forward_fp, forward_quant,
+                           load_manifest, quant_attention, run_layer,
+                           save_manifest, sites_for_layer)
 from hyquant.quant import fit_minmax
 from hyquant.tensor import Tensor
 from hyquant.zoo import build_fixture
@@ -207,11 +208,6 @@ class TestQuantAttention:
         probs = capture[(7, "attn_probs")]
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_d_k_consistency_check(self):
-        q = t(np.zeros((1, 4, 8)))
-        with pytest.raises(GraphError, match="d_k"):
-            quant_attention(q, q, q, heads=2, d_k=3)
-
 
 class TestSites:
     def test_partial_mode_site_census(self):
@@ -235,6 +231,13 @@ class TestSites:
         assert (6, "input") in added and (9, "input") in added
         assert (7, "softmax_in") in added
         assert (1, "input") in added  # folded batch norm input
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_each_full_mode_site_is_quantized_by_one_step(self, kind):
+        declared = [s.name for s in sites_for_layer(LayerSpec(0, kind), "full")]
+        quantized = [s.site for s in LAYER_STEPS[kind] if s.op is None]
+        assert len(set(declared)) == len(declared)
+        assert sorted(quantized) == sorted(declared)
 
     def test_probs_site_pins_per_layer(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")

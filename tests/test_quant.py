@@ -164,6 +164,19 @@ class TestQuantizeDequantize:
         with pytest.raises(QuantError, match="channels"):
             quantize_dequantize(t(np.zeros((5, 8))), p)
 
+    @pytest.mark.parametrize("axis", [2, 3, -3])
+    def test_channel_axis_out_of_range_error(self, axis):
+        # a square tensor has the right channel count along any axis, so
+        # only the range check stops an axis it does not have
+        x = np.random.default_rng(0).normal(0, 1, (4, 4)).astype(F32)
+        p = fit_minmax(t(x), 8, "symmetric", "per_channel", channel_axis=0)
+        p = QuantParams(bits=8, scheme="symmetric", granularity="per_channel",
+                        channel_axis=axis, scale=p.scale,
+                        zero_point=p.zero_point,
+                        zero_point_raw=p.zero_point_raw)
+        with pytest.raises(QuantError, match=f"channel_axis {axis} is out"):
+            quantize_dequantize(t(x), p)
+
     def test_high_bit_stub_is_near_identity(self):
         rng = np.random.default_rng(12)
         x = rng.normal(0, 3, 512).astype(F32)

@@ -9,11 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _is_int, _list_of, read_fields
 
 
 class BridgeAnnotationError(GraphError):
     """Annotation violates the chain/disjointness invariants."""
+
+
+# a manifest's "bridge_blocks" entry: (check, what a valid value is[, default])
+_ANNOTATION_FIELDS = {
+    "label": (lambda v: isinstance(v, str), "a string", None),
+    "layer_ids": (_list_of(_is_int), "a list of integer layer ids"),
+}
 
 
 @dataclass(frozen=True)
@@ -38,16 +45,9 @@ def resolve_bridge_blocks(graph: Graph, annotations) -> list[ReconstructionUnit]
     claimed: dict[int, str] = {}
     order = {layer.id: i for i, layer in enumerate(graph.layers)}
     for idx, ann in enumerate(annotations or []):
-        if not isinstance(ann, dict):
-            raise BridgeAnnotationError(
-                f"bridge annotation {idx} is not an object: {ann!r}")
-        label = str(ann.get("label", f"bridge{idx}"))
-        try:
-            ids = [int(i) for i in ann.get("layer_ids", [])]
-        except (TypeError, ValueError):
-            raise BridgeAnnotationError(
-                f"bridge '{label}': 'layer_ids' must list integer layer ids, "
-                f"got {ann.get('layer_ids')!r}") from None
+        f = read_fields(ann, _ANNOTATION_FIELDS, BridgeAnnotationError,
+                        f"bridge annotation {idx}")
+        label, ids = f["label"] or f"bridge{idx}", f["layer_ids"]
         if not ids:
             raise BridgeAnnotationError(f"bridge '{label}' lists no layers")
         for lid in ids:

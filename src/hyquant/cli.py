@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 
@@ -17,9 +18,10 @@ import click
 import numpy as np
 
 from .calib import CalibError, CalibOptions, SearchSpace, calibrate
-from .graph import Graph, GraphError, forward_fp, forward_quant, load_manifest
-from .quant import (QuantError, QuantParams, channel_ranges,
-                    detect_zero_point_overflow)
+from .graph import (Graph, GraphError, _is_int, _list_of, _one_of, forward_fp,
+                    forward_quant, load_manifest, read_fields, read_json)
+from .quant import (GRANULARITIES, SCHEMES, QuantError, QuantParams,
+                    channel_ranges, detect_zero_point_overflow)
 from .tensor import Tensor, TensorError, load_tensor
 from .zoo import FIXTURES, ZooError, build_fixture, export_fixture
 
@@ -27,8 +29,7 @@ QCONFIG_FORMAT = "hyquant-qconfig/1"
 METRICS_FORMAT = "hyquant-metrics/1"
 
 # bridge annotation errors are GraphErrors
-_ERRORS = (GraphError, QuantError, CalibError, TensorError, ZooError, OSError,
-           json.JSONDecodeError)
+_ERRORS = (GraphError, QuantError, CalibError, TensorError, ZooError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -59,56 +60,49 @@ def save_qconfig(path: str, qcfg: dict, bits: int, mode: str,
         f.write("\n")
 
 
-# the JSON types each qconfig site entry field may take; a list holds values
-# of the types listed before it
-_ENTRY_TYPES = {
-    "layer": (int,), "site": (str,), "bits": (int,), "scheme": (str,),
-    "granularity": (str,), "channel_axis": (int, type(None)),
-    "scale": (int, float, list), "zero_point": (int, list),
-    "zero_point_raw": (int, float, list),
+def _one_or_list(ok, what: str):  # a per_layer value or per_channel list
+    return lambda v: ok(v) or _list_of(ok)(v), f"{what} or a list of them"
+
+
+_NUMBERS = _one_or_list(lambda v: type(v) in (int, float) and math.isfinite(v),
+                        "a finite number")
+# (check, what a valid value is[, default]) per field, read by read_fields
+_QCONFIG_FIELDS = {
+    "format": (lambda v: v == QCONFIG_FORMAT, repr(QCONFIG_FORMAT)),
+    "bits": (_is_int, "an integer", 8),
+    "mode": (*_one_of("partial", "full"), "partial"),
+    "sites": (_list_of(lambda v: isinstance(v, dict)), "a list of site objects"),
+}
+_ENTRY_FIELDS = {
+    "layer": (_is_int, "a layer id"),
+    "site": (lambda v: isinstance(v, str), "a site name"),
+    "bits": (_is_int, "an integer"),
+    "scheme": _one_of(*SCHEMES),
+    "granularity": _one_of(*GRANULARITIES),
+    "channel_axis": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "scale": _NUMBERS,
+    "zero_point": _one_or_list(_is_int, "an integer"),
+    "zero_point_raw": _NUMBERS,
 }
 
 
-def _entry_params(path: str, entry, bits: int):
-    """((layer, site), QuantParams) for one entry; QuantError names the file,
-    the entry's layer:site and the offending field."""
-    if type(entry) is not dict:
-        raise QuantError(f"{path}: site entry {entry!r} is not an object")
-    where = f"{path}: entry {entry.get('layer', '?')}:{entry.get('site', '?')}"
-    for name, types in _ENTRY_TYPES.items():
-        if name not in entry:
-            raise QuantError(f"{where}: missing field '{name}'")
-        v = entry[name]
-        if type(v) not in types or (type(v) is list and any(
-                type(x) not in types[:-1] for x in v)):
-            raise QuantError(f"{where}: field '{name}' has the wrong type: {v!r}")
-    if entry["bits"] != bits:
-        raise QuantError(f"{where}: field 'bits' is {entry['bits']} but the "
-                         f"document's bits is {bits}")
-    fields = {name: entry[name] for name in _ENTRY_TYPES}
-    key = (fields.pop("layer"), fields.pop("site"))
-    try:
-        return key, QuantParams(**fields)
-    except (QuantError, OverflowError) as e:  # OverflowError: int32 zero_point
-        raise QuantError(f"{where}: {e}") from None
-
-
 def load_qconfig(path: str):
-    with open(path) as f:
-        doc = json.load(f)
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != QCONFIG_FORMAT:
-        raise QuantError(f"{path}: unsupported qconfig format {fmt!r}, "
-                         f"expected {QCONFIG_FORMAT!r}")
-    bits = doc.get("bits", 8)
-    sites = doc.get("sites")
-    mode = doc.get("mode", "partial")
-    if type(bits) is not int or type(sites) is not list \
-            or mode not in ("partial", "full"):
-        raise QuantError(f"{path}: a qconfig needs integer 'bits', a 'sites' "
-                         f"list and mode 'partial' or 'full'")
-    qcfg = dict(_entry_params(path, entry, bits) for entry in sites)
-    return qcfg, bits, mode
+    """(qcfg, bits, mode) of a qconfig; a malformed one raises one QuantError
+    naming the file and, where there is one, the entry and field."""
+    doc = read_fields(read_json(path, QuantError), _QCONFIG_FIELDS, QuantError, path)
+    qcfg = {}
+    for entry in doc["sites"]:
+        where = f"{path}: entry {entry.get('layer', '?')}:{entry.get('site', '?')}"
+        fields = read_fields(entry, _ENTRY_FIELDS, QuantError, where)
+        if fields["bits"] != doc["bits"]:
+            raise QuantError(f"{where}: field 'bits' is {fields['bits']} but "
+                             f"the document's bits is {doc['bits']}")
+        key = (fields.pop("layer"), fields.pop("site"))
+        try:
+            qcfg[key] = QuantParams(**fields)
+        except (QuantError, OverflowError) as e:  # OverflowError: int32 zero_point
+            raise QuantError(f"{where}: {e}") from None
+    return qcfg, doc["bits"], doc["mode"]
 
 
 def with_mode(graph: Graph, mode: str) -> Graph:
@@ -127,6 +121,8 @@ def evaluate_model(graph: Graph, qcfg: dict, eval_x: Tensor,
                    labels: np.ndarray) -> dict:
     """FP vs quantized top-1, agreement, and mean logit MSE on one batch."""
     y_fp, _ = forward_fp(graph, eval_x)
+    if y_fp.ndim != 2:
+        raise GraphError(f"model output {y_fp.shape} is not (N, classes) logits")
     y_q, _ = forward_quant(graph, eval_x, qcfg)
     pred_fp = np.argmax(y_fp.data, axis=1)
     pred_q = np.argmax(y_q.data, axis=1)
@@ -227,6 +223,9 @@ def _load_source(model, fixture, seed, mode, calib_path=None, eval_path=None,
         data = [load(path) if path else None for load, path in (
             (load_tensor, calib_path), (load_tensor, eval_path),
             (_load_labels, labels_path))]
+        if labels_path and data[2].shape != data[1].shape[:1]:
+            raise TensorError(f"{labels_path}: {data[2].size} labels for an "
+                              f"evaluation batch of shape {data[1].shape}")
     return (graph if mode is None else with_mode(graph, mode), *data)
 
 
@@ -239,16 +238,23 @@ def _check_threads_env() -> None:
             f"HYQUANT_THREADS must be a positive integer, got {raw!r}")
 
 
-def _fail(e: Exception) -> None:
-    click.echo(f"error: {e}", err=True)
-    sys.exit(1)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a runtime failure (_ERRORS) in any command prints
+    one error: line and exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _ERRORS as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Post-training quantization for hybrid conv+attention models."""
 
@@ -290,27 +296,24 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
     except CalibError as e:
         raise click.UsageError(str(e))
     bits = int(bits)
-    try:
-        graph, calib_x, _, _ = _load_source(model, fixture, seed, mode,
-                                            calib_path=calib)
-        trace_rows: list | None = [] if trace else None
-        qcfg, decisions = calibrate(graph, calib_x, space, options, bits=bits,
-                                    trace=trace_rows)
-        objectives = {key: d.objective for d in decisions for key in d.params}
-        save_qconfig(out, qcfg, bits, graph.mode, objectives)
-        if trace:
-            with open(trace, "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["unit", "granularity", "scheme",
-                                 "candidate", "objective"])
-                writer.writerows(trace_rows)  # floats are written with repr()
-        click.echo(f"wrote {out} ({len(qcfg)} sites, {len(decisions)} units)")
-        fallbacks = [d.label for d in decisions if d.fallback]
-        if fallbacks:
-            click.echo(f"warning: degenerate units kept min-max defaults: "
-                       f"{', '.join(fallbacks)}", err=True)
-    except _ERRORS as e:
-        _fail(e)
+    graph, calib_x, _, _ = _load_source(model, fixture, seed, mode,
+                                        calib_path=calib)
+    trace_rows: list | None = [] if trace else None
+    qcfg, decisions = calibrate(graph, calib_x, space, options, bits=bits,
+                                trace=trace_rows)
+    objectives = {key: d.objective for d in decisions for key in d.params}
+    save_qconfig(out, qcfg, bits, graph.mode, objectives)
+    if trace:
+        with open(trace, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["unit", "granularity", "scheme", "candidate",
+                             "objective"])
+            writer.writerows(trace_rows)  # floats are written with repr()
+    click.echo(f"wrote {out} ({len(qcfg)} sites, {len(decisions)} units)")
+    fallbacks = [d.label for d in decisions if d.fallback]
+    if fallbacks:
+        click.echo(f"warning: degenerate units kept min-max defaults: "
+                   f"{', '.join(fallbacks)}", err=True)
 
 
 @main.command()
@@ -327,19 +330,16 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
 def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
     """Report FP vs quantized top-1, agreement and logit MSE."""
     _check_source(model, fixture, "--eval and --labels", eval_path, labels_path)
-    try:
-        qcfg, _, mode = load_qconfig(qconfig_path)
-        graph, _, eval_x, labels = _load_source(
-            model, fixture, seed, mode, eval_path=eval_path,
-            labels_path=labels_path)
-        metrics = evaluate_model(graph, qcfg, eval_x, labels)
-        doc = json.dumps(metrics, indent=2, sort_keys=True)
-        click.echo(doc)
-        if out:
-            with open(out, "w") as f:
-                f.write(doc + "\n")
-    except _ERRORS as e:
-        _fail(e)
+    qcfg, _, mode = load_qconfig(qconfig_path)
+    graph, _, eval_x, labels = _load_source(model, fixture, seed, mode,
+                                            eval_path=eval_path,
+                                            labels_path=labels_path)
+    metrics = evaluate_model(graph, qcfg, eval_x, labels)
+    doc = json.dumps(metrics, indent=2, sort_keys=True)
+    click.echo(doc)
+    if out:
+        with open(out, "w") as f:
+            f.write(doc + "\n")
 
 
 @main.command()
@@ -355,21 +355,17 @@ def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
 def report(model, fixture, calib, val, bits, mode, seed, out):
     """Per-channel activation ranges, overflow flags, calib-vs-val gap."""
     _check_source(model, fixture, "--calib and --val", calib, val)
-    try:
-        graph, calib_x, val_x, _ = _load_source(model, fixture, seed, mode,
-                                                calib_path=calib, eval_path=val)
-        rows = range_report(graph, calib_x, val_x, int(bits))
-        write_report_csv(out, rows)
-        flagged = [r for r in rows if r["flagged"]]
-        gap = max((abs(r["calib_max"] - r["val_max"])
-                   + abs(r["calib_min"] - r["val_min"]) for r in rows),
-                  default=0.0)
-        click.echo(f"wrote {out}: {len(rows)} channels across "
-                   f"{len({(r['layer'], r['site']) for r in rows})} activation sites")
-        click.echo(f"zero-point overflow flags: {len(flagged)}")
-        click.echo(f"largest calibration-vs-validation range gap: {gap:.6g}")
-    except _ERRORS as e:
-        _fail(e)
+    graph, calib_x, val_x, _ = _load_source(model, fixture, seed, mode,
+                                            calib_path=calib, eval_path=val)
+    rows = range_report(graph, calib_x, val_x, int(bits))
+    write_report_csv(out, rows)
+    flagged = [r for r in rows if r["flagged"]]
+    gap = max((abs(r["calib_max"] - r["val_max"])
+               + abs(r["calib_min"] - r["val_min"]) for r in rows), default=0.0)
+    click.echo(f"wrote {out}: {len(rows)} channels across "
+               f"{len({(r['layer'], r['site']) for r in rows})} activation sites")
+    click.echo(f"zero-point overflow flags: {len(flagged)}")
+    click.echo(f"largest calibration-vs-validation range gap: {gap:.6g}")
 
 
 @main.group()
@@ -390,12 +386,9 @@ def fixtures_list():
 @click.argument("name")
 @click.option("--out", type=click.Path(), required=True, help="output directory")
 def fixtures_export(name, out):
-    try:
-        paths = export_fixture(name, out)
-        for key in sorted(paths):
-            click.echo(f"{key}: {paths[key]}")
-    except _ERRORS as e:
-        _fail(e)
+    paths = export_fixture(name, out)
+    for key in sorted(paths):
+        click.echo(f"{key}: {paths[key]}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -86,7 +87,8 @@ class Graph:
         self._by_id: dict[int, LayerSpec] = {}
         for layer in self.layers:
             if layer.kind not in LAYER_KINDS:
-                raise GraphError(f"unknown layer kind '{layer.kind}' at layer {layer.id}")
+                raise GraphError(f"unknown layer kind '{layer.kind}' at layer "
+                                 f"{layer.id}; known: {', '.join(LAYER_KINDS)}")
             if layer.id in self._by_id:
                 raise GraphError(f"duplicate layer id {layer.id}")
             for pid in layer.inputs:
@@ -131,12 +133,40 @@ class Graph:
         return {k: tuple(v) for k, v in out.items()}
 
 
+def read_fields(doc, schema: dict, error: type, where: str, noun="field") -> dict:
+    """doc's fields read against schema, {name: (check, what a valid value
+    is[, default])}, defaults filled in; error names where and the field."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} is not an object: {reprlib.repr(doc)}")
+    out = {}
+    for name, entry in schema.items():
+        if name in doc:
+            value = out[name] = doc[name]
+            if not entry[0](value):
+                raise error(f"{where}: {noun} '{name}' has the wrong type or "
+                            f"value {reprlib.repr(value)}, expected {entry[1]}")
+        elif len(entry) > 2:
+            out[name] = entry[2]
+        else:
+            raise error(f"{where}: missing {noun} '{name}'")
+    return out
+
+
+def read_json(path: str, error: type):
+    """The JSON document in the file at path; error names the file."""
+    try:
+        with open(path, "rb") as f:
+            return json.load(f)
+    except ValueError as e:  # a syntax error, or bytes that are not text
+        raise error(f"{path}: not valid JSON: {e}") from None
+
+
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _is_positive_int(v) -> bool:
-    return _is_int(v) and v > 0
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(ok(i) for i in v)
 
 
 def _int_or_pair(ok):
@@ -144,33 +174,42 @@ def _int_or_pair(ok):
                                and all(ok(i) for i in v))
 
 
-# attribute name -> (check, what a valid value is); checked wherever the
-# attribute appears, since manifests hand these values straight to numpy
-_ATTR_CHECKS = {
-    "heads": (_is_positive_int, "a positive integer"),
-    "groups": (_is_positive_int, "a positive integer"),
-    "h": (_is_positive_int, "a positive integer"),
-    "w": (_is_positive_int, "a positive integer"),
-    "stride": (_int_or_pair(_is_positive_int),
-               "a positive integer or a pair of them"),
-    "padding": (_int_or_pair(lambda v: _is_int(v) and v >= 0),
-                "a non-negative integer or a pair of them"),
-    "eps": (lambda v: (_is_int(v) or isinstance(v, (float, np.floating)))
-            and v >= 0, "a non-negative number"),
-    "channel_axis": (_is_int, "an integer"),
-    "axis": (_is_int, "an integer"),
-    "transpose_b": (lambda v: isinstance(v, bool), "a boolean"),
+def _one_of(*values):
+    return lambda v: v in values, " or ".join(map(repr, values))
+
+
+_POSITIVE = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_INT = (_is_int, "an integer", None)
+_STRIDE = (_int_or_pair(_POSITIVE[0]), "a positive integer or a pair of them", None)
+_PADDING = (_int_or_pair(lambda v: _is_int(v) and v >= 0),
+            "a non-negative integer or a pair of them", None)
+_EPS = (lambda v: (_is_int(v) or isinstance(v, (float, np.floating))) and v >= 0,
+        "a non-negative number", None)
+
+# by layer kind, the attributes its steps read: name -> (check, what a valid
+# value is[, default]); None marks an attribute the op supplies a default for
+_LAYER_ATTRS = {
+    "conv2d": {"stride": _STRIDE, "padding": _PADDING, "groups": (*_POSITIVE, None)},
+    "depthwise_conv2d": {"stride": _STRIDE, "padding": _PADDING},
+    "mhsa": {"heads": _POSITIVE},
+    "softmax": {"axis": _INT},
+    "layer_norm": {"eps": _EPS, "channel_axis": _INT},
+    "group_norm": {"groups": _POSITIVE, "eps": _EPS, "channel_axis": _INT},
+    "batch_norm": {"channel_axis": _INT},
+    "activation": {"fn": _one_of(*ACTIVATION_FNS)},
+    "reshape": {"op": _one_of("nchw_to_tokens", "tokens_to_nchw", "flatten"),
+                "h": (*_POSITIVE, None), "w": (*_POSITIVE, None)},
+    "pool": {"op": _one_of("mean_tokens", "global_avg")},
+    "matmul": {"transpose_b": (lambda v: isinstance(v, bool), "a boolean", None)},
 }
 
 
 def _validate_layer(layer: LayerSpec) -> None:
     k, a, w = layer.kind, layer.attrs, layer.weights
-    for name, value in a.items():
-        check = _ATTR_CHECKS.get(name)
-        if check and not check[0](value):
-            raise GraphError(
-                f"layer {layer.id}: attribute '{name}' must be {check[1]}, "
-                f"got {value!r}")
+    read_fields(a, _LAYER_ATTRS.get(k, {}), GraphError, f"layer {layer.id}", "attribute")
+    arity = 2 if k in ("add", "matmul") else 1
+    if len(layer.inputs) != arity:
+        raise GraphError(f"layer {layer.id}: {k} needs exactly {arity} input(s)")
     if k in ("conv2d", "depthwise_conv2d"):
         if "w" not in w or w["w"].ndim != 4:
             raise GraphError(f"layer {layer.id}: conv weight must be 4-D")
@@ -182,9 +221,6 @@ def _validate_layer(layer: LayerSpec) -> None:
         if "w" not in w or w["w"].ndim != 2:
             raise GraphError(f"layer {layer.id}: linear weight must be 2-D (out, in)")
     elif k == "mhsa":
-        heads = a.get("heads")
-        if not heads:
-            raise GraphError(f"layer {layer.id}: mhsa needs a 'heads' attr")
         embed = w["w_q"].shape[0] if "w_q" in w and w["w_q"].ndim == 2 else -1
         for name in ("w_q", "w_k", "w_v", "w_o"):
             if name not in w or w[name].shape != (embed, embed):
@@ -192,30 +228,13 @@ def _validate_layer(layer: LayerSpec) -> None:
                 raise GraphError(
                     f"layer {layer.id}: mhsa projection '{name}' must be a 2-D "
                     f"(E, E) matrix with E the embedding dim, got {got}")
-        if embed % heads != 0:
-            raise GraphError(
-                f"layer {layer.id}: embedding dim {embed} not divisible by heads {heads}")
-    elif k in ("layer_norm", "group_norm"):
-        if "gamma" not in w or "beta" not in w:
-            raise GraphError(f"layer {layer.id}: {k} needs gamma/beta")
-        if k == "group_norm" and "groups" not in a:
-            raise GraphError(f"layer {layer.id}: group_norm needs 'groups' attr")
-    elif k == "batch_norm":
-        if "scale" not in w or "shift" not in w:
-            raise GraphError(f"layer {layer.id}: batch_norm needs folded scale/shift")
-    elif k == "activation":
-        if a.get("fn") not in ACTIVATION_FNS:
-            raise GraphError(
-                f"layer {layer.id}: activation fn must be one of {ACTIVATION_FNS}")
-    elif k == "add":
-        if len(layer.inputs) != 2:
-            raise GraphError(f"layer {layer.id}: add needs exactly two inputs")
-    elif k == "reshape":
-        if a.get("op") not in ("nchw_to_tokens", "tokens_to_nchw", "flatten"):
-            raise GraphError(f"layer {layer.id}: unknown reshape op {a.get('op')!r}")
-    elif k == "pool":
-        if a.get("op") not in ("mean_tokens", "global_avg"):
-            raise GraphError(f"layer {layer.id}: unknown pool op {a.get('op')!r}")
+        if embed % a["heads"] != 0:
+            raise GraphError(f"layer {layer.id}: embedding dim {embed} not "
+                             f"divisible by heads {a['heads']}")
+    elif k in ("layer_norm", "group_norm", "batch_norm"):
+        need = ("scale", "shift") if k == "batch_norm" else ("gamma", "beta")
+        if not all(name in w for name in need):
+            raise GraphError(f"layer {layer.id}: {k} needs weights {need}")
 
 
 def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
@@ -607,74 +626,53 @@ def save_manifest(graph: Graph, manifest_path: str) -> None:
         f.write("\n")
 
 
+_MANIFEST_FIELDS = {
+    "format": (lambda v: v == MANIFEST_FORMAT, repr(MANIFEST_FORMAT)),
+    "layers": (_list_of(lambda v: isinstance(v, dict)), "a list of layer objects"),
+    "input_shape": (_list_of(_POSITIVE[0]), "a list of positive integers"),
+    "output": (lambda v: v is None or _is_int(v), "a layer id", None),
+    "mode": (*_one_of("partial", "full"), "partial"),
+    "bridge_blocks": (lambda v: isinstance(v, list), "a list", []),
+}
+
+_LAYER_FIELDS = {
+    "id": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "kind": (lambda v: isinstance(v, str), "a string"),  # Graph checks it is known
+    "attrs": (lambda v: isinstance(v, dict), "an object", {}),
+    "inputs": (_list_of(_is_int), "a list of layer ids", []),
+    "weights": (lambda v: isinstance(v, dict) and all(
+        isinstance(rel, str) and "\0" not in rel for rel in v.values()),
+        "an object of blob paths", {}),
+}
+
+
 def load_manifest(manifest_path: str) -> Graph:
     """Read a manifest and its weight blobs; a malformed document raises one
     GraphError naming the file and, where there is one, the layer and field."""
-    with open(manifest_path) as f:
-        doc = json.load(f)
+    m = read_fields(read_json(manifest_path, GraphError), _MANIFEST_FIELDS,
+                    GraphError, manifest_path)
+    base = os.path.dirname(os.path.abspath(manifest_path))
     try:
-        return _graph_from_doc(doc, os.path.dirname(os.path.abspath(manifest_path)))
+        layers = []
+        for ldoc in m["layers"]:
+            f = read_fields(ldoc, _LAYER_FIELDS, GraphError,
+                            f"layer {ldoc.get('id', '?')}")
+            layers.append(LayerSpec(
+                id=f["id"], kind=f["kind"], attrs=dict(f["attrs"]),
+                inputs=list(f["inputs"]),
+                weights={name: T.load_tensor(_blob_path(base, f["id"], name, rel))
+                         for name, rel in f["weights"].items()}))
+        return Graph(layers=layers, input_shape=tuple(m["input_shape"]),
+                     output_id=m["output"], mode=m["mode"],
+                     bridge_annotations=list(m["bridge_blocks"]))
     except GraphError as e:
         raise GraphError(f"{manifest_path}: {e}") from None
 
 
-def _is_ints(v) -> bool:
-    return isinstance(v, list) and all(type(i) is int for i in v)
-
-
-def _field(doc: dict, name: str, ok, what: str, default=None, where: str = ""):
-    """doc[name], or default when absent; GraphError unless ok(value)."""
-    v = doc.get(name, default)
-    if not ok(v):
-        raise GraphError(f"{where}field '{name}' must be {what}, got {v!r}")
-    return v
-
-
-def _graph_from_doc(doc, base: str) -> Graph:
-    if not isinstance(doc, dict):
-        raise GraphError("a manifest must be a JSON object")
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise GraphError(
-            f"unsupported manifest format {doc.get('format')!r}, "
-            f"expected {MANIFEST_FORMAT!r}")
-    layers = []
-    for ldoc in _field(doc, "layers", lambda v: isinstance(v, list) and all(
-            isinstance(x, dict) for x in v), "a list of layer objects"):
-        where = f"layer {ldoc.get('id')}: "
-        lid = _field(ldoc, "id", lambda v: type(v) is int, "an integer",
-                     where=where)
-        kind = ldoc.get("kind")
-        if kind not in LAYER_KINDS:
-            raise GraphError(
-                f"unknown layer kind '{kind}' at layer {lid}; "
-                f"known kinds: {', '.join(LAYER_KINDS)}")
-        blobs = _field(ldoc, "weights", lambda v: isinstance(v, dict),
-                       "an object", {}, where)
-        layers.append(LayerSpec(
-            id=lid, kind=kind,
-            attrs=dict(_field(ldoc, "attrs", lambda v: isinstance(v, dict),
-                              "an object", {}, where)),
-            inputs=list(_field(ldoc, "inputs", _is_ints, "a list of integers",
-                               [], where)),
-            weights={name: T.load_tensor(_blob_path(base, lid, name, rel))
-                     for name, rel in blobs.items()}))
-    output = _field(doc, "output", lambda v: v is None or type(v) is int,
-                    "an integer")
-    bridges = _field(doc, "bridge_blocks", lambda v: isinstance(v, list),
-                     "a list", [])
-    return Graph(layers=layers,
-                 input_shape=tuple(_field(doc, "input_shape", _is_ints,
-                                          "a list of integers")),
-                 output_id=output, mode=doc.get("mode", "partial"),
-                 bridge_annotations=list(bridges))
-
-
-def _blob_path(base: str, layer_id, name: str, rel) -> str:
+def _blob_path(base: str, layer_id, name: str, rel: str) -> str:
     """Resolve a weight blob path, refusing any that leaves the manifest dir."""
-    inside = isinstance(rel, str) and not os.path.isabs(rel)
-    path = os.path.normpath(os.path.join(base, rel)) if inside else ""
-    if not inside or os.path.commonpath([base, path]) != base:
-        raise GraphError(
-            f"layer {layer_id}: weight '{name}' path {rel!r} is not inside the "
-            f"manifest directory")
+    path = os.path.normpath(os.path.join(base, rel))
+    if os.path.commonpath([base, path]) != base:
+        raise GraphError(f"layer {layer_id}: weight '{name}' path {rel!r} is not "
+                         f"inside the manifest directory")
     return path

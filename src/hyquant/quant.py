@@ -95,6 +95,11 @@ class QuantParams:
         object.__setattr__(self, "zero_point", np.asarray(self.zero_point, dtype=np.int32))
         object.__setattr__(self, "zero_point_raw",
                            np.asarray(self.zero_point_raw, dtype=np.float64))
+        shapes = (self.scale.shape, self.zero_point.shape, self.zero_point_raw.shape)
+        rank = int(self.granularity == "per_channel")
+        if len(set(shapes)) > 1 or len(shapes[0]) != rank:
+            raise QuantError(f"{self.granularity} params need scale and both "
+                             f"zero-points of one shape of rank {rank}, got {shapes}")
         if not np.all(self.scale > 0):
             raise QuantError("scale must be strictly positive (floor degenerate ranges)")
         if self.scheme == "symmetric" and np.any(self.zero_point != 0):

@@ -553,4 +553,7 @@ def load_tensor(path) -> Tensor:
         raise TensorError(
             f"{path}: payload size {len(raw) - head} != {4 * count} for dims {dims}")
     arr = np.frombuffer(raw, dtype="<f4", offset=head).reshape(dims)
-    return Tensor(arr)
+    try:
+        return Tensor(arr)
+    except TensorError as e:
+        raise TensorError(f"{path}: {e}") from None

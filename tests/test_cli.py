@@ -10,7 +10,7 @@ from hyquant.cli import (evaluate_model, load_qconfig, main, qconfig_to_doc,
                          with_mode, write_report_csv)
 from hyquant.graph import forward_fp
 from hyquant.quant import detect_zero_point_overflow
-from hyquant.tensor import Tensor, load_tensor
+from hyquant.tensor import Tensor, load_tensor, save_tensor
 from hyquant.zoo import build_fixture, export_fixture
 
 
@@ -171,6 +171,7 @@ class TestEvaluateCommand:
         ("channel_axis", "0", "field 'channel_axis' has the wrong type"),
         ("bits", 6, "document's bits is 8"),
         ("zero_point", 2 ** 40, "out of bounds"),
+        ("scale", [0.1, 0.2], "per_layer params need"),
     ])
     def test_malformed_qconfig_entry_fails_cleanly(self, runner, tmp_path,
                                                    field, value, message):
@@ -217,17 +218,27 @@ class TestEvaluateCommand:
         assert "layer 7" in errors[0] and "channel_axis 3" in errors[0]
 
     @pytest.mark.parametrize("layer, field, value, message", [
-        (None, None, None, "a manifest must be a JSON object"),
+        (None, None, None, "is not an object"),
         (None, "layers", None, "field 'layers'"),
         (None, "input_shape", None, "field 'input_shape'"),
         (0, "id", None, "field 'id'"),
         (1, "inputs", ["x"], "layer 1: field 'inputs'"),
         (0, "weights", "w", "layer 0: field 'weights'"),
+        (1, "inputs", [], "layer 1: batch_norm needs exactly 1 input(s)"),
+        (0, "weights", {"w": "blobs/l0\0w.hqt"}, "layer 0: field 'weights'"),
         (None, "bridge_blocks", ["b"], "annotation 0 is not an object"),
         (None, "bridge_blocks", [{"layer_ids": ["x"]}],
-         "'layer_ids' must list integer layer ids"),
+         "bridge annotation 0: field 'layer_ids'"),
+        (None, "bridge_blocks", [{"layer_ids": "34"}],
+         "bridge annotation 0: field 'layer_ids'"),
+        (None, "bridge_blocks", [{"layer_ids": [3.9, 4.2]}],
+         "bridge annotation 0: field 'layer_ids'"),
+        (None, "bridge_blocks", [{"label": 5, "layer_ids": [3, 4]}],
+         "bridge annotation 0: field 'label'"),
     ], ids=["not-object", "no-layers", "no-input-shape", "no-id", "bad-inputs",
-            "bad-weights", "bridge-not-object", "bridge-bad-ids"])
+            "bad-weights", "no-inputs", "nul-in-blob-path", "bridge-not-object",
+            "bridge-bad-ids",
+            "bridge-ids-string", "bridge-ids-floats", "bridge-label-number"])
     def test_malformed_manifest_fails_cleanly(self, runner, tmp_path, layer,
                                               field, value, message):
         # field None wraps the whole document in a list; value None deletes
@@ -255,6 +266,60 @@ class TestEvaluateCommand:
         assert message in errors[0]
         if field != "bridge_blocks":  # load_manifest errors name the file
             assert paths["manifest"] in errors[0]
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_labels_count_must_match_the_eval_batch(self, runner, tmp_path,
+                                                    count):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        labels = load_tensor(paths["eval_labels"]).data
+        labels_path = tmp_path / "labels.hqt"
+        save_tensor(str(labels_path), Tensor(np.resize(labels, count)))
+        qpath = tmp_path / "q.json"
+        save_qconfig(str(qpath), {}, 8, "partial")
+        result = runner.invoke(main, [
+            "evaluate", "--model", paths["manifest"], "--eval", paths["eval"],
+            "--labels", str(labels_path), "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert str(labels_path) in errors[0] and f"{count} labels" in errors[0]
+
+    def test_model_output_must_be_logits(self, runner, tmp_path):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        with open(paths["manifest"]) as f:
+            doc = json.load(f)
+        doc["output"] = 0  # the conv stem: (N, C, H, W), not (N, classes)
+        with open(paths["manifest"], "w") as f:
+            json.dump(doc, f)
+        qpath = tmp_path / "q.json"
+        save_qconfig(str(qpath), {}, 8, "partial")
+        result = runner.invoke(main, [
+            "evaluate", "--model", paths["manifest"], "--eval", paths["eval"],
+            "--labels", paths["eval_labels"], "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = error_lines(result.output)
+        assert len(errors) == 1 and "(N, classes) logits" in errors[0]
+
+    @pytest.mark.parametrize("command", ["quantize", "evaluate"])
+    def test_non_json_document_names_the_file(self, runner, tmp_path, command):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": ')
+        if command == "quantize":  # the manifest is not JSON
+            args = ["quantize", "--model", str(bad), "--calib", paths["calib"],
+                    "--out", str(tmp_path / "q.json")]
+        else:  # the qconfig is not JSON
+            args = ["evaluate", "--fixture", "tiny-mvit-ln", "--qconfig", str(bad)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert str(bad) in errors[0] and "not valid JSON" in errors[0]
 
     @pytest.mark.parametrize("layer, attr, value", [
         (7, "heads", "2"),

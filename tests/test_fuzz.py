@@ -1,0 +1,190 @@
+"""Fuzz the documents `hyquant evaluate` reads.
+
+The inputs are an exported `tiny-mvit-ln` manifest (its layers, their
+attributes and its bridge annotation), a saved qconfig (its site entries) and
+the .hqt blobs. The JSON mutations come from the schema tables the readers
+use: each field is dropped, given a value of another JSON type, or given an
+out-of-range value of its own type. A blob is truncated or has a header byte
+replaced. Whatever the input, the CLI exits 0, 1 or 2; a failure prints
+exactly one `error:` line and no traceback, and no exception escapes.
+"""
+
+import copy
+import json
+import os
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyquant.bridge import _ANNOTATION_FIELDS
+from hyquant.cli import _ENTRY_FIELDS, _QCONFIG_FIELDS, main, save_qconfig
+from hyquant.graph import (_LAYER_ATTRS, _LAYER_FIELDS, _MANIFEST_FIELDS,
+                           forward_fp, load_manifest)
+from hyquant.quant import fit_minmax
+from hyquant.tensor import Tensor, load_tensor
+from hyquant.zoo import export_fixture
+
+# a few values of each JSON type; a retype draws from the other types
+_VALUES = {
+    "null": [None],
+    "bool": [True, False],
+    "int": [0, 3, -1],
+    "float": [0.5, -2.5],
+    "string": ["", "x"],
+    "list": [[], [1, 2], ["x"], [[0]]],
+    "object": [{}, {"x": 1}],
+}
+
+# out-of-range values of each type. Every integer is negative, zero or too
+# large to allocate, so no mutation can make a forward pass big. An absent
+# field reads as null, whose out-of-range value is -1.
+_OUT_OF_RANGE = {
+    "null": [-1],
+    "int": [-1, 0, 2 ** 31, -(2 ** 40)],
+    "float": [-1.0, 0.0, 1e-300, 1e300, float("nan")],
+    "string": ["", "bogus", "../outside.hqt"],
+    "list": [[], [-1], [2 ** 31], [0.5], [None]],
+    "object": [{}, {"bogus": -1}, {"w": "../outside.hqt"}, {"w": "l0\0w.hqt"}],
+}
+
+_HEADER_BYTES = 8 + 4 * 4  # magic, rank and up to four dims
+
+
+def _json_type(v) -> str:
+    for name, types in (("null", type(None)), ("bool", bool), ("int", int),
+                        ("float", float), ("string", str), ("list", list)):
+        if isinstance(v, types):
+            return name
+    return "object"
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Paths of an exported tiny-mvit-ln with a qconfig over every site, mixing
+    granularities and schemes, plus the parsed manifest and qconfig."""
+    out = tmp_path_factory.mktemp("fuzz")
+    paths = export_fixture("tiny-mvit-ln", str(out))
+    graph = load_manifest(paths["manifest"])
+    values: dict = {}
+    forward_fp(graph, load_tensor(paths["calib"]), capture=values)
+    qcfg = {}
+    for i, site in enumerate(graph.quant_sites):
+        per_channel = site.allow_per_channel and i % 2 == 0
+        qcfg[site.key] = fit_minmax(
+            Tensor(values[site.key]), 8,
+            "symmetric" if site.kind == "weight" else "asymmetric",
+            "per_channel" if per_channel else "per_layer", site.channel_axis)
+    paths["qconfig"] = str(out / "qconfig.json")
+    save_qconfig(paths["qconfig"], qcfg, 8, graph.mode)
+    with open(paths["manifest"]) as f:
+        manifest = json.load(f)
+    with open(paths["qconfig"]) as f:
+        qconfig = json.load(f)
+    return out, paths, manifest, qconfig
+
+
+def run_evaluate(paths, manifest, qconfig, eval_path=None, labels_path=None):
+    base = os.path.dirname(paths["manifest"])
+    mpath, qpath = os.path.join(base, "fuzz_model.json"), os.path.join(
+        base, "fuzz_qconfig.json")
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    with open(qpath, "w") as f:
+        json.dump(qconfig, f)
+    return CliRunner().invoke(main, [
+        "evaluate", "--model", mpath, "--eval", eval_path or paths["eval"],
+        "--labels", labels_path or paths["eval_labels"], "--qconfig", qpath])
+
+
+def assert_clean(result):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code:
+        errors = [line for line in result.output.splitlines()
+                  if line.lower().startswith("error:")]
+        assert len(errors) == 1, result.output
+
+
+def test_unmutated_documents_evaluate(artifacts):
+    _, paths, manifest, qconfig = artifacts
+    result = run_evaluate(paths, manifest, qconfig)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["samples"] == 128
+
+
+@st.composite
+def mutated_documents(draw, manifest, qconfig):
+    """(manifest, qconfig) with one field of one element mutated."""
+    manifest, qconfig = copy.deepcopy(manifest), copy.deepcopy(qconfig)
+    layers, entries = manifest["layers"], qconfig["sites"]
+    with_attrs = [layer for layer in layers if _LAYER_ATTRS.get(layer["kind"])]
+    target = draw(st.sampled_from(
+        ["manifest", "layer", "attrs", "bridge", "qconfig", "entry"]))
+    if target == "manifest":
+        element, schema = manifest, _MANIFEST_FIELDS
+    elif target == "layer":
+        element, schema = draw(st.sampled_from(layers)), _LAYER_FIELDS
+    elif target == "attrs":
+        layer = draw(st.sampled_from(with_attrs))
+        element, schema = layer["attrs"], _LAYER_ATTRS[layer["kind"]]
+    elif target == "bridge":
+        element, schema = manifest["bridge_blocks"][0], _ANNOTATION_FIELDS
+    elif target == "qconfig":
+        element, schema = qconfig, _QCONFIG_FIELDS
+    else:
+        element, schema = draw(st.sampled_from(entries)), _ENTRY_FIELDS
+    name = draw(st.sampled_from(sorted(schema)))
+    how = draw(st.sampled_from(["drop", "retype", "out-of-range"]))
+    kind = _json_type(element.get(name))
+    if how == "drop":
+        element.pop(name, None)
+    elif how == "retype":
+        others = [v for t in _VALUES if t != kind for v in _VALUES[t]]
+        element[name] = copy.deepcopy(draw(st.sampled_from(others)))
+    elif kind == "bool":
+        element[name] = not element[name]
+    else:
+        element[name] = copy.deepcopy(draw(st.sampled_from(_OUT_OF_RANGE[kind])))
+    return manifest, qconfig
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_mutated_json_documents_fail_cleanly(artifacts, data):
+    _, paths, manifest, qconfig = artifacts
+    manifest, qconfig = data.draw(mutated_documents(manifest, qconfig))
+    assert_clean(run_evaluate(paths, manifest, qconfig))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_mutated_blobs_fail_cleanly(artifacts, data):
+    out, paths, manifest, qconfig = artifacts
+    which = data.draw(st.sampled_from(["eval", "eval_labels", "weight"]))
+    manifest = copy.deepcopy(manifest)
+    if which == "weight":
+        layer = data.draw(st.sampled_from(
+            [layer for layer in manifest["layers"] if layer["weights"]]))
+        name = data.draw(st.sampled_from(sorted(layer["weights"])))
+        source = os.path.join(out, layer["weights"][name])
+        layer["weights"][name] = "blobs/fuzz.hqt"
+        target = os.path.join(out, "blobs", "fuzz.hqt")
+    else:
+        source, target = paths[which], os.path.join(out, f"fuzz_{which}.hqt")
+    with open(source, "rb") as f:
+        raw = bytearray(f.read())
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw[data.draw(st.integers(0, min(len(raw), _HEADER_BYTES) - 1))] = \
+            data.draw(st.integers(0, 255))
+    with open(target, "wb") as f:
+        f.write(raw)
+    assert_clean(run_evaluate(
+        paths, manifest, qconfig,
+        eval_path=target if which == "eval" else None,
+        labels_path=target if which == "eval_labels" else None))

@@ -419,6 +419,19 @@ class TestQuantParamsValidation:
                         channel_axis=None, scale=np.asarray(0.1, F32),
                         zero_point=np.asarray(400), zero_point_raw=np.asarray(400.0))
 
+    @pytest.mark.parametrize("granularity, scale, zp, raw", [
+        ("per_layer", [0.1, 0.2], 0, 0.0),
+        ("per_channel", [0.1, 0.2], [0, 0, 0], [0.0, 0.0]),
+        ("per_channel", 0.1, 0, 0.0),
+        ("per_channel", [[0.1, 0.2]], [[0, 0]], [[0.0, 0.0]]),
+    ], ids=["per-layer-vector", "per-channel-lengths", "per-channel-scalar",
+            "per-channel-2d"])
+    def test_shapes_must_fit_granularity(self, granularity, scale, zp, raw):
+        with pytest.raises(QuantError, match=f"{granularity} params need"):
+            QuantParams(bits=8, scheme="symmetric", granularity=granularity,
+                        channel_axis=0, scale=np.asarray(scale, F32),
+                        zero_point=np.asarray(zp), zero_point_raw=np.asarray(raw))
+
     def test_per_channel_needs_axis(self):
         with pytest.raises(QuantError, match="channel_axis"):
             QuantParams(bits=8, scheme="symmetric", granularity="per_channel",

@@ -309,3 +309,13 @@ class TestDeterminismAndBlobs:
         path.write_bytes(raw[:-4])
         with pytest.raises(T.TensorError, match="payload"):
             T.load_tensor(path)
+
+    def test_blob_non_finite_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "nan.hqt"
+        T.save_tensor(path, t(np.ones((2, 2))))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(T.TensorError, match="non-finite") as info:
+            T.load_tensor(path)
+        assert str(path) in str(info.value)

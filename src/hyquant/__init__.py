@@ -5,11 +5,11 @@ from .calib import (CalibCache, CalibOptions, SearchSpace, UnitDecision,
                     calibrate, generate_candidates, objective,
                     pass1_cache_fp, pass2_cache_gradients, search_unit)
 from .graph import (Graph, LayerSpec, Site, check_site_coverage, forward_fp,
-                    forward_quant, load_manifest, quant_attention, save_manifest)
+                    forward_quant, load_manifest, save_manifest)
 from .quant import (OverflowReport, QuantParams, detect_zero_point_overflow,
                     fit_minmax, quantize_dequantize)
 from .tensor import Tape, Tensor, backward, load_tensor, save_tensor
-from .zoo import FIXTURES, FixtureSpec, build_fixture, build_norm_variants
+from .zoo import FIXTURES, FixtureSpec, build_fixture
 
 __version__ = "0.1.0"
 
@@ -17,10 +17,10 @@ __all__ = [
     "CalibCache", "CalibOptions", "FIXTURES", "FixtureSpec",
     "Graph", "LayerSpec", "OverflowReport", "QuantParams", "ReconstructionUnit",
     "SearchSpace", "Site", "Tape", "Tensor", "UnitDecision", "backward",
-    "build_fixture", "build_norm_variants", "calibrate", "check_site_coverage",
+    "build_fixture", "calibrate", "check_site_coverage",
     "detect_zero_point_overflow", "fit_minmax", "forward_fp", "forward_quant",
     "generate_candidates", "load_manifest", "load_tensor", "objective",
-    "pass1_cache_fp", "pass2_cache_gradients", "quant_attention",
+    "pass1_cache_fp", "pass2_cache_gradients",
     "quantize_dequantize", "resolve_bridge_blocks", "save_manifest",
     "save_tensor", "search_unit", "units_for",
 ]

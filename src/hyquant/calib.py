@@ -80,10 +80,6 @@ class CalibCache:
     unit_grads: dict[int, np.ndarray] = field(default_factory=dict)
     logits_fp: np.ndarray | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.logits_fp is not None and bool(self.unit_grads)
-
 
 @dataclass
 class UnitDecision:

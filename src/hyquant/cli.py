@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 
 import click
@@ -166,11 +165,8 @@ def range_report(graph: Graph, calib_x: Tensor, val_x: Tensor, bits: int):
     return rows
 
 
-# report CSV columns and the type each is read back as (flags are 0/1)
-_REPORT_TYPES = {"layer": int, "site": str, "channel": int, "calib_min": float,
-                 "calib_max": float, "val_min": float, "val_max": float,
-                 "zero_point_raw": float, "flagged": bool}
-REPORT_COLUMNS = tuple(_REPORT_TYPES)
+REPORT_COLUMNS = ("layer", "site", "channel", "calib_min", "calib_max",
+                  "val_min", "val_max", "zero_point_raw", "flagged")
 
 
 def write_report_csv(path: str, rows: list[dict]) -> None:
@@ -181,13 +177,6 @@ def write_report_csv(path: str, rows: list[dict]) -> None:
             # csv writes floats with repr(), so they read back exactly
             writer.writerow([int(r[c]) if c == "flagged" else r[c]
                              for c in REPORT_COLUMNS])
-
-
-def read_report_csv(path: str) -> list[dict]:
-    with open(path, newline="") as f:
-        return [{c: bool(int(rec[c])) if typ is bool else typ(rec[c])
-                 for c, typ in _REPORT_TYPES.items()}
-                for rec in csv.DictReader(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +216,6 @@ def _load_source(model, fixture, seed, mode, calib_path=None, eval_path=None,
             raise TensorError(f"{labels_path}: {data[2].size} labels for an "
                               f"evaluation batch of shape {data[1].shape}")
     return (graph if mode is None else with_mode(graph, mode), *data)
-
-
-def _check_threads_env() -> None:
-    """HYQUANT_THREADS is accepted for compatibility; the search runs on one
-    thread, so the value only has to be a positive integer."""
-    raw = os.environ.get("HYQUANT_THREADS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise click.UsageError(
-            f"HYQUANT_THREADS must be a positive integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +266,6 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
              out, trace):
     """Calibrate a model and write the quantization config document."""
     _check_source(model, fixture, "--calib data", calib)
-    _check_threads_env()
     try:
         space = SearchSpace(alpha=alpha, beta=beta, candidates=candidates,
                             iterations=iterations)

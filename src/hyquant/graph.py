@@ -238,34 +238,16 @@ def _validate_layer(layer: LayerSpec) -> None:
 
 
 def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
-    lid, k = layer.id, layer.kind
-    full = mode == "full"
-    if k in ("conv2d", "depthwise_conv2d"):
-        return [Site(lid, "weight", "weight", 0),
-                Site(lid, "input", "activation", 1)]
-    if k == "linear":
-        return [Site(lid, "weight", "weight", 0),
-                Site(lid, "input", "activation", -1)]
-    if k == "matmul":
-        return [Site(lid, "input_a", "activation", -1),
-                Site(lid, "input_b", "activation", -1)]
-    if k == "mhsa":
-        sites = [Site(lid, "input", "activation", -1),
-                 *(Site(lid, n, "weight", 0) for n in ("w_q", "w_k", "w_v", "w_o")),
-                 *(Site(lid, n, "activation", -1)
-                   for n in ("attn_q", "attn_k", "attn_v")),
-                 Site(lid, "attn_probs", "activation", -1, allow_per_channel=False),
-                 Site(lid, "proj_in", "activation", -1)]
-        if full:
-            sites.append(Site(lid, "softmax_in", "activation", -1,
-                              allow_per_channel=False))
-        return sites
-    if k == "softmax" and full:
-        return [Site(lid, "input", "activation", -1, allow_per_channel=False)]
-    if k in ("layer_norm", "group_norm", "batch_norm") and full:
-        axis = layer.attrs.get("channel_axis", 1 if k != "layer_norm" else -1)
-        return [Site(lid, "input", "activation", axis)]
-    return []
+    """The layer's quant sites as its kind's steps declare them, in step
+    order; sites of "full" mode only come last and only in that mode. A
+    channel_axis attr, on the kinds that take one, overrides the step's."""
+    axis = layer.attrs.get("channel_axis") \
+        if "channel_axis" in _LAYER_ATTRS.get(layer.kind, {}) else None
+    steps = sorted((s for s in LAYER_STEPS[layer.kind] if s.site
+                    and (mode == "full" or not s.full_only)),
+                   key=lambda s: s.full_only)
+    return [Site(layer.id, s.site, s.kind, s.axis if axis is None else axis,
+                 s.per_channel) for s in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +274,8 @@ def site_hook(layer_id: int, qcfg: dict, tape: Tape | None = None,
 
 # Every layer kind is an ordered list of steps (LAYER_STEPS). A step computes
 # out = op(*ins, tape) from named values or, when op is None, passes its one
-# input through the site hook under its site name. A layer's values start as
+# input through the site hook under its site name; such a step is the one
+# declaration of that quant site (sites_for_layer). A layer's values start as
 # its weights by name, its attrs as "attrs" and its inputs as "x" and "y"; its
 # last step writes "out". One loop (run_steps) runs every list, so forwards,
 # calibration passes and the search's re-run of a site's cone (site_cone)
@@ -307,6 +290,17 @@ class Step(NamedTuple):
     ins: tuple[str, ...]
     site: str | None = None
     drop: tuple[str, ...] = ()  # the names this step is the last to read
+    # the site's declaration: "weight" or "activation", its channel axis,
+    # whether it may be per-channel, whether it is a site in "full" mode only
+    kind: str = "activation"
+    axis: int = -1
+    per_channel: bool = True
+    full_only: bool = False
+
+
+def _quant(out: str, x: str, site: str, **decl) -> Step:
+    """The step that quantizes value x as site, declared by decl."""
+    return Step(out, None, (x,), site, **decl)
 
 
 def _step_list(*steps: Step) -> tuple[Step, ...]:
@@ -384,55 +378,63 @@ def _merge_heads(probs: Tensor, vh: Tensor, tape) -> Tensor:
 
 # (N, T, E) projections "q", "k", "v" and attrs holding "heads" -> "ctx"
 ATTENTION_STEPS = _step_list(
-    Step("qs", None, ("q",), "attn_q"),
+    _quant("qs", "q", "attn_q"),
     Step("qh", _split_heads, ("qs", "attrs")),
-    Step("ks", None, ("k",), "attn_k"),
+    _quant("ks", "k", "attn_k"),
     Step("kh", _split_heads, ("ks", "attrs")),
-    Step("vs", None, ("v",), "attn_v"),
+    _quant("vs", "v", "attn_v"),
     Step("vh", _split_heads, ("vs", "attrs")),
     Step("scores", _scores, ("qh", "kh")),
-    Step("scores_q", None, ("scores",), "softmax_in"),
+    _quant("scores_q", "scores", "softmax_in", per_channel=False, full_only=True),
     Step("probs", _tensor_op("softmax"), ("scores_q", "attrs")),
-    Step("probs_q", None, ("probs",), "attn_probs"),
+    _quant("probs_q", "probs", "attn_probs", per_channel=False),
     Step("ctx", _merge_heads, ("probs_q", "vh")),
 )
 
-_INPUT = Step("xq", None, ("x",), "input")
-_WEIGHT = Step("wq", None, ("w",), "weight")
+
+def _input(**decl) -> Step:
+    return _quant("xq", "x", "input", **decl)
+
+
+def _weight(out: str, w: str, site: str) -> Step:
+    return _quant(out, w, site, kind="weight", axis=0)
+
+
+_WEIGHT = _weight("wq", "w", "weight")
 
 # by layer kind, in the order of LAYER_KINDS
 LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
-    ("conv2d", (_INPUT, _WEIGHT, Step("out", _tensor_op(
+    ("conv2d", (_input(axis=1), _WEIGHT, Step("out", _tensor_op(
         "conv2d", stride=1, padding=0, groups=1), ("xq", "wq", "b", "attrs")))),
-    ("depthwise_conv2d", (_INPUT, _WEIGHT,
+    ("depthwise_conv2d", (_input(axis=1), _WEIGHT,
                           Step("out", _depthwise_conv, ("xq", "wq", "b", "attrs")))),
-    ("linear", (_INPUT, _WEIGHT, Step("out", _project, ("xq", "wq", "b")))),
+    ("linear", (_input(), _WEIGHT, Step("out", _project, ("xq", "wq", "b")))),
     ("mhsa", (
-        _INPUT,
-        Step("wq", None, ("w_q",), "w_q"),
+        _input(),
+        _weight("wq", "w_q", "w_q"),
         Step("q", _project, ("xq", "wq", "b_q")),
-        Step("wk", None, ("w_k",), "w_k"),
+        _weight("wk", "w_k", "w_k"),
         Step("k", _project, ("xq", "wk", "b_k")),
-        Step("wv", None, ("w_v",), "w_v"),
+        _weight("wv", "w_v", "w_v"),
         Step("v", _project, ("xq", "wv", "b_v")),
         *ATTENTION_STEPS,
-        Step("ctx_q", None, ("ctx",), "proj_in"),
-        Step("wo", None, ("w_o",), "w_o"),
+        _quant("ctx_q", "ctx", "proj_in"),
+        _weight("wo", "w_o", "w_o"),
         Step("out", _project, ("ctx_q", "wo", "b_o")))),
-    ("softmax", (_INPUT, Step("out", _tensor_op("softmax", axis=-1), ("xq", "attrs")))),
-    ("layer_norm", (_INPUT, Step("out", _tensor_op("layer_norm", eps=1e-5),
-                                 ("xq", "gamma", "beta", "attrs")))),
-    ("group_norm", (_INPUT, Step("out", _tensor_op(
+    ("softmax", (_input(per_channel=False, full_only=True),
+                 Step("out", _tensor_op("softmax", axis=-1), ("xq", "attrs")))),
+    ("layer_norm", (_input(full_only=True), Step("out", _tensor_op(
+        "layer_norm", eps=1e-5), ("xq", "gamma", "beta", "attrs")))),
+    ("group_norm", (_input(axis=1, full_only=True), Step("out", _tensor_op(
         "group_norm", groups=None, eps=1e-5, channel_axis=1),
         ("xq", "gamma", "beta", "attrs")))),
-    ("batch_norm", (_INPUT, Step("out", _tensor_op(
+    ("batch_norm", (_input(axis=1, full_only=True), Step("out", _tensor_op(
         "batch_norm_folded", channel_axis=1), ("xq", "scale", "shift", "attrs")))),
     ("activation", (Step("out", _activation, ("x", "attrs")),)),
     ("add", (Step("out", _tensor_op("add"), ("x", "y", "attrs")),)),
     ("reshape", (Step("out", _reshape, ("x", "attrs")),)),
     ("pool", (Step("out", _pool, ("x", "attrs")),)),
-    ("matmul", (Step("aq", None, ("x",), "input_a"),
-                Step("bq", None, ("y",), "input_b"),
+    ("matmul", (_quant("aq", "x", "input_a"), _quant("bq", "y", "input_b"),
                 Step("out", _tensor_op("matmul", transpose_b=False),
                      ("aq", "bq", "attrs")))),
 )}
@@ -449,7 +451,7 @@ def run_steps(steps, vals: dict, site, tape: Tape | None = None,
     keep=False drops each value after its last use (Step.drop), so a forward
     holds no more intermediates at once than the layer itself requires.
     """
-    for out, op, ins, name, drop in steps:
+    for out, op, ins, name, drop, _, _, _, _ in steps:
         if op is None:
             vals[out] = site(name, vals[ins[0]])
         else:
@@ -470,24 +472,6 @@ def site_cone(steps, site: str | None, inputs=()) -> tuple[Step, ...]:
             dirty.add(step.out)
             cone.append(step)
     return tuple(cone)
-
-
-def quant_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, site=None,
-                    tape: Tape | None = None) -> Tensor:
-    """Per-head softmax(QK^T / sqrt(d_k)) V over (N, T, E) projections, with
-    d_k = E / heads.
-
-    site, when given, is the layer's site hook, a callable(name, Tensor)
-    returning the (possibly fake-quantized) tensor. It is applied to the
-    operands of both matrix products ("attn_q", "attn_k", "attn_v",
-    "attn_probs") and to the softmax input ("softmax_in").
-    """
-    if heads < 1 or q.shape[-1] % heads != 0:
-        raise GraphError(f"embedding dim {q.shape[-1]} not divisible by head "
-                         f"count {heads}")
-    vals = {"q": q, "k": k, "v": v, "attrs": {"heads": heads}}
-    return run_steps(ATTENTION_STEPS, vals, site or (lambda name, x: x), tape,
-                     keep=False)["ctx"]
 
 
 def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
@@ -647,8 +631,10 @@ _LAYER_FIELDS = {
 
 
 def load_manifest(manifest_path: str) -> Graph:
-    """Read a manifest and its weight blobs; a malformed document raises one
-    GraphError naming the file and, where there is one, the layer and field."""
+    """Read a manifest and its weight blobs and check its bridge annotations;
+    a malformed document raises one GraphError naming the file and, where
+    there is one, the layer, annotation and field."""
+    from .bridge import resolve_bridge_blocks  # bridge imports this module
     m = read_fields(read_json(manifest_path, GraphError), _MANIFEST_FIELDS,
                     GraphError, manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -662,9 +648,11 @@ def load_manifest(manifest_path: str) -> Graph:
                 inputs=list(f["inputs"]),
                 weights={name: T.load_tensor(_blob_path(base, f["id"], name, rel))
                          for name, rel in f["weights"].items()}))
-        return Graph(layers=layers, input_shape=tuple(m["input_shape"]),
-                     output_id=m["output"], mode=m["mode"],
-                     bridge_annotations=list(m["bridge_blocks"]))
+        graph = Graph(layers=layers, input_shape=tuple(m["input_shape"]),
+                      output_id=m["output"], mode=m["mode"],
+                      bridge_annotations=list(m["bridge_blocks"]))
+        resolve_bridge_blocks(graph, graph.bridge_annotations)
+        return graph
     except GraphError as e:
         raise GraphError(f"{manifest_path}: {e}") from None
 

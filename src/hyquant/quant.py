@@ -91,7 +91,8 @@ class QuantParams:
         if self.granularity == "per_channel" and self.channel_axis is None:
             raise QuantError("per_channel params require a channel_axis")
         q_min, q_max = grid_range(self.bits)
-        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=_F32))
+        with np.errstate(over="ignore"):  # too large for float32: inf, refused below
+            object.__setattr__(self, "scale", np.asarray(self.scale, dtype=_F32))
         object.__setattr__(self, "zero_point", np.asarray(self.zero_point, dtype=np.int32))
         object.__setattr__(self, "zero_point_raw",
                            np.asarray(self.zero_point_raw, dtype=np.float64))
@@ -100,8 +101,9 @@ class QuantParams:
         if len(set(shapes)) > 1 or len(shapes[0]) != rank:
             raise QuantError(f"{self.granularity} params need scale and both "
                              f"zero-points of one shape of rank {rank}, got {shapes}")
-        if not np.all(self.scale > 0):
-            raise QuantError("scale must be strictly positive (floor degenerate ranges)")
+        if not np.all((self.scale > 0) & np.isfinite(self.scale)):
+            raise QuantError("scale must be strictly positive (floor degenerate "
+                             "ranges) and finite as float32")
         if self.scheme == "symmetric" and np.any(self.zero_point != 0):
             raise QuantError("symmetric scheme requires zero_point == 0")
         if np.any(self.zero_point < q_min) or np.any(self.zero_point > q_max):
@@ -138,10 +140,6 @@ class OverflowReport:
     @property
     def flagged_channels(self) -> tuple[int, ...]:
         return tuple(c.channel for c in self.channels if c.flagged)
-
-    @property
-    def total(self) -> int:
-        return len(self.channels)
 
     @property
     def flagged_count(self) -> int:
@@ -291,8 +289,7 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
         return Tensor._wrap(out)
     mask = mask.reshape(xa.shape)
     parent = t.node
-    nid = tape.record("fake_quant", (parent,), out.shape,
-                      lambda g: [(parent, g * mask)])
+    nid = tape.record(out.shape, lambda g: [(parent, g * mask)])
     return Tensor._wrap(out, nid)
 
 

@@ -78,37 +78,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
-class TapeNode:
-    """One recorded op: kind tag, parent node ids, output shape, backward rule."""
-
-    __slots__ = ("op", "parents", "shape", "backward_fn")
-
-    def __init__(self, op: str, parents: tuple[int, ...], shape: tuple[int, ...],
-                 backward_fn: Callable[[np.ndarray], list[tuple[int, np.ndarray]]]):
-        self.op = op
-        self.parents = parents
-        self.shape = shape
-        self.backward_fn = backward_fn
-
-
 class Tape:
-    """Append-only record of one forward pass.
+    """Append-only record of one forward pass: per node, the op's output
+    shape and its backward rule, g -> [(parent node id, parent gradient)].
 
     `watch` marks nodes whose gradients must be retained by `backward`;
     gradients at unwatched nodes are freed as the reverse sweep passes them.
     """
 
     def __init__(self):
-        self.nodes: list[TapeNode] = []
+        self.nodes: list[tuple[tuple[int, ...], Callable]] = []
         self.watched: set[int] = set()
 
-    def record(self, op: str, parents: tuple[int, ...], shape: tuple[int, ...],
-               backward_fn) -> int:
-        self.nodes.append(TapeNode(op, parents, tuple(shape), backward_fn))
+    def record(self, shape: tuple[int, ...], backward_fn) -> int:
+        self.nodes.append((tuple(shape), backward_fn))
         return len(self.nodes) - 1
 
     def leaf(self, t: Tensor) -> Tensor:
-        nid = self.record("leaf", (), t.data.shape, lambda g: [])
+        nid = self.record(t.data.shape, lambda g: [])
         return Tensor._wrap(t.data, nid)
 
     def watch(self, node_id: int) -> None:
@@ -127,21 +114,21 @@ def backward(loss_grad: Tensor, tape: Tape) -> dict[int, Tensor]:
         raise EmptyTapeError("backward() on an empty tape")
     targets = set(tape.watched)
     last = len(tape.nodes) - 1
-    if tuple(loss_grad.shape) != tape.nodes[last].shape:
+    if tuple(loss_grad.shape) != tape.nodes[last][0]:
         raise ShapeMismatchError(
             f"loss gradient shape {tuple(loss_grad.shape)} does not match "
-            f"final output shape {tape.nodes[last].shape}")
+            f"final output shape {tape.nodes[last][0]}")
     grads: dict[int, np.ndarray] = {last: loss_grad.data.astype(_F32, copy=False)}
     for nid in range(last, -1, -1):
         g = grads.get(nid)
         if g is None:
             continue
-        for pid, pg in tape.nodes[nid].backward_fn(g):
+        for pid, pg in tape.nodes[nid][1](g):
             pg = np.asarray(pg, dtype=_F32)
-            if pg.shape != tape.nodes[pid].shape:
+            if pg.shape != tape.nodes[pid][0]:
                 raise ShapeMismatchError(
                     f"gradient shape {pg.shape} does not match node {pid} "
-                    f"output shape {tape.nodes[pid].shape}")
+                    f"output shape {tape.nodes[pid][0]}")
             acc = grads.get(pid)
             grads[pid] = pg if acc is None else acc + pg
         if nid not in targets:
@@ -150,7 +137,7 @@ def backward(loss_grad: Tensor, tape: Tape) -> dict[int, Tensor]:
     for nid in targets:
         arr = grads.get(nid)
         if arr is None:
-            arr = np.zeros(tape.nodes[nid].shape, dtype=_F32)
+            arr = np.zeros(tape.nodes[nid][0], dtype=_F32)
         out[nid] = Tensor._wrap(np.ascontiguousarray(arr, dtype=_F32))
     return out
 
@@ -159,7 +146,7 @@ def backward(loss_grad: Tensor, tape: Tape) -> dict[int, Tensor]:
 # op plumbing
 
 
-def _record(tape: Tape | None, op: str, out: np.ndarray,
+def _record(tape: Tape | None, out: np.ndarray,
             pairs: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
     """Wrap an op result; records a node when any input is traced."""
     live = [(t.node, fn) for t, fn in pairs if t.node is not None]
@@ -169,8 +156,7 @@ def _record(tape: Tape | None, op: str, out: np.ndarray,
     def backward_fn(g: np.ndarray) -> list[tuple[int, np.ndarray]]:
         return [(nid, fn(g)) for nid, fn in live]
 
-    nid = tape.record(op, tuple(n for n, _ in live), out.shape, backward_fn)
-    return Tensor._wrap(out, nid)
+    return Tensor._wrap(out, tape.record(out.shape, backward_fn))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -198,7 +184,7 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         out = a.data + b.data
     except ValueError as e:
         raise ShapeMismatchError(f"add {a.shape} + {b.shape}: {e}") from e
-    return _record(tape, "add", out, [
+    return _record(tape, out, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
     ])
@@ -210,7 +196,7 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     except ValueError as e:
         raise ShapeMismatchError(f"mul {a.shape} * {b.shape}: {e}") from e
     ad, bd = a.data, b.data
-    return _record(tape, "mul", out, [
+    return _record(tape, out, [
         (a, lambda g: _unbroadcast(g * bd, ad.shape)),
         (b, lambda g: _unbroadcast(g * ad, bd.shape)),
     ])
@@ -218,7 +204,7 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 def scale(t: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     c32 = _F32(c)
-    return _record(tape, "scale", t.data * c32, [(t, lambda g: g * c32)])
+    return _record(tape, t.data * c32, [(t, lambda g: g * c32)])
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
@@ -242,7 +228,7 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
         dBm = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), g), Bm.shape)
         return np.swapaxes(dBm, -1, -2) if transpose_b else dBm
 
-    return _record(tape, "matmul", out, [(a, grad_a), (b, grad_b)])
+    return _record(tape, out, [(a, grad_a), (b, grad_b)])
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
@@ -303,7 +289,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     pairs = [(x, grad_x), (w, grad_w)]
     if bias is not None:
         pairs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    return _record(tape, "conv2d", out, pairs)
+    return _record(tape, out, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +307,7 @@ def softmax(t: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
     def grad(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
-    return _record(tape, "softmax", y, [(t, grad)])
+    return _record(tape, y, [(t, grad)])
 
 
 def _norm_core(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
@@ -363,7 +349,7 @@ def _norm_core(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     def grad_beta(g):
         return g.sum(axis=reduce_axes)
 
-    return _record(tape, op, out,
+    return _record(tape, out,
                    [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
 
 
@@ -400,7 +386,7 @@ def batch_norm_folded(x: Tensor, scale_w: Tensor, shift: Tensor,
     ta = shift.data.reshape(bshape)
     out = xa * sa + ta
     reduce_axes = tuple(i for i in range(xa.ndim) if i != ca)
-    return _record(tape, "batch_norm_folded", out, [
+    return _record(tape, out, [
         (x, lambda g: g * sa),
         (scale_w, lambda g: (g * xa).sum(axis=reduce_axes)),
         (shift, lambda g: g.sum(axis=reduce_axes)),
@@ -417,7 +403,7 @@ def gelu(t: Tensor, tape: Tape | None = None) -> Tensor:
         pdf = np.exp(_F32(-0.5) * xa * xa) * _INV_SQRT2PI
         return g * (phi + xa * pdf)
 
-    return _record(tape, "gelu", out.astype(_F32, copy=False), [(t, grad)])
+    return _record(tape, out.astype(_F32, copy=False), [(t, grad)])
 
 
 def silu(t: Tensor, tape: Tape | None = None) -> Tensor:
@@ -428,13 +414,13 @@ def silu(t: Tensor, tape: Tape | None = None) -> Tensor:
     def grad(g):
         return g * (sig * (1.0 + xa * (1.0 - sig)))
 
-    return _record(tape, "silu", out.astype(_F32, copy=False), [(t, grad)])
+    return _record(tape, out.astype(_F32, copy=False), [(t, grad)])
 
 
 def relu(t: Tensor, tape: Tape | None = None) -> Tensor:
     xa = t.data
     out = np.maximum(xa, _F32(0))
-    return _record(tape, "relu", out, [(t, lambda g: g * (xa > 0))])
+    return _record(tape, out, [(t, lambda g: g * (xa > 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +433,13 @@ def reshape(t: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tens
         out = t.data.reshape(shape)
     except ValueError as e:
         raise ShapeMismatchError(f"reshape {src} -> {shape}: {e}") from e
-    return _record(tape, "reshape", out, [(t, lambda g: g.reshape(src))])
+    return _record(tape, out, [(t, lambda g: g.reshape(src))])
 
 
 def transpose(t: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
     inv = tuple(int(i) for i in np.argsort(axes))
     out = np.ascontiguousarray(np.transpose(t.data, axes))
-    return _record(tape, "transpose", out,
+    return _record(tape, out,
                    [(t, lambda g: np.ascontiguousarray(np.transpose(g, inv)))])
 
 
@@ -470,14 +456,14 @@ def mean(t: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
         ge = np.expand_dims(g, axes)
         return np.broadcast_to(ge * inv_count, src).astype(_F32, copy=False)
 
-    return _record(tape, "mean", out, [(t, grad)])
+    return _record(tape, out, [(t, grad)])
 
 
 def sum_all(t: Tensor, tape: Tape | None = None) -> Tensor:
     """Scalar sum; accumulates in float64 to keep test oracles quiet."""
     out = np.asarray(np.sum(t.data, dtype=np.float64), dtype=_F32)
     src = t.data.shape
-    return _record(tape, "sum_all", out,
+    return _record(tape, out,
                    [(t, lambda g: np.broadcast_to(g, src).astype(_F32, copy=False))])
 
 
@@ -514,7 +500,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "sum",
             d /= n
         return d * g
 
-    return _record(tape, "cross_entropy", out, [(logits, grad)])
+    return _record(tape, out, [(logits, grad)])
 
 
 # ---------------------------------------------------------------------------

@@ -252,17 +252,6 @@ def build_fixture(spec: FixtureSpec | str, seed: int | None = None):
     return graph, Tensor(calib_x), Tensor(eval_x), eval_labels
 
 
-def build_norm_variants(seed: int, groups: int = 2):
-    """Three sibling graphs differing only in norm kind (layer/group/batch)."""
-    graphs = []
-    for norm in ("layer", "group", "batch"):
-        spec = replace(FIXTURES["tiny-mvit-ln"], name=f"variant-{norm}",
-                       norm=norm, groups=groups, seed=seed)
-        graph, _, _, _ = build_fixture(spec)
-        graphs.append(graph)
-    return graphs
-
-
 def export_fixture(name: str, out_dir: str) -> dict:
     """Write a fixture as manifest + weight blobs + data blobs; returns paths."""
     graph, calib_x, eval_x, eval_labels = build_fixture(name)

@@ -178,7 +178,7 @@ class TestPass2:
         units = fixture_units(graph)
         cache = pass1_cache_fp(graph, calib, units)
         pass2_cache_gradients(graph, calib, units, cache, bits=8)
-        assert cache.complete
+        assert cache.logits_fp is not None
         for u in units:
             assert cache.unit_grads[u.output_id].shape == \
                 cache.unit_outputs[u.output_id].shape

@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 
@@ -6,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from hyquant.cli import (evaluate_model, load_qconfig, main, qconfig_to_doc,
-                         range_report, read_report_csv, save_qconfig,
-                         with_mode, write_report_csv)
+                         range_report, save_qconfig, with_mode,
+                         write_report_csv)
 from hyquant.graph import forward_fp
 from hyquant.quant import detect_zero_point_overflow
 from hyquant.tensor import Tensor, load_tensor, save_tensor
@@ -29,6 +30,15 @@ def run_quantize(runner, out, extra=()):
 def error_lines(output):
     return [line for line in output.splitlines()
             if line.lower().startswith("error:")]
+
+
+def read_report(path):
+    """The report CSV's rows, each value read back as the type written."""
+    types = {"layer": int, "site": str, "channel": int,
+             "flagged": lambda v: bool(int(v))}
+    with open(path, newline="") as f:
+        return [{c: types.get(c, float)(v) for c, v in rec.items()}
+                for rec in csv.DictReader(f)]
 
 
 class TestQuantizeCommand:
@@ -102,27 +112,6 @@ class TestQuantizeCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["top1_agreement"] >= 0.85
 
-    def test_thread_env_var_does_not_change_output(self, runner, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_quantize(runner, a).exit_code == 0
-        result = runner.invoke(
-            main, ["quantize", "--fixture", "tiny-mvit-ln", "--out", str(b),
-                   "--candidates", "4", "--iterations", "1"],
-            env={"HYQUANT_THREADS": "3"})
-        assert result.exit_code == 0, result.output
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_malformed_thread_env_var_is_usage_error(self, runner, tmp_path,
-                                                     value):
-        result = runner.invoke(
-            main, ["quantize", "--fixture", "tiny-mvit-ln",
-                   "--out", str(tmp_path / "q.json")],
-            env={"HYQUANT_THREADS": value})
-        assert result.exit_code == 2
-        errors = error_lines(result.output)
-        assert len(errors) == 1 and "HYQUANT_THREADS" in errors[0]
-
 
 class TestEvaluateCommand:
     def test_empty_qconfig_reproduces_fp_metrics(self, runner, tmp_path):
@@ -172,6 +161,7 @@ class TestEvaluateCommand:
         ("bits", 6, "document's bits is 8"),
         ("zero_point", 2 ** 40, "out of bounds"),
         ("scale", [0.1, 0.2], "per_layer params need"),
+        ("scale", 1e300, "finite as float32"),
     ])
     def test_malformed_qconfig_entry_fails_cleanly(self, runner, tmp_path,
                                                    field, value, message):
@@ -263,9 +253,40 @@ class TestEvaluateCommand:
         assert "Traceback" not in result.output
         errors = error_lines(result.output)
         assert len(errors) == 1
-        assert message in errors[0]
-        if field != "bridge_blocks":  # load_manifest errors name the file
-            assert paths["manifest"] in errors[0]
+        assert message in errors[0] and paths["manifest"] in errors[0]
+
+    @pytest.mark.parametrize("command", ["quantize", "evaluate", "report"])
+    @pytest.mark.parametrize("layer_ids, message", [
+        (3, "field 'layer_ids'"),
+        ([3, 99], "unknown layer 99"),
+        ([3, 5], "not contiguous"),
+    ], ids=["not-a-list", "unknown-layer", "not-contiguous"])
+    def test_malformed_bridge_annotation_fails_at_load(
+            self, runner, tmp_path, command, layer_ids, message):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        with open(paths["manifest"]) as f:
+            doc = json.load(f)
+        doc["bridge_blocks"] = [{"label": "b", "layer_ids": layer_ids}]
+        with open(paths["manifest"], "w") as f:
+            json.dump(doc, f)
+        qpath = tmp_path / "q.json"
+        save_qconfig(str(qpath), {}, 8, "partial")
+        args = {
+            "quantize": ["--calib", paths["calib"], "--out", str(qpath),
+                         "--candidates", "1", "--iterations", "1"],
+            "evaluate": ["--eval", paths["eval"], "--labels",
+                         paths["eval_labels"], "--qconfig", str(qpath)],
+            "report": ["--calib", paths["calib"], "--val", paths["eval"],
+                       "--out", str(tmp_path / "r.csv")],
+        }[command]
+        result = runner.invoke(main, [command, "--model", paths["manifest"],
+                                      *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert paths["manifest"] in errors[0] and message in errors[0]
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_labels_count_must_match_the_eval_batch(self, runner, tmp_path,
@@ -367,7 +388,7 @@ class TestReportCommand:
         result = runner.invoke(main, ["report", "--fixture", "overflow-bridge",
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
-        rows = read_report_csv(str(out))
+        rows = read_report(out)
         graph, calib, _, _ = build_fixture("overflow-bridge")
         from hyquant.zoo import BRIDGE_KXK_ID
         site_rows = [r for r in rows
@@ -384,8 +405,7 @@ class TestReportCommand:
                                       "--out", str(out)])
         assert result.exit_code == 0
         from hyquant.zoo import BRIDGE_KXK_ID
-        rows = [r for r in read_report_csv(str(out))
-                if r["layer"] == BRIDGE_KXK_ID]
+        rows = [r for r in read_report(out) if r["layer"] == BRIDGE_KXK_ID]
         assert rows and not any(r["flagged"] for r in rows)
 
     def test_value_columns_are_channel_extremes(self):
@@ -414,7 +434,7 @@ class TestReportCommand:
                  "zero_point_raw": -128.000001, "flagged": True}]
         path = tmp_path / "r.csv"
         write_report_csv(str(path), rows)
-        assert read_report_csv(str(path)) == rows
+        assert read_report(path) == rows
 
 
 class TestFixturesCommand:

@@ -4,11 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from hyquant.graph import (LAYER_KINDS, LAYER_STEPS, Graph, GraphError,
+from hyquant.cli import with_mode
+from hyquant.graph import (ATTENTION_STEPS, Graph, GraphError,
                            GraphExecutionError, LayerSpec, SiteCoverageError,
                            check_site_coverage, forward_fp, forward_quant,
-                           load_manifest, quant_attention, run_layer,
-                           save_manifest, sites_for_layer)
+                           load_manifest, run_layer, run_steps, save_manifest)
 from hyquant.quant import fit_minmax
 from hyquant.tensor import Tensor
 from hyquant.zoo import build_fixture
@@ -20,6 +20,12 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def t(data):
     return Tensor(np.asarray(data, dtype=F32))
+
+
+def attention(q, k, v, heads):
+    """The attention steps of mhsa, unquantized, on (N, T, E) q, k, v."""
+    vals = {"q": t(q), "k": t(k), "v": t(v), "attrs": {"heads": heads}}
+    return run_steps(ATTENTION_STEPS, vals, lambda name, x: x)["ctx"].data
 
 
 def single_linear_graph(w, bias=None):
@@ -171,7 +177,7 @@ class TestQuantAttention:
         q = rng.normal(0, 1, (1, 4, 4)).astype(F32)
         k = rng.normal(0, 1, (1, 4, 4)).astype(F32)
         v = np.eye(4, dtype=F32)[None]
-        out = quant_attention(t(q), t(k), t(v), heads=1).data
+        out = attention(q, k, v, heads=1)
         scores = (q[0] @ k[0].T) / 2.0
         e = np.exp(scores - scores.max(1, keepdims=True))
         probs = e / e.sum(1, keepdims=True)
@@ -180,24 +186,17 @@ class TestQuantAttention:
     def test_two_heads_equal_two_independent_single_heads(self):
         rng = np.random.default_rng(4)
         q, k, v = (rng.normal(0, 1, (2, 5, 8)).astype(F32) for _ in range(3))
-        full = quant_attention(t(q), t(k), t(v), heads=2).data
-        lo = quant_attention(t(q[:, :, :4]), t(k[:, :, :4]), t(v[:, :, :4]),
-                             heads=1).data
-        hi = quant_attention(t(q[:, :, 4:]), t(k[:, :, 4:]), t(v[:, :, 4:]),
-                             heads=1).data
+        full = attention(q, k, v, heads=2)
+        lo = attention(q[:, :, :4], k[:, :, :4], v[:, :, :4], heads=1)
+        hi = attention(q[:, :, 4:], k[:, :, 4:], v[:, :, 4:], heads=1)
         np.testing.assert_allclose(full, np.concatenate([lo, hi], axis=-1),
                                    atol=1e-6)
 
     def test_unquantized_path_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
         q, k, v = (rng.normal(0, 1, (2, 6, 12)).astype(F32) for _ in range(3))
-        got = quant_attention(t(q), t(k), t(v), heads=3).data
+        got = attention(q, k, v, heads=3)
         np.testing.assert_allclose(got, attention_oracle(q, k, v, 3), atol=1e-5)
-
-    def test_head_divisibility_error(self):
-        q = t(np.zeros((1, 4, 6)))
-        with pytest.raises(GraphError, match="divisible"):
-            quant_attention(q, q, q, heads=4)
 
     def test_post_softmax_rows_sum_to_one(self):
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")
@@ -207,6 +206,40 @@ class TestQuantAttention:
         run_layer(mhsa, [outs[6]], {}, capture=capture)
         probs = capture[(7, "attn_probs")]
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+
+
+# (fixture, mode) -> {layer id: its sites in search scan order, weights
+# then activations, each as name@channel_axis with "!" when per-channel is
+# not allowed}, recorded before sites were declared on their steps;
+# "softmax-matmul" is a small graph holding the two kinds no fixture has
+_CONV = "weight@0 input@1"
+_LINEAR = "weight@0 input@-1"
+_MHSA = ("w_q@0 w_k@0 w_v@0 w_o@0 input@-1 attn_q@-1 attn_k@-1 attn_v@-1 "
+         "attn_probs@-1! proj_in@-1")
+_PARTIAL = {0: _CONV, 3: _CONV, 4: _CONV, 7: _MHSA, 10: _LINEAR, 12: _LINEAR,
+            15: _LINEAR}
+
+
+def _full(norm_axis):
+    return {**_PARTIAL, 1: "input@1", 6: f"input@{norm_axis}",
+            7: _MHSA + " softmax_in@-1!", 9: f"input@{norm_axis}"}
+
+
+_SITE_PINS = {
+    ("overflow-bridge", "partial"): _PARTIAL,
+    ("overflow-bridge", "full"): _full(-1),
+    ("tiny-mvit-bn", "partial"): _PARTIAL,
+    ("tiny-mvit-bn", "full"): _full(2),
+    ("tiny-mvit-gn", "partial"): _PARTIAL,
+    ("tiny-mvit-gn", "full"): _full(2),
+    ("tiny-mvit-ln", "partial"): _PARTIAL,
+    ("tiny-mvit-ln", "full"): _full(-1),
+    ("wide-mvit-ln", "partial"): _PARTIAL,
+    ("wide-mvit-ln", "full"): _full(-1),
+    ("softmax-matmul", "partial"): {0: _LINEAR, 1: "input_a@-1 input_b@-1"},
+    ("softmax-matmul", "full"): {0: _LINEAR, 1: "input_a@-1 input_b@-1",
+                                 2: "input@-1!"},
+}
 
 
 class TestSites:
@@ -232,12 +265,28 @@ class TestSites:
         assert (7, "softmax_in") in added
         assert (1, "input") in added  # folded batch norm input
 
-    @pytest.mark.parametrize("kind", LAYER_KINDS)
-    def test_each_full_mode_site_is_quantized_by_one_step(self, kind):
-        declared = [s.name for s in sites_for_layer(LayerSpec(0, kind), "full")]
-        quantized = [s.site for s in LAYER_STEPS[kind] if s.op is None]
-        assert len(set(declared)) == len(declared)
-        assert sorted(quantized) == sorted(declared)
+    @pytest.mark.parametrize("name,mode", sorted(_SITE_PINS))
+    def test_sites_match_recorded_declarations(self, name, mode):
+        if name == "softmax-matmul":
+            rng = np.random.default_rng(0)
+            graph = Graph(layers=[
+                LayerSpec(0, "linear", {}, [-1],
+                          {"w": t(rng.normal(0, 1, (4, 4)).astype(F32))}),
+                LayerSpec(1, "matmul", {"transpose_b": True}, [0, 0]),
+                LayerSpec(2, "softmax", {"axis": -1}, [1])],
+                input_shape=(3, 4), mode=mode)
+        else:
+            graph = with_mode(build_fixture(name)[0], mode)
+        got = {}
+        for layer in graph.layers:
+            sites = graph.sites_by_layer[layer.id]
+            scan = ([s for s in sites if s.kind == "weight"]
+                    + [s for s in sites if s.kind == "activation"])
+            if scan:
+                got[layer.id] = " ".join(
+                    f"{s.name}@{s.channel_axis}{'' if s.allow_per_channel else '!'}"
+                    for s in scan)
+        assert got == _SITE_PINS[(name, mode)]
 
     def test_probs_site_pins_per_layer(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")

@@ -269,12 +269,13 @@ class TestBackward:
 
 class TestAttentionHelpers:
     def test_matches_dense_oracle(self):
-        from hyquant.graph import quant_attention
+        from hyquant.graph import ATTENTION_STEPS, run_steps
         rng = np.random.default_rng(17)
         q = rng.normal(0, 1, (2, 6, 8)).astype(F32)
         k = rng.normal(0, 1, (2, 6, 8)).astype(F32)
         v = rng.normal(0, 1, (2, 6, 8)).astype(F32)
-        got = quant_attention(t(q), t(k), t(v), heads=2).data
+        vals = {"q": t(q), "k": t(k), "v": t(v), "attrs": {"heads": 2}}
+        got = run_steps(ATTENTION_STEPS, vals, lambda name, x: x)["ctx"].data
         np.testing.assert_allclose(got, attention_oracle(q, k, v, 2), atol=1e-5)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,14 @@ from hyquant.graph import forward_fp
 from hyquant.quant import detect_zero_point_overflow
 from hyquant.tensor import Tensor
 from hyquant.zoo import (BRIDGE_KXK_ID, FIXTURES, ZooError, build_fixture,
-                         build_norm_variants, fixture_spec)
+                         fixture_spec)
+
+
+def norm_variants(groups=2):
+    """tiny-mvit-ln's graph with each norm kind (layer, group, batch)."""
+    return [build_fixture(replace(FIXTURES["tiny-mvit-ln"], norm=norm,
+                                  groups=groups, seed=31))[0]
+            for norm in ("layer", "group", "batch")]
 
 
 def bridge_input(graph, batch):
@@ -97,7 +106,7 @@ class TestDepth:
 
 class TestNormVariants:
     def test_siblings_share_layer_counts_and_weight_shapes(self):
-        ln, gn, bn = build_norm_variants(seed=31)
+        ln, gn, bn = norm_variants()
         assert len(ln.layers) == len(gn.layers) == len(bn.layers)
         for a, b, c in zip(ln.layers, gn.layers, bn.layers):
             shapes = lambda l: sorted(  # noqa: E731
@@ -108,7 +117,7 @@ class TestNormVariants:
         assert ("layer_norm", "group_norm", "batch_norm") in kinds
 
     def test_group_norm_with_one_group_matches_layer_norm_sibling(self):
-        ln, gn, _ = build_norm_variants(seed=31, groups=1)
+        ln, gn, _ = norm_variants(groups=1)
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(0, 1, (4, 3, 16, 16)).astype(np.float32))
         y_ln, _ = forward_fp(ln, x)
@@ -117,7 +126,7 @@ class TestNormVariants:
 
     def test_all_variants_calibrate_and_emit_full_qconfigs(self):
         space = SearchSpace(candidates=3, iterations=1)
-        for graph in build_norm_variants(seed=31):
+        for graph in norm_variants():
             spec = fixture_spec("tiny-mvit-ln")
             rng = np.random.default_rng(1)
             calib = Tensor(rng.normal(0, 1, (8, 3, spec.input_hw,

@@ -44,6 +44,9 @@ class SearchSpace:
     iterations: int = 3
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise CalibError(f"{name} {getattr(self, name)} must be finite")
         if self.alpha > self.beta:
             raise CalibError(f"alpha {self.alpha} must not exceed beta {self.beta}")
         if self.candidates < 1:

@@ -97,6 +97,8 @@ def load_qconfig(path: str):
             raise QuantError(f"{where}: field 'bits' is {fields['bits']} but "
                              f"the document's bits is {doc['bits']}")
         key = (fields.pop("layer"), fields.pop("site"))
+        if key in qcfg:
+            raise QuantError(f"{where}: a second entry for the same site")
         try:
             qcfg[key] = QuantParams(**fields)
         except (QuantError, OverflowError) as e:  # OverflowError: int32 zero_point

@@ -193,7 +193,7 @@ _LAYER_ATTRS = {
     "depthwise_conv2d": {"stride": _STRIDE, "padding": _PADDING},
     "mhsa": {"heads": _POSITIVE},
     "softmax": {"axis": _INT},
-    "layer_norm": {"eps": _EPS, "channel_axis": _INT},
+    "layer_norm": {"eps": _EPS},
     "group_norm": {"groups": _POSITIVE, "eps": _EPS, "channel_axis": _INT},
     "batch_norm": {"channel_axis": _INT},
     "activation": {"fn": _one_of(*ACTIVATION_FNS)},

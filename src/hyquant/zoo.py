@@ -28,6 +28,22 @@ class ZooError(ValueError):
     """Unknown fixture or invalid fixture parameters."""
 
 
+# Generation constants shared by every fixture.
+CLASSES = 4
+INPUT_HW = 16
+FIT_COUNT = 256  # held-out samples the ridge head is fitted on
+NOISE = 0.7  # std of the Gaussian blobs around each class mean
+SEPARATION = 1.2  # std of the class means
+# per-output-channel magnitude factors are log-uniform in
+# [1/CHANNEL_SPREAD, CHANNEL_SPREAD]: the highly dynamic per-channel ranges
+# hybrid stacks exhibit
+CHANNEL_SPREAD = 6.0
+# overflow bait: the even stem channels' weights are scaled down by
+# OVERFLOW_WEIGHT_SCALE and their batch-norm shift raised by OVERFLOW_SHIFT
+OVERFLOW_SHIFT = 4.0
+OVERFLOW_WEIGHT_SCALE = 0.05
+
+
 @dataclass(frozen=True)
 class FixtureSpec:
     """Builder parameters; same (name, seed) gives a bit-identical fixture."""
@@ -39,18 +55,10 @@ class FixtureSpec:
     depth: int = 1
     norm: str = "layer"  # "layer" | "group" | "batch"
     groups: int = 2
-    classes: int = 4
     seed: int = 11
-    input_hw: int = 16
     calib_count: int = 32
     eval_count: int = 128
-    fit_count: int = 256
-    noise: float = 0.7
-    separation: float = 1.2
-    channel_spread: float = 6.0
     overflow: bool = False
-    overflow_shift: float = 4.0
-    overflow_weight_scale: float = 0.05
 
     def __post_init__(self):
         if self.norm not in ("layer", "group", "batch"):
@@ -96,18 +104,12 @@ def _norm_layer(layer_id: int, kind: str, inputs: list[int], gamma: np.ndarray,
                      {"scale": Tensor(gamma), "shift": Tensor(beta)})
 
 
-def _build_layers(spec: FixtureSpec, rng: np.random.Generator,
-                  head_w: np.ndarray | None = None,
-                  head_b: np.ndarray | None = None,
-                  dw_bias_shift: np.ndarray | None = None) -> list[LayerSpec]:
+def _build_layers(spec: FixtureSpec, rng: np.random.Generator) -> list[LayerSpec]:
     c, e = spec.channels, spec.embed
     f = lambda *shape: rng.normal(0.0, 1.0, shape).astype(_F32)
 
     def spread(n):
-        # per-output-channel magnitude factors, log-uniform in
-        # [1/channel_spread, channel_spread]: the highly dynamic per-channel
-        # ranges hybrid stacks exhibit
-        log_s = np.log(spec.channel_spread)
+        log_s = np.log(CHANNEL_SPREAD)
         return np.exp(rng.uniform(-log_s, log_s, n)).astype(_F32)
 
     w0 = (f(c, 3, 3, 3) / np.sqrt(27.0)).astype(_F32)
@@ -130,16 +132,9 @@ def _build_layers(spec: FixtureSpec, rng: np.random.Generator,
         # bridge input exhibits r_min > 0 channels (zero-point overflow bait);
         # odd channels keep their normal spread and carry the class signal
         w0 = w0.copy()
-        w0[::2] *= _F32(spec.overflow_weight_scale)
+        w0[::2] *= _F32(OVERFLOW_WEIGHT_SCALE)
         bn_shift = bn_shift.copy()
-        bn_shift[::2] += _F32(spec.overflow_shift)
-    if dw_bias_shift is not None:
-        # re-center the depthwise outputs so the bait means stop at the bridge
-        b_dw = (b_dw + dw_bias_shift).astype(_F32)
-
-    if head_w is None:
-        head_w = np.zeros((spec.classes, e), dtype=_F32)
-        head_b = np.zeros(spec.classes, dtype=_F32)
+        bn_shift[::2] += _F32(OVERFLOW_SHIFT)
 
     layers = [
         LayerSpec(0, "conv2d", {"stride": 2, "padding": 1}, [-1],
@@ -187,68 +182,55 @@ def _build_layers(spec: FixtureSpec, rng: np.random.Generator,
         nid += 8
     layers.append(LayerSpec(nid, "pool", {"op": "mean_tokens"}, [tokens_id]))
     layers.append(LayerSpec(nid + 1, "linear", {}, [nid],
-                            {"w": Tensor(head_w), "b": Tensor(head_b)}))
+                            {"w": Tensor(np.zeros((CLASSES, e), dtype=_F32)),
+                             "b": Tensor(np.zeros(CLASSES, dtype=_F32))}))
     return layers
 
 
-def _draw_batch(spec: FixtureSpec, rng: np.random.Generator, means: np.ndarray,
-                count: int):
-    labels = rng.integers(0, spec.classes, count)
-    hw = spec.input_hw
-    x = means[labels] + rng.normal(0.0, spec.noise, (count, 3 * hw * hw))
-    return x.reshape(count, 3, hw, hw).astype(_F32), labels.astype(np.int64)
-
-
-def _bridge_annotation() -> list[dict]:
-    return [{"label": "bridge0", "layer_ids": [BRIDGE_KXK_ID, BRIDGE_1X1_ID]}]
+def _draw_batch(rng: np.random.Generator, means: np.ndarray, count: int):
+    labels = rng.integers(0, CLASSES, count)
+    x = means[labels] + rng.normal(0.0, NOISE, (count, 3 * INPUT_HW * INPUT_HW))
+    return x.reshape(count, 3, INPUT_HW, INPUT_HW).astype(_F32), labels.astype(np.int64)
 
 
 def build_fixture(spec: FixtureSpec | str, seed: int | None = None):
     """Build (graph, calib_batch, eval_batch, eval_labels) for a fixture.
 
-    The classifier head is set by a ridge least-squares fit of pooled features
-    to one-hot targets on a held-out fit split (no training loop).
+    The layers are drawn once; two tensors are then set from a forward pass on
+    a held-out fit split: the overflow fixture's depthwise bias, re-centred so
+    the bait means stop at the bridge, and the classifier head, a ridge
+    least-squares fit of pooled features to one-hot targets (no training loop).
     """
     if isinstance(spec, str):
         spec = fixture_spec(spec)
     if seed is not None:
         spec = replace(spec, seed=seed)
-    hw = spec.input_hw
 
     rng = np.random.default_rng(spec.seed)
     layers = _build_layers(spec, rng)
-    means = rng.normal(0.0, spec.separation, (spec.classes, 3 * hw * hw))
-    calib_x, _ = _draw_batch(spec, rng, means, spec.calib_count)
-    eval_x, eval_labels = _draw_batch(spec, rng, means, spec.eval_count)
-    fit_x, fit_labels = _draw_batch(spec, rng, means, spec.fit_count)
+    means = rng.normal(0.0, SEPARATION, (CLASSES, 3 * INPUT_HW * INPUT_HW))
+    calib_x, _ = _draw_batch(rng, means, spec.calib_count)
+    eval_x, eval_labels = _draw_batch(rng, means, spec.eval_count)
+    fit_x, fit_labels = _draw_batch(rng, means, FIT_COUNT)
+    graph = Graph(layers=layers, input_shape=(3, INPUT_HW, INPUT_HW),
+                  bridge_annotations=[{"label": "bridge0",
+                                       "layer_ids": [BRIDGE_KXK_ID, BRIDGE_1X1_ID]}])
+    fit = Tensor(fit_x)
 
-    dw_bias_shift = None
     if spec.overflow:
-        stub0 = Graph(layers=layers, input_shape=(3, hw, hw),
-                      bridge_annotations=_bridge_annotation())
-        _, outs0 = forward_fp(stub0, Tensor(fit_x), watch={BRIDGE_KXK_ID})
-        dw_bias_shift = -outs0[BRIDGE_KXK_ID].data.mean(axis=(0, 2, 3))
-        layers = _build_layers(spec, np.random.default_rng(spec.seed),
-                               dw_bias_shift=dw_bias_shift)
+        dw = graph.layer(BRIDGE_KXK_ID)
+        _, outs = forward_fp(graph, fit, watch={BRIDGE_KXK_ID})
+        dw.weights["b"] = Tensor(
+            dw.weights["b"].data - outs[BRIDGE_KXK_ID].data.mean(axis=(0, 2, 3)))
 
-    stub = Graph(layers=layers, input_shape=(3, hw, hw),
-                 bridge_annotations=_bridge_annotation())
-    pool_id = layers[-2].id
-    _, outs = forward_fp(stub, Tensor(fit_x), watch={pool_id})
-    feats = outs[pool_id].data.astype(np.float64)
-    ones = np.ones((feats.shape[0], 1))
-    a = np.concatenate([feats, ones], axis=1)
-    y = np.eye(spec.classes, dtype=np.float64)[fit_labels]
-    gram = a.T @ a + 1e-3 * np.eye(a.shape[1])
-    beta = np.linalg.solve(gram, a.T @ y)
-    head_w = beta[:-1].T.astype(_F32)
-    head_b = beta[-1].astype(_F32)
-
-    rng2 = np.random.default_rng(spec.seed)
-    layers_final = _build_layers(spec, rng2, head_w=head_w, head_b=head_b,
-                                 dw_bias_shift=dw_bias_shift)
-    graph = Graph(layers=layers_final, input_shape=(3, hw, hw),
-                  bridge_annotations=_bridge_annotation())
+    head = layers[-1]
+    _, outs = forward_fp(graph, fit, watch={head.inputs[0]})
+    feats = outs[head.inputs[0]].data.astype(np.float64)
+    a = np.concatenate([feats, np.ones((feats.shape[0], 1))], axis=1)
+    y = np.eye(CLASSES, dtype=np.float64)[fit_labels]
+    beta = np.linalg.solve(a.T @ a + 1e-3 * np.eye(a.shape[1]), a.T @ y)
+    head.weights["w"] = Tensor(beta[:-1].T.astype(_F32))
+    head.weights["b"] = Tensor(beta[-1].astype(_F32))
     return graph, Tensor(calib_x), Tensor(eval_x), eval_labels
 
 

@@ -75,6 +75,15 @@ class TestQuantizeCommand:
                               ["--no-granularity-search"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "inf")])
+    def test_non_finite_search_range_is_usage_error(self, runner, tmp_path,
+                                                    flag, value):
+        result = run_quantize(runner, tmp_path / "q.json", [flag, value])
+        assert result.exit_code == 2, result.output
+        assert len(error_lines(result.output)) == 1
+        assert f"{flag[2:]} {value} must be finite" in result.output
+        assert not (tmp_path / "q.json").exists()
+
     def test_model_and_fixture_together_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["quantize", "--out", str(tmp_path / "q")])
         assert result.exit_code == 2
@@ -185,6 +194,27 @@ class TestEvaluateCommand:
         assert len(errors) == 1
         assert str(qpath) in errors[0] and f"{key[0]}:{key[1]}" in errors[0]
         assert message in errors[0]
+
+    def test_duplicate_qconfig_entry_fails_cleanly(self, runner, tmp_path):
+        # a later entry for the same site must not silently replace the first
+        graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        from hyquant.quant import fit_minmax
+        p = fit_minmax(graph.layer(7).weights["w_q"], 8, "symmetric",
+                       "per_layer")
+        doc = qconfig_to_doc({(7, "w_q"): p}, 8, "partial")
+        second = dict(doc["sites"][0], scale=doc["sites"][0]["scale"] * 50)
+        doc["sites"].append(second)
+        qpath = tmp_path / "dup.json"
+        qpath.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--fixture", "tiny-mvit-ln",
+                                      "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert str(qpath) in errors[0] and "7:w_q" in errors[0]
+        assert "second entry" in errors[0]
 
     def test_channel_axis_outside_the_site_tensor_fails_cleanly(
             self, runner, tmp_path):

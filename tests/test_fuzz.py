@@ -1,12 +1,14 @@
-"""Fuzz the documents `hyquant evaluate` reads.
+"""Fuzz the documents `hyquant evaluate` and `hyquant report` read.
 
 The inputs are an exported `tiny-mvit-ln` manifest (its layers, their
 attributes and its bridge annotation), a saved qconfig (its site entries) and
 the .hqt blobs. The JSON mutations come from the schema tables the readers
 use: each field is dropped, given a value of another JSON type, or given an
 out-of-range value of its own type. A blob is truncated or has a header byte
-replaced. Whatever the input, the CLI exits 0, 1 or 2; a failure prints
-exactly one `error:` line and no traceback, and no exception escapes.
+replaced. `report` reads no qconfig, so it gets the manifest and the
+calibration and validation blob mutations. Whatever the input, the CLI exits
+0, 1 or 2; a failure prints exactly one `error:` line and no traceback, and no
+exception escapes.
 """
 
 import copy
@@ -98,6 +100,17 @@ def run_evaluate(paths, manifest, qconfig, eval_path=None, labels_path=None):
         "--labels", labels_path or paths["eval_labels"], "--qconfig", qpath])
 
 
+def run_report(paths, manifest, calib_path=None, val_path=None):
+    base = os.path.dirname(paths["manifest"])
+    mpath = os.path.join(base, "fuzz_model.json")
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    return CliRunner().invoke(main, [
+        "report", "--model", mpath, "--calib", calib_path or paths["calib"],
+        "--val", val_path or paths["eval"],
+        "--out", os.path.join(base, "fuzz_report.csv")])
+
+
 def assert_clean(result):
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
@@ -116,14 +129,23 @@ def test_unmutated_documents_evaluate(artifacts):
     assert json.loads(result.output)["samples"] == 128
 
 
+def test_unmutated_manifest_reports(artifacts):
+    _, paths, manifest, _ = artifacts
+    result = run_report(paths, manifest)
+    assert result.exit_code == 0, result.output
+    assert "activation sites" in result.output
+
+
 @st.composite
-def mutated_documents(draw, manifest, qconfig):
-    """(manifest, qconfig) with one field of one element mutated."""
+def mutated_documents(draw, manifest, qconfig,
+                      targets=("manifest", "layer", "attrs", "bridge", "qconfig",
+                               "entry")):
+    """(manifest, qconfig) with one field of one element, of one of targets,
+    mutated."""
     manifest, qconfig = copy.deepcopy(manifest), copy.deepcopy(qconfig)
     layers, entries = manifest["layers"], qconfig["sites"]
     with_attrs = [layer for layer in layers if _LAYER_ATTRS.get(layer["kind"])]
-    target = draw(st.sampled_from(
-        ["manifest", "layer", "attrs", "bridge", "qconfig", "entry"]))
+    target = draw(st.sampled_from(list(targets)))
     if target == "manifest":
         element, schema = manifest, _MANIFEST_FIELDS
     elif target == "layer":
@@ -188,3 +210,32 @@ def test_mutated_blobs_fail_cleanly(artifacts, data):
         paths, manifest, qconfig,
         eval_path=target if which == "eval" else None,
         labels_path=target if which == "eval_labels" else None))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_mutated_manifests_fail_cleanly_in_report(artifacts, data):
+    _, paths, manifest, qconfig = artifacts
+    manifest, _ = data.draw(mutated_documents(
+        manifest, qconfig, targets=("manifest", "layer", "attrs", "bridge")))
+    assert_clean(run_report(paths, manifest))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_mutated_data_blobs_fail_cleanly_in_report(artifacts, data):
+    out, paths, manifest, _ = artifacts
+    which = data.draw(st.sampled_from(["calib", "eval"]))
+    with open(paths[which], "rb") as f:
+        raw = bytearray(f.read())
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw[data.draw(st.integers(0, _HEADER_BYTES - 1))] = \
+            data.draw(st.integers(0, 255))
+    target = os.path.join(out, f"fuzz_{which}.hqt")
+    with open(target, "wb") as f:
+        f.write(raw)
+    assert_clean(run_report(
+        paths, manifest, calib_path=target if which == "calib" else None,
+        val_path=target if which == "eval" else None))

@@ -288,6 +288,17 @@ class TestSites:
                     for s in scan)
         assert got == _SITE_PINS[(name, mode)]
 
+    def test_layer_norm_channel_axis_does_not_move_its_site(self):
+        # layer_norm always normalizes over the last axis, so a channel_axis
+        # attribute in a manifest must not move its full-mode input site
+        graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        layers = [LayerSpec(l.id, l.kind, {**l.attrs, "channel_axis": 1}
+                            if l.kind == "layer_norm" else l.attrs,
+                            l.inputs, l.weights) for l in graph.layers]
+        full = Graph(layers=layers, input_shape=graph.input_shape, mode="full")
+        assert [(s.name, s.channel_axis) for s in full.sites_by_layer[6]] == \
+            [("input", -1)]
+
     def test_probs_site_pins_per_layer(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
         (site,) = [s for s in graph.sites_by_layer[7] if s.name == "attn_probs"]

@@ -8,8 +8,8 @@ from hyquant.calib import CalibOptions, SearchSpace, calibrate
 from hyquant.graph import forward_fp
 from hyquant.quant import detect_zero_point_overflow
 from hyquant.tensor import Tensor
-from hyquant.zoo import (BRIDGE_KXK_ID, FIXTURES, ZooError, build_fixture,
-                         fixture_spec)
+from hyquant.zoo import (BRIDGE_KXK_ID, FIXTURES, INPUT_HW, ZooError,
+                         build_fixture, fixture_spec)
 
 
 def norm_variants(groups=2):
@@ -56,8 +56,8 @@ class TestAccuracy:
     def test_eval_and_calib_shapes(self):
         spec = fixture_spec("tiny-mvit-ln")
         graph, calib, ev, labels = build_fixture(spec)
-        assert calib.shape == (spec.calib_count, 3, spec.input_hw, spec.input_hw)
-        assert ev.shape == (spec.eval_count, 3, spec.input_hw, spec.input_hw)
+        assert calib.shape == (spec.calib_count, 3, INPUT_HW, INPUT_HW)
+        assert ev.shape == (spec.eval_count, 3, INPUT_HW, INPUT_HW)
         assert labels.shape == (spec.eval_count,)
 
 
@@ -127,10 +127,9 @@ class TestNormVariants:
     def test_all_variants_calibrate_and_emit_full_qconfigs(self):
         space = SearchSpace(candidates=3, iterations=1)
         for graph in norm_variants():
-            spec = fixture_spec("tiny-mvit-ln")
             rng = np.random.default_rng(1)
-            calib = Tensor(rng.normal(0, 1, (8, 3, spec.input_hw,
-                                              spec.input_hw)).astype(np.float32))
+            calib = Tensor(rng.normal(0, 1, (8, 3, INPUT_HW,
+                                              INPUT_HW)).astype(np.float32))
             qcfg, _ = calibrate(graph, calib, space, CalibOptions(), bits=8)
             assert set(qcfg) == {s.key for s in graph.quant_sites}
 

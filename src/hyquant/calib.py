@@ -110,20 +110,26 @@ def objective(delta_o, grad) -> float:
 
 def _g2_weighted(g2: np.ndarray, d: np.ndarray) -> float:
     """sum_i g2_i * d_i^2 over flat float64 arrays; the one place the
-    objective's arithmetic lives, so search scores equal objective()."""
-    return float(np.dot(g2, d * d))
+    objective's arithmetic lives, so search scores equal objective().
+
+    Sums with numpy's pairwise add.reduce, never BLAS: a BLAS dot splits long
+    sums across its threads, and the rounding then depends on the thread
+    count."""
+    return float(np.add.reduce(g2 * (d * d)))
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity of flattened tensors (the metric-ablation variant)."""
+    """1 - cosine similarity of flattened tensors (the metric-ablation
+    variant), summed like _g2_weighted so no BLAS thread count shows."""
     av = np.asarray(a, dtype=np.float64).ravel()
     bv = np.asarray(b, dtype=np.float64).ravel()
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
+    na = np.sqrt(np.add.reduce(av * av))
+    nb = np.sqrt(np.add.reduce(bv * bv))
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:
         return 1.0
-    return float(1.0 - np.dot(av, bv) / (na * nb))
+    return float(1.0 - np.add.reduce(av * bv) / (na * nb))
 
 
 def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
@@ -406,9 +412,15 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                     site.channel_axis))
             candidates[site.key] = [params_for_scale(params[site.key], c)
                                     for c in scales[ck]]
+        # A scan scores fixed candidates against the other sites' params, so
+        # while no site adopts a scale it repeats its last result: the same
+        # argmin, and obj < cur_obj false. It is skipped while the count of
+        # adoptions in this combination is what it was after that scan.
+        adoptions, scanned_at = 0, {}
         for _ in range(space.iterations):
-            changed = False
             for site in weight_sites + act_sites:
+                if scanned_at.get(site.key) == adoptions:
+                    continue
                 obj, p = _scan_candidates(
                     evaluator, params, site, candidates[site.key], trace,
                     (unit.label, g, s_label))
@@ -416,9 +428,8 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                     params[site.key] = p
                     evaluator.adopt(params, site)
                     cur_obj = obj
-                    changed = True
-            if not changed:
-                break
+                    adoptions += 1
+                scanned_at[site.key] = adoptions
         # strictly lower only: ties keep the default or the earlier combination
         if cur_obj < decision.objective:
             decision = replace(decision, params=dict(params), granularity=g,

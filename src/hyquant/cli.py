@@ -187,10 +187,11 @@ def write_report_csv(path: str, rows: list[dict]) -> None:
 
 def _load_labels(path: str) -> np.ndarray:
     vals = load_tensor(path).data
-    labels = vals.astype(np.int64)
-    if not np.all(labels == vals):
-        raise TensorError(f"{path}: labels blob holds non-integral values")
-    return labels.reshape(-1)
+    # checked before the cast, which would wrap values beyond int64
+    if not np.all((vals == np.trunc(vals)) & (np.abs(vals) < 2.0 ** 63)):
+        raise TensorError(f"{path}: labels blob holds values that are not "
+                          f"integers within the int64 range")
+    return vals.astype(np.int64).reshape(-1)
 
 
 def _check_source(model, fixture, needs: str, *data) -> None:

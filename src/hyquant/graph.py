@@ -10,6 +10,7 @@ two matrix products; softmax/norm inputs are sites only in "full" mode.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -637,7 +638,7 @@ def load_manifest(manifest_path: str) -> Graph:
     from .bridge import resolve_bridge_blocks  # bridge imports this module
     m = read_fields(read_json(manifest_path, GraphError), _MANIFEST_FIELDS,
                     GraphError, manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    blob_path = _blob_resolver(os.path.dirname(os.path.abspath(manifest_path)))
     try:
         layers = []
         for ldoc in m["layers"]:
@@ -646,7 +647,8 @@ def load_manifest(manifest_path: str) -> Graph:
             layers.append(LayerSpec(
                 id=f["id"], kind=f["kind"], attrs=dict(f["attrs"]),
                 inputs=list(f["inputs"]),
-                weights={name: T.load_tensor(_blob_path(base, f["id"], name, rel))
+                weights={name: T.load_tensor(blob_path(f["id"], name, rel),
+                                             opener=_open_nofollow)
                          for name, rel in f["weights"].items()}))
         graph = Graph(layers=layers, input_shape=tuple(m["input_shape"]),
                       output_id=m["output"], mode=m["mode"],
@@ -657,10 +659,34 @@ def load_manifest(manifest_path: str) -> Graph:
         raise GraphError(f"{manifest_path}: {e}") from None
 
 
-def _blob_path(base: str, layer_id, name: str, rel: str) -> str:
-    """Resolve a weight blob path, refusing any that leaves the manifest dir."""
-    path = os.path.normpath(os.path.join(base, rel))
-    if os.path.commonpath([base, path]) != base:
-        raise GraphError(f"layer {layer_id}: weight '{name}' path {rel!r} is not "
-                         f"inside the manifest directory")
-    return path
+def _blob_resolver(base: str) -> Callable[[int, str, str], str]:
+    """(layer id, weight name, relative path) -> the blob's path under base,
+    refusing a path whose directory, symlinks resolved, is not inside base.
+    realpath runs once per distinct blob directory (an export has one); the
+    blob itself is opened with _open_nofollow, so it cannot be a symlink."""
+    real_base = os.path.realpath(base)
+    inside: dict[str, bool] = {}
+
+    def resolve(layer_id, name: str, rel: str) -> str:
+        path = os.path.normpath(os.path.join(base, rel))
+        folder = os.path.dirname(path)
+        if folder not in inside:
+            inside[folder] = os.path.commonpath(
+                [real_base, os.path.realpath(folder)]) == real_base
+        if not inside[folder]:
+            raise GraphError(f"layer {layer_id}: weight '{name}' path {rel!r} is "
+                             f"not inside the manifest directory")
+        return path
+
+    return resolve
+
+
+def _open_nofollow(path: str, flags: int) -> int:
+    """os.open that refuses a symlink as the last path component (where the
+    platform has O_NOFOLLOW)."""
+    try:
+        return os.open(path, flags | getattr(os, "O_NOFOLLOW", 0))
+    except OSError as e:
+        if e.errno == errno.ELOOP:
+            raise GraphError(f"weight blob {path} is a symbolic link") from None
+        raise

@@ -16,6 +16,7 @@ All functions are pure over immutable inputs and freely parallel.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +28,8 @@ _F32 = np.float32
 
 SCALE_FLOOR = 1e-8
 
-# Elements per block of quantize_dequantize: a block's two float64 work
-# arrays take 128 KiB each, so they stay in L2 cache from pass to pass.
+# Elements per block of quantize_dequantize: a block's work arrays (64 KiB
+# each in float32, 128 KiB in float64) stay in L2 cache from pass to pass.
 _BLOCK = 16384
 
 SCHEMES = ("symmetric", "asymmetric")
@@ -67,7 +68,8 @@ class QuantParams:
     scale/zero_point are scalars (shape ()) for per_layer granularity and
     vectors (C,) along channel_axis for per_channel. zero_point_raw retains
     the continuous pre-round, pre-clamp zero-point for overflow diagnosis.
-    q_min/q_max and the float64 forms of scale and zero_point, which every
+    q_min/q_max, the float32 form of zero_point and whether fake quantization
+    must run in float64 (see quantize_dequantize), which every
     quantize_dequantize call reads, are derived once at construction.
     """
 
@@ -80,8 +82,8 @@ class QuantParams:
     zero_point_raw: np.ndarray
     q_min: int = field(init=False, repr=False, compare=False)
     q_max: int = field(init=False, repr=False, compare=False)
-    scale64: np.ndarray = field(init=False, repr=False, compare=False)
-    zero_point64: np.ndarray = field(init=False, repr=False, compare=False)
+    zero_point32: np.ndarray = field(init=False, repr=False, compare=False)
+    float64_path: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -91,33 +93,42 @@ class QuantParams:
         if self.granularity == "per_channel" and self.channel_axis is None:
             raise QuantError("per_channel params require a channel_axis")
         q_min, q_max = grid_range(self.bits)
-        with np.errstate(over="ignore"):  # too large for float32: inf, refused below
-            object.__setattr__(self, "scale", np.asarray(self.scale, dtype=_F32))
         object.__setattr__(self, "zero_point", np.asarray(self.zero_point, dtype=np.int32))
         object.__setattr__(self, "zero_point_raw",
                            np.asarray(self.zero_point_raw, dtype=np.float64))
-        shapes = (self.scale.shape, self.zero_point.shape, self.zero_point_raw.shape)
+        shapes = (np.shape(self.scale), self.zero_point.shape, self.zero_point_raw.shape)
         rank = int(self.granularity == "per_channel")
         if len(set(shapes)) > 1 or len(shapes[0]) != rank:
             raise QuantError(f"{self.granularity} params need scale and both "
                              f"zero-points of one shape of rank {rank}, got {shapes}")
-        if not np.all((self.scale > 0) & np.isfinite(self.scale)):
-            raise QuantError("scale must be strictly positive (floor degenerate "
-                             "ranges) and finite as float32")
+        _set_scale(self, self.scale)
         if self.scheme == "symmetric" and np.any(self.zero_point != 0):
             raise QuantError("symmetric scheme requires zero_point == 0")
         if np.any(self.zero_point < q_min) or np.any(self.zero_point > q_max):
             raise QuantError(f"stored zero_point outside grid [{q_min}, {q_max}]")
         object.__setattr__(self, "q_min", q_min)
         object.__setattr__(self, "q_max", q_max)
-        object.__setattr__(self, "scale64", self.scale.astype(np.float64))
-        object.__setattr__(self, "zero_point64", self.zero_point.astype(np.float64))
+        object.__setattr__(self, "zero_point32", self.zero_point.astype(_F32))
 
     @property
     def any_clamped(self) -> bool:
         """True when clamping altered a stored integer zero-point."""
         rounded = round_half_away(self.zero_point_raw)
         return bool(np.any((rounded < self.q_min) | (rounded > self.q_max)))
+
+
+def _set_scale(p: QuantParams, scale) -> None:
+    """Give p a float32 scale, refused unless strictly positive and finite,
+    and derive from it whether p's fake quantization runs in float64."""
+    with np.errstate(over="ignore"):  # too large for float32: inf, refused below
+        scale = np.asarray(scale, dtype=_F32)
+    # array methods, not np.all/np.any: a search builds thousands of params
+    if not ((scale > 0) & np.isfinite(scale)).all():
+        raise QuantError("scale must be strictly positive (floor degenerate "
+                         "ranges) and finite as float32")
+    object.__setattr__(p, "scale", scale)
+    object.__setattr__(p, "float64_path", p.bits > 16 or (
+        scale.max() >= 2 and bool(((p.zero_point == 0) & (scale >= 2)).any())))
 
 
 @dataclass(frozen=True)
@@ -210,11 +221,10 @@ def params_for_scale(base: QuantParams, scale) -> QuantParams:
     if sc.shape != base.scale.shape:
         raise QuantError(
             f"candidate scale shape {sc.shape} does not match base {base.scale.shape}")
-    return QuantParams(bits=base.bits, scheme=base.scheme,
-                       granularity=base.granularity,
-                       channel_axis=base.channel_axis, scale=sc,
-                       zero_point=base.zero_point,
-                       zero_point_raw=base.zero_point_raw)
+    # every other field was checked when base was built
+    p = copy.copy(base)
+    _set_scale(p, sc)
+    return p
 
 
 def _broadcast_param(v: np.ndarray, ndim: int, channel_axis: int | None) -> np.ndarray:
@@ -225,28 +235,40 @@ def _broadcast_param(v: np.ndarray, ndim: int, channel_axis: int | None) -> np.n
     return v.reshape(shape)
 
 
+def _round_half_away64(x, s, z, sel) -> np.ndarray:
+    """The reference codes round_half_away(x64 / sc + zp) of the elements
+    sel picks, with s and z broadcast against x."""
+    v = x[sel] / np.broadcast_to(s, x.shape)[sel].astype(np.float64)
+    v += np.broadcast_to(z, x.shape)[sel]
+    return np.trunc(v + np.copysign(0.5, v))
+
+
 def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> Tensor:
     """Fake quantization: clip(round(x/scale + zp)) mapped back to reals.
 
-    Computed in float64 then cast to float32 so the high-bit limit collapses
-    to identity within float32 rounding. Backward is a clip-aware
-    straight-through estimator: the gradient passes where the rounded,
-    unclipped code lies in [q_min, q_max] and is zero elsewhere.
+    The output is bit for bit the float64 reference formula
+    `((clip(round_half_away(x64 / sc + zp)) - zp) * sc).astype(float32)`,
+    so the high-bit limit collapses to identity within float32 rounding.
+    Backward is a clip-aware straight-through estimator: the gradient passes
+    where the unclipped code lies in [q_min, q_max] (a bool mask taken before
+    clipping; g * mask gives the bits of g times a float32 0/1 mask).
 
-    The tensor is evaluated in blocks of about _BLOCK elements along axis 0,
-    each through two reused float64 work arrays that stay in cache, and
-    written into one preallocated float32 output. A block goes through the
-    operations of the reference formula
-    `((clip(round_half_away(x64 / sc + zp)) - zp) * sc).astype(float32)` in
-    its order and in the same float64 arithmetic, in place, so the output is
-    bit for bit the reference's. round_half_away(y) is computed as
-    trunc(y + copysign(0.5, y)): for y >= 0 the sum is the reference's
-    |y| + 0.5, and for y < 0 it is its exact negation, so trunc gives
-    -floor(|y| + 0.5) with the reference's negative zero. The two differ
-    only at y = -0.0, which cannot occur: zp is never -0.0, so a zero
-    x/sc + zp is +0.0. The gradient mask is taken from the rounded codes
-    before they are clipped and is stored as bool; g * mask gives the bits
-    of g times a float32 0/1 mask.
+    The tensor runs in blocks of about _BLOCK elements along axis 0, in place
+    in reused work arrays, in float32: y = x / sc + zp, c = rint(y); where y
+    is a half-integer (y - c is exact, so |y - c| == 0.5 finds every one),
+    c becomes the reference's float64 code; then (clip(c) - zp) * sc. This
+    is exact for bits <= 16. x / sc and + zp round monotonely in both
+    widths, and every half-integer below 2^22 is a float32 number, so y can
+    land on a rounding boundary the float64 value sits near but never cross
+    one; off the ties both round to the same integer. c - zp has at most 17
+    bits, so its product with the 24-bit scale is exact in float64 and the
+    one float32 rounding is the reference's cast. p.float64_path runs every
+    element through the reference arithmetic instead: at bits > 16, and for
+    a zero zero-point with a scale >= 2, where x / sc of a negative subnormal
+    x can underflow to -0.0 in float32, which + zp turns into +0.0 while the
+    reference code is -0.0. The float64 code is trunc(v + copysign(0.5, v)),
+    v = x64 / sc + zp: the reference's sign(v) * floor(|v| + 0.5) with its
+    negative zero, except at v = -0.0, which cannot occur (zp is never -0.0).
     """
     xa = t.data
     ax = None
@@ -259,31 +281,45 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
             raise QuantError(
                 f"per_channel params carry {p.scale.size} channels but tensor "
                 f"has {xa.shape[ax]} along axis {ax}")
-    sc = _broadcast_param(p.scale64, xa.ndim, p.channel_axis)
-    zp = _broadcast_param(p.zero_point64, xa.ndim, p.channel_axis)
+    wide = p.float64_path
+    work = np.float64 if wide else _F32
+    sc = _broadcast_param(p.scale.astype(work, copy=False), xa.ndim, p.channel_axis)
+    zp = _broadcast_param(p.zero_point.astype(work) if wide else p.zero_point32,
+                          xa.ndim, p.channel_axis)
     q_min, q_max = p.q_min, p.q_max
     x = xa.reshape(1) if xa.ndim == 0 else xa
     out = np.empty(x.shape, _F32)
     taped = tape is not None and t.node is not None
     mask = np.empty(x.shape, np.bool_) if taped else None
     rows = max(1, min(len(x), _BLOCK // max(1, math.prod(x.shape[1:]))))
-    y_buf = np.empty((rows,) + x.shape[1:])
-    h_buf = np.empty_like(y_buf)
-    for i in range(0, len(x), rows):
-        blk = slice(i, i + rows)
-        s, z = (sc[blk], zp[blk]) if ax == 0 else (sc, zp)
-        xb = x[blk]
-        y, h = y_buf[:len(xb)], h_buf[:len(xb)]
-        np.divide(xb, s, out=y)
-        y += z
-        np.copysign(0.5, y, out=h)
-        y += h
-        np.trunc(y, out=y)
-        if taped:
-            np.logical_and(y >= q_min, y <= q_max, out=mask[blk])
-        np.clip(y, q_min, q_max, out=y)
-        y -= z
-        np.multiply(y, s, out=out[blk], casting="same_kind")
+    y_buf = np.empty((rows,) + x.shape[1:], work)
+    c_buf = np.empty_like(y_buf)
+    # float32 x / sc can overflow, and inf - rint(inf) is NaN, where float64
+    # stays finite; both clip to the same bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(x), rows):
+            blk = slice(i, i + rows)
+            s, z = (sc[blk], zp[blk]) if ax == 0 else (sc, zp)
+            xb = x[blk]
+            y, c = y_buf[:len(xb)], c_buf[:len(xb)]
+            np.divide(xb, s, out=y)
+            y += z
+            if wide:
+                np.copysign(0.5, y, out=c)
+                c += y
+                np.trunc(c, out=c)
+            else:
+                np.rint(y, out=c)
+                y -= c
+                np.abs(y, out=y)
+                if np.fmax.reduce(y, axis=None) == 0.5:  # fmax skips NaN
+                    tie = y == 0.5
+                    c[tie] = _round_half_away64(xb, s, z, tie)
+            if taped:
+                np.logical_and(c >= q_min, c <= q_max, out=mask[blk])
+            np.clip(c, q_min, q_max, out=c)
+            c -= z
+            np.multiply(c, s, out=out[blk], casting="same_kind")
     out = out.reshape(xa.shape)
     if not taped:
         return Tensor._wrap(out)

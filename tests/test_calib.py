@@ -570,8 +570,9 @@ class TestOneExecutor:
 
 class TestSearchPin:
     def test_overflow_full_w6_search_matches_recorded_result(self):
-        # recorded before candidate scoring re-ran only a site's cone: the
-        # qconfig, the evaluation count of every unit and the trace length
+        # the qconfig recorded before candidate scoring re-ran only a site's
+        # cone; the evaluation count of every unit and the trace length
+        # re-recorded when unchanged scans began to be skipped
         graph, calib, _, _ = build_fixture("overflow-bridge")
         graph = with_mode(graph, "full")
         rows = []
@@ -582,71 +583,67 @@ class TestSearchPin:
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "f64e03f1b225426e43da18e526975b97f8b7bd1fc5f2f88c820cb9195cc67e69")
         assert {d.label: d.evals for d in decisions} == {
-            "layer0": 133, "layer1": 61, "bridge0": 196, "layer6": 61,
-            "layer7": 709, "layer9": 61, "layer10": 117, "layer12": 85,
-            "layer15": 100}
-        assert len(rows) == 1523
+            "layer0": 101, "layer1": 37, "bridge0": 140, "layer6": 37,
+            "layer7": 701, "layer9": 37, "layer10": 85, "layer12": 69,
+            "layer15": 76}
+        assert len(rows) == 1283
 
 
 # (fixture, mode) -> (qconfig sha256, evaluations per unit, trace rows) of
-# calibrate at W8 with SearchSpace(candidates=4, iterations=2), recorded
-# before every layer kind ran as a step list
+# calibrate at W8 with SearchSpace(candidates=4, iterations=2); the sha256s
+# recorded before every layer kind ran as a step list, the evaluation counts
+# and trace rows re-recorded when unchanged scans began to be skipped
 _W8_PINS = {
     ("overflow-bridge", "partial"): (
         "d7e1247b8796504bd1a10b9bc37e671247328d4b492010f9d57ce297733beafe",
-        {"layer0": 37, "bridge0": 100, "layer7": 163, "layer10": 37,
-         "layer12": 37, "layer15": 52},
-        426),
+        {"layer0": 37, "bridge0": 52, "layer7": 107, "layer10": 37,
+         "layer12": 37, "layer15": 32},
+        302),
     ("overflow-bridge", "full"): (
         "715c3a576ac004c9d9c8e015f7ac1d0c14cf22a81f7135e0a6ddea7bf72d8b60",
-        {"layer0": 45, "layer1": 29, "bridge0": 100, "layer6": 21,
-         "layer7": 179, "layer9": 21, "layer10": 37, "layer12": 37,
-         "layer15": 52},
-        521),
+        {"layer0": 41, "layer1": 21, "bridge0": 52, "layer6": 21, "layer7": 131,
+         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 32},
+        393),
     ("tiny-mvit-bn", "partial"): (
         "cd4d10cf233edc5dc5d42b3f94fb88e1a21475f39fe260cf50e85db783709483",
-        {"layer0": 45, "bridge0": 101, "layer7": 325, "layer10": 37,
-         "layer12": 53, "layer15": 36},
-        597),
+        {"layer0": 41, "bridge0": 77, "layer7": 257, "layer10": 37,
+         "layer12": 37, "layer15": 28},
+        477),
     ("tiny-mvit-bn", "full"): (
         "7c845a4cdb1cb401a24a389d3676f26a88349cd7dbb6feb4a89a971b0a9c35e7",
-        {"layer0": 37, "layer1": 29, "bridge0": 101, "layer6": 25,
-         "layer7": 357, "layer9": 25, "layer10": 37, "layer12": 53,
-         "layer15": 36},
-        700),
+        {"layer0": 37, "layer1": 21, "bridge0": 77, "layer6": 21, "layer7": 353,
+         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
+        632),
     ("tiny-mvit-gn", "partial"): (
         "8a7e3d5c8db1a354df93f94963f908bd860eb55b1c5b6227b73edd85e1441543",
-        {"layer0": 61, "bridge0": 101, "layer7": 205, "layer10": 37,
-         "layer12": 53, "layer15": 44},
-        501),
+        {"layer0": 45, "bridge0": 77, "layer7": 185, "layer10": 37,
+         "layer12": 37, "layer15": 32},
+        413),
     ("tiny-mvit-gn", "full"): (
         "4339aae474d799684ef9964d1e50c5d1686f9f85ab7300ff260e7b1c89f71d58",
-        {"layer0": 61, "layer1": 29, "bridge0": 117, "layer6": 29,
-         "layer7": 269, "layer9": 29, "layer10": 37, "layer12": 53,
-         "layer15": 44},
-        668),
+        {"layer0": 49, "layer1": 21, "bridge0": 85, "layer6": 21, "layer7": 189,
+         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 32},
+        492),
     ("tiny-mvit-ln", "partial"): (
         "7803c647c0214143368e6d6acb18242f62c3e77d6a9bf86eced0777b61801c3e",
-        {"layer0": 45, "bridge0": 101, "layer7": 325, "layer10": 37,
-         "layer12": 53, "layer15": 52},
-        613),
+        {"layer0": 41, "bridge0": 89, "layer7": 217, "layer10": 37,
+         "layer12": 37, "layer15": 36},
+        457),
     ("tiny-mvit-ln", "full"): (
         "4bf9dc6fcf6c363cc87296fb5bfb94d40e556f3a4389f57b42391c594d6b0a29",
-        {"layer0": 45, "layer1": 29, "bridge0": 101, "layer6": 37,
-         "layer7": 357, "layer9": 24, "layer10": 37, "layer12": 53,
-         "layer15": 52},
-        735),
+        {"layer0": 41, "layer1": 21, "bridge0": 89, "layer6": 21, "layer7": 257,
+         "layer9": 16, "layer10": 37, "layer12": 37, "layer15": 36},
+        555),
     ("wide-mvit-ln", "partial"): (
         "283c7089080d7e377db54ede804018ca23915e61afa60458d327e5322063a319",
-        {"layer0": 37, "bridge0": 68, "layer7": 205, "layer10": 45,
-         "layer12": 37, "layer15": 36},
-        428),
+        {"layer0": 37, "bridge0": 64, "layer7": 189, "layer10": 37,
+         "layer12": 37, "layer15": 28},
+        392),
     ("wide-mvit-ln", "full"): (
         "536adf2f4d1bd99c6859a78ed40b22999120d3d81297c82325c6c285afdd3263",
-        {"layer0": 37, "layer1": 29, "bridge0": 68, "layer6": 29,
-         "layer7": 313, "layer9": 29, "layer10": 45, "layer12": 37,
-         "layer15": 36},
-        623),
+        {"layer0": 37, "layer1": 21, "bridge0": 64, "layer6": 21, "layer7": 257,
+         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
+        523),
 }
 
 

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,22 @@ from hyquant.tensor import Tensor, load_tensor, save_tensor
 from hyquant.zoo import build_fixture, export_fixture
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 @pytest.fixture(scope="module")
 def runner():
     return CliRunner()
+
+
+def run_cli_process(args, **env):
+    """Run hyquant in a fresh interpreter with the given environment
+    variables set; returns the CompletedProcess with text output."""
+    full = dict(os.environ, **env)
+    full["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), full.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hyquant.cli", *args],
+                          capture_output=True, text=True, env=full, timeout=300)
 
 
 def run_quantize(runner, out, extra=()):
@@ -337,6 +354,54 @@ class TestEvaluateCommand:
         assert len(errors) == 1
         assert str(labels_path) in errors[0] and f"{count} labels" in errors[0]
 
+    def test_labels_beyond_int64_fail_without_a_cast_warning(self, tmp_path):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        labels = load_tensor(paths["eval_labels"]).data.copy()
+        labels[0] = 1e30
+        labels_path = tmp_path / "labels.hqt"
+        save_tensor(str(labels_path), Tensor(labels))
+        qpath = tmp_path / "q.json"
+        save_qconfig(str(qpath), {}, 8, "partial")
+        result = run_cli_process([
+            "evaluate", "--model", paths["manifest"], "--eval", paths["eval"],
+            "--labels", str(labels_path), "--qconfig", str(qpath)])
+        assert result.returncode == 1
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+        errors = error_lines(result.stderr)
+        assert len(errors) == 1
+        assert str(labels_path) in errors[0] and "int64" in errors[0]
+
+    @pytest.mark.parametrize("link", ["blobs-dir", "blob-file"])
+    def test_symlinked_blob_leaving_the_dir_is_refused_unread(
+            self, runner, tmp_path, link):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path / "export"))
+        blobs = tmp_path / "export" / "blobs"
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        secret = b"SECR-outside"
+        if link == "blobs-dir":
+            for blob in blobs.iterdir():
+                (outside / blob.name).write_bytes(secret)
+                blob.unlink()
+            blobs.rmdir()
+            blobs.symlink_to(outside, target_is_directory=True)
+        else:
+            (outside / "l0_b.hqt").write_bytes(secret)
+            (blobs / "l0_b.hqt").unlink()
+            (blobs / "l0_b.hqt").symlink_to(outside / "l0_b.hqt")
+        qpath = tmp_path / "q.json"
+        save_qconfig(str(qpath), {}, 8, "partial")
+        result = runner.invoke(main, [
+            "evaluate", "--model", paths["manifest"], "--eval", paths["eval"],
+            "--labels", paths["eval_labels"], "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "SECR" not in result.output  # the bad-magic error echoes 4 bytes
+        errors = error_lines(result.output)
+        assert len(errors) == 1 and paths["manifest"] in errors[0]
+        assert ("not inside the manifest directory" if link == "blobs-dir"
+                else "is a symbolic link") in errors[0]
+
     def test_model_output_must_be_logits(self, runner, tmp_path):
         paths = export_fixture("tiny-mvit-ln", str(tmp_path))
         with open(paths["manifest"]) as f:
@@ -495,6 +560,24 @@ class TestFixturesCommand:
         result = runner.invoke(main, ["fixtures", "export", "nope",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 1
+
+
+class TestBlasThreads:
+    def test_quantize_writes_the_same_bytes_under_one_and_two_blas_threads(
+            self, tmp_path):
+        """The search's objective must not depend on how many threads BLAS
+        uses. On a one-core host OpenBLAS runs one thread either way, so
+        this test cannot fail there."""
+        written = []
+        for threads in ("1", "2"):
+            q, trace = tmp_path / f"q{threads}.json", tmp_path / f"t{threads}.csv"
+            result = run_cli_process(
+                ["quantize", "--fixture", "overflow-bridge", "--candidates",
+                 "20", "--iterations", "2", "--out", str(q), "--trace",
+                 str(trace)], OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+            written.append((q.read_bytes(), trace.read_bytes()))
+        assert written[0] == written[1]
 
 
 class TestDocuments:

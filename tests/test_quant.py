@@ -341,6 +341,97 @@ class TestBlockedKernel:
             assert got[key].tobytes() == want[key].tobytes(), key
 
 
+def arbitrary_params(bits, scheme, axis, rng):
+    """Params with random float32 scales that are not powers of two, one
+    below 2 and one at least 2 (per channel: three channels, the third
+    random), and random in-grid zero-points for the asymmetric scheme."""
+    q_min, q_max = grid_range(bits)
+    n = 2 if axis is None else 3
+    exp = np.array([rng.integers(-8, 1), rng.integers(1, 4),
+                    rng.integers(-8, 4)])[:n]
+    scale = (rng.uniform(1.01, 1.99, n) * 2.0 ** exp).astype(F32)
+    zp = np.zeros(n, np.int32) if scheme == "symmetric" else \
+        rng.integers(q_min, q_max + 1, n).astype(np.int32)
+
+    def params(granularity, sc, z):
+        return QuantParams(bits=bits, scheme=scheme, granularity=granularity,
+                           channel_axis=axis, scale=sc, zero_point=z,
+                           zero_point_raw=z.astype(np.float64))
+
+    if axis is None:
+        return [params("per_layer", scale[i], zp[i]) for i in range(n)]
+    return [params("per_channel", scale, zp)]
+
+
+def near_ties(bits, scale, zp, rng):
+    """float32 inputs 0-4 ulps either side of the preimage of every
+    half-integer code from q_min - 1.5 to q_max + 1.5 (at bits > 16, of the
+    ones within 64 of either bound or of zero, plus 4096 random ones), then
+    +-0.0 and the four negative subnormals closest to zero."""
+    q_min, q_max = grid_range(bits)
+    if bits <= 16:
+        half = np.arange(q_min - 2, q_max + 2) + 0.5
+    else:
+        half = np.concatenate([np.arange(q_min - 64, q_min + 64),
+                               np.arange(-64, 64),
+                               np.arange(q_max - 64, q_max + 64),
+                               rng.integers(q_min, q_max, 4096)]) + 0.5
+    x0 = ((half - float(zp)) * float(scale)).astype(F32)
+    steps = [x0]
+    for direction in (np.inf, -np.inf):
+        x = x0
+        for _ in range(4):
+            x = np.nextafter(x, F32(direction))
+            steps.append(x)
+    tiny = np.array([-0.0, 0.0, *(-k * 2.0 ** -149 for k in range(1, 5))], F32)
+    return np.concatenate(steps + [tiny])
+
+
+class TestFloat32KernelStress:
+    """The float32 path and its float64 fix-up near ties, against the
+    reference formula, with scales whose preimages of half-integers do not
+    land exactly on float32 inputs."""
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24])
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("axis", [None, 0, -1])
+    def test_bytes_and_mask_equal_reference_formula(self, bits, scheme, axis):
+        rng = np.random.default_rng(bits * 11 + len(scheme) + (axis or 0) * 3)
+        for p in arbitrary_params(bits, scheme, axis, rng):
+            if axis is None:
+                x = near_ties(bits, p.scale, p.zero_point, rng)
+            else:
+                x = np.stack([near_ties(bits, s, z, rng)
+                              for s, z in zip(p.scale, p.zero_point)])
+                if axis == -1:
+                    x = np.ascontiguousarray(x.T)
+            tape = Tape()
+            xt = tape.leaf(t(x))
+            tape.watch(xt.node)
+            out = quantize_dequantize(xt, p, tape)
+            g = rng.normal(0, 1, x.shape).astype(F32)
+            got = backward(Tensor(g), tape)[xt.node].data
+            want, r = reference_fake_quant(x, p)
+            in_grid = (r >= p.q_min) & (r <= p.q_max)
+            assert out.data.tobytes() == want.tobytes()
+            assert got.tobytes() == (g * in_grid.astype(F32)).tobytes()
+
+    def test_inputs_reach_float32_ties_and_signed_zero_underflow(self):
+        rng = np.random.default_rng(5)
+        p_small, p_big = arbitrary_params(8, "symmetric", None, rng)
+        assert p_big.scale >= 2 and p_big.float64_path
+        assert not p_small.float64_path
+        x = near_ties(8, p_small.scale, 0, rng)
+        y32 = x / p_small.scale
+        y64 = x.astype(np.float64) / float(p_small.scale)
+        tie32 = y32 - np.rint(y32) == 0.5
+        # float32 ties whose float64 value lies off the tie
+        assert np.any(tie32 & (y64 - np.floor(y64) != 0.5))
+        sub = near_ties(8, p_big.scale, 0, rng)[-4:]
+        assert np.any(sub / p_big.scale == 0) and np.all(sub < 0)
+        assert np.all(np.signbit(reference_fake_quant(sub, p_big)[0]))
+
+
 class TestParamsForScale:
     def test_keeps_base_zero_point(self):
         rng = np.random.default_rng(3)

@@ -240,7 +240,7 @@ def _round_half_away64(x, s, z, sel) -> np.ndarray:
     sel picks, with s and z broadcast against x."""
     v = x[sel] / np.broadcast_to(s, x.shape)[sel].astype(np.float64)
     v += np.broadcast_to(z, x.shape)[sel]
-    return np.trunc(v + np.copysign(0.5, v))
+    return round_half_away(v)
 
 
 def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> Tensor:
@@ -266,9 +266,7 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
     element through the reference arithmetic instead: at bits > 16, and for
     a zero zero-point with a scale >= 2, where x / sc of a negative subnormal
     x can underflow to -0.0 in float32, which + zp turns into +0.0 while the
-    reference code is -0.0. The float64 code is trunc(v + copysign(0.5, v)),
-    v = x64 / sc + zp: the reference's sign(v) * floor(|v| + 0.5) with its
-    negative zero, except at v = -0.0, which cannot occur (zp is never -0.0).
+    reference code is -0.0.
     """
     xa = t.data
     ax = None
@@ -305,9 +303,7 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
             np.divide(xb, s, out=y)
             y += z
             if wide:
-                np.copysign(0.5, y, out=c)
-                c += y
-                np.trunc(c, out=c)
+                c[...] = round_half_away(y)
             else:
                 np.rint(y, out=c)
                 y -= c

@@ -98,6 +98,20 @@ class TestConv2d:
 
 
 class TestSoftmax:
+    # both sides of _max_keepdims' limit: a last axis of at most 32, a longer
+    # one and other axes; zeros of both signs so a row max can be +-0.0
+    @pytest.mark.parametrize("shape,axis", [
+        ((32, 2, 16, 16), -1), ((3, 32), -1), ((3, 33), -1), ((4, 200), -1),
+        ((5, 16, 7), 1), ((6, 5), 0)])
+    def test_bits_match_the_plain_row_max(self, shape, axis):
+        x = np.random.default_rng(0).normal(0, 3, shape).astype(F32)
+        x[0] = -np.abs(x[0])
+        x.flat[::5] = -0.0
+        x.flat[::9] = 0.0
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        want = e / e.sum(axis=axis, keepdims=True)
+        assert T.softmax(t(x), axis=axis).data.tobytes() == want.tobytes()
+
     def test_symmetry(self):
         np.testing.assert_allclose(T.softmax(t([0.0, 0.0])).data, [0.5, 0.5])
 

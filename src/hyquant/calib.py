@@ -109,13 +109,16 @@ def objective(delta_o, grad) -> float:
 
 
 def _g2_weighted(g2: np.ndarray, d: np.ndarray) -> float:
-    """sum_i g2_i * d_i^2 over flat float64 arrays; the one place the
-    objective's arithmetic lives, so search scores equal objective().
+    """sum_i g2_i * d_i^2 over flat float64 arrays, overwriting d (the
+    caller's own temporary); the one place the objective's arithmetic lives,
+    so search scores equal objective().
 
     Sums with numpy's pairwise add.reduce, never BLAS: a BLAS dot splits long
     sums across its threads, and the rounding then depends on the thread
     count."""
-    return float(np.add.reduce(g2 * (d * d)))
+    np.multiply(d, d, out=d)
+    d *= g2
+    return float(np.add.reduce(d))
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -260,7 +263,6 @@ class _UnitEvaluator:
         if metric == "hessian":
             g64 = grad.astype(np.float64).ravel()
             self._g2 = g64 * g64
-        self._o_fp64 = self.o_fp.astype(np.float64).ravel()
         self._steps: dict[int, dict] = {}
         self.evals = 0
 
@@ -307,7 +309,9 @@ class _UnitEvaluator:
         o_hat = out.data
         if self.metric == "cosine":
             return cosine_distance(o_hat, self.o_fp)
-        return _g2_weighted(self._g2, o_hat.astype(np.float64).ravel() - self._o_fp64)
+        # float32 -> float64 is exact, so this is o_hat64 - o_fp64 in one pass
+        return _g2_weighted(self._g2, np.subtract(
+            o_hat, self.o_fp, dtype=np.float64).ravel())
 
 
 def _combos(options: CalibOptions) -> list[tuple[str, str, str, str]]:
@@ -449,14 +453,14 @@ def calibrate(graph: Graph, calib_batch: Tensor, space: SearchSpace | None = Non
     space = space or SearchSpace()
     options = options or CalibOptions()
     groups = resolve_bridge_blocks(graph, graph.bridge_annotations)
-    units = units_for(graph, groups)
+    # units without sites have nothing to search: neither pass caches them
+    units = [u for u in units_for(graph, groups)
+             if any(graph.sites_by_layer[lid] for lid in u.layer_ids)]
     cache = pass1_cache_fp(graph, calib_batch, units)
     pass2_cache_gradients(graph, calib_batch, units, cache, bits)
     qcfg: dict[tuple[int, str], QuantParams] = {}
     decisions: list[UnitDecision] = []
     for unit in units:
-        if not any(graph.sites_by_layer[lid] for lid in unit.layer_ids):
-            continue
         d = search_unit(graph, unit, cache, space, options, bits, trace)
         qcfg.update(d.params)
         decisions.append(d)

@@ -68,9 +68,10 @@ class QuantParams:
     scale/zero_point are scalars (shape ()) for per_layer granularity and
     vectors (C,) along channel_axis for per_channel. zero_point_raw retains
     the continuous pre-round, pre-clamp zero-point for overflow diagnosis.
-    q_min/q_max, the float32 form of zero_point and whether fake quantization
-    must run in float64 (see quantize_dequantize), which every
-    quantize_dequantize call reads, are derived once at construction.
+    q_min/q_max and their float32 form, the float32 form of zero_point and
+    whether fake quantization must run in float64 (see quantize_dequantize),
+    which every quantize_dequantize call reads, are derived once at
+    construction.
     """
 
     bits: int
@@ -82,6 +83,7 @@ class QuantParams:
     zero_point_raw: np.ndarray
     q_min: int = field(init=False, repr=False, compare=False)
     q_max: int = field(init=False, repr=False, compare=False)
+    q_bounds32: tuple = field(init=False, repr=False, compare=False)
     zero_point32: np.ndarray = field(init=False, repr=False, compare=False)
     float64_path: bool = field(init=False, repr=False, compare=False)
 
@@ -108,6 +110,7 @@ class QuantParams:
             raise QuantError(f"stored zero_point outside grid [{q_min}, {q_max}]")
         object.__setattr__(self, "q_min", q_min)
         object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "q_bounds32", (_F32(q_min), _F32(q_max)))
         object.__setattr__(self, "zero_point32", self.zero_point.astype(_F32))
 
     @property
@@ -284,7 +287,8 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
     sc = _broadcast_param(p.scale.astype(work, copy=False), xa.ndim, p.channel_axis)
     zp = _broadcast_param(p.zero_point.astype(work) if wide else p.zero_point32,
                           xa.ndim, p.channel_axis)
-    q_min, q_max = p.q_min, p.q_max
+    # float32 bounds are exact up to 24 bits; the float64 path covers the rest
+    q_min, q_max = (p.q_min, p.q_max) if wide else p.q_bounds32
     x = xa.reshape(1) if xa.ndim == 0 else xa
     out = np.empty(x.shape, _F32)
     taped = tape is not None and t.node is not None
@@ -313,7 +317,11 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
                     c[tie] = _round_half_away64(xb, s, z, tie)
             if taped:
                 np.logical_and(c >= q_min, c <= q_max, out=mask[blk])
-            np.clip(c, q_min, q_max, out=c)
+            # np.clip without its wrapper (c is never NaN). Bound first: on a
+            # tie numpy returns the second operand, so a -0.0 code at
+            # q_max == 0 (bits 1) stays -0.0, as under np.clip
+            np.maximum(q_min, c, out=c)
+            np.minimum(q_max, c, out=c)
             c -= z
             np.multiply(c, s, out=out[blk], casting="same_kind")
     out = out.reshape(xa.shape)

@@ -84,11 +84,15 @@ class Tape:
 
     `watch` marks nodes whose gradients must be retained by `backward`;
     gradients at unwatched nodes are freed as the reverse sweep passes them.
+    `backward` consumes the tape: it releases each rule (and the forward
+    arrays the rule holds) once the sweep has passed its node, so a tape can
+    be swept once; a second `backward` raises TensorError.
     """
 
     def __init__(self):
-        self.nodes: list[tuple[tuple[int, ...], Callable]] = []
+        self.nodes: list[tuple[tuple[int, ...], Callable | None]] = []
         self.watched: set[int] = set()
+        self.swept = False
 
     def record(self, shape: tuple[int, ...], backward_fn) -> int:
         self.nodes.append((tuple(shape), backward_fn))
@@ -108,36 +112,42 @@ def backward(loss_grad: Tensor, tape: Tape) -> dict[int, Tensor]:
     """Reverse sweep; returns gradients for the watched nodes.
 
     Watched nodes never reached by the sweep get zero gradients of their
-    recorded shape.
+    recorded shape. Node ids are topological (an op's inputs are recorded
+    before it), so the sweep stops at the lowest watched node: nothing below
+    it can reach a watched gradient, and the gradients it does compute
+    accumulate in the same order as in a sweep down to the leaves.
     """
     if tape is None or not tape.nodes:
         raise EmptyTapeError("backward() on an empty tape")
-    targets = set(tape.watched)
-    last = len(tape.nodes) - 1
-    if tuple(loss_grad.shape) != tape.nodes[last][0]:
+    if tape.swept:
+        raise TensorError("tape already swept")
+    nodes, targets = tape.nodes, set(tape.watched)
+    last = len(nodes) - 1
+    if tuple(loss_grad.shape) != nodes[last][0]:
         raise ShapeMismatchError(
             f"loss gradient shape {tuple(loss_grad.shape)} does not match "
-            f"final output shape {tape.nodes[last][0]}")
+            f"final output shape {nodes[last][0]}")
+    tape.swept = True
     grads: dict[int, np.ndarray] = {last: loss_grad.data.astype(_F32, copy=False)}
-    for nid in range(last, -1, -1):
-        g = grads.get(nid)
+    for nid in range(last, min(targets, default=last), -1):
+        shape, rule = nodes[nid]
+        nodes[nid] = (shape, None)
+        g = grads.get(nid) if nid in targets else grads.pop(nid, None)
         if g is None:
             continue
-        for pid, pg in tape.nodes[nid][1](g):
+        for pid, pg in rule(g):
             pg = np.asarray(pg, dtype=_F32)
-            if pg.shape != tape.nodes[pid][0]:
+            if pg.shape != nodes[pid][0]:
                 raise ShapeMismatchError(
                     f"gradient shape {pg.shape} does not match node {pid} "
-                    f"output shape {tape.nodes[pid][0]}")
+                    f"output shape {nodes[pid][0]}")
             acc = grads.get(pid)
             grads[pid] = pg if acc is None else acc + pg
-        if nid not in targets:
-            del grads[nid]
     out: dict[int, Tensor] = {}
     for nid in targets:
         arr = grads.get(nid)
         if arr is None:
-            arr = np.zeros(tape.nodes[nid][0], dtype=_F32)
+            arr = np.zeros(nodes[nid][0], dtype=_F32)
         out[nid] = Tensor._wrap(np.ascontiguousarray(arr, dtype=_F32))
     return out
 
@@ -429,7 +439,8 @@ def gelu(t: Tensor, tape: Tape | None = None) -> Tensor:
 
 def silu(t: Tensor, tape: Tape | None = None) -> Tensor:
     xa = t.data
-    sig = 1.0 / (1.0 + np.exp(-xa))
+    with np.errstate(over="ignore"):  # exp(-x) -> inf below about -88: sig 0
+        sig = 1.0 / (1.0 + np.exp(-xa))
     out = xa * sig
 
     def grad(g):

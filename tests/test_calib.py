@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
                            cosine_distance, generate_candidates, objective,
                            pass1_cache_fp, pass2_cache_gradients, search_unit)
 from hyquant.cli import qconfig_to_doc, with_mode
-from hyquant.graph import Graph, LayerSpec, forward_fp, forward_quant, run_layer
+from hyquant.graph import (GRAPH_INPUT, Graph, LayerSpec, forward_fp,
+                           forward_quant, run_layer)
 from hyquant.quant import fit_minmax, params_for_scale
 from hyquant.tensor import Tensor, cross_entropy
 from hyquant.zoo import FIXTURES, build_fixture
@@ -182,6 +185,32 @@ class TestPass2:
         for u in units:
             assert cache.unit_grads[u.output_id].shape == \
                 cache.unit_outputs[u.output_id].shape
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_searched_unit_gradients_equal_a_full_sweeps_bytes(
+            self, name, mode, monkeypatch):
+        # calibrate's pass 2 watches only the units it searches, so its sweep
+        # stops at the lowest of them; watching every unit and the graph-input
+        # leaf as well forces the sweep down to the leaves
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        every = fixture_units(graph)
+        searched = [u for u in every
+                    if any(graph.sites_by_layer[lid] for lid in u.layer_ids)]
+        stopped = pass2_cache_gradients(
+            graph, calib, searched, pass1_cache_fp(graph, calib, searched))
+
+        def watch_input_too(graph, x, qcfg, watch=(), tape=None):
+            return forward_quant(graph, x, qcfg, {*watch, GRAPH_INPUT}, tape)
+
+        monkeypatch.setattr(C, "forward_quant", watch_input_too)
+        full = pass2_cache_gradients(
+            graph, calib, every, pass1_cache_fp(graph, calib, every))
+        assert set(stopped.unit_grads) == {u.output_id for u in searched}
+        for u in searched:
+            assert stopped.unit_grads[u.output_id].tobytes() == \
+                full.unit_grads[u.output_id].tobytes(), u.label
 
     def test_requires_pass1(self):
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")
@@ -384,6 +413,25 @@ class TestCalibrate:
         assert set(qcfg) == {s.key for s in graph.quant_sites}
         decided = [k for d in decisions for k in d.params]
         assert len(decided) == len(set(decided)) == len(qcfg)
+
+    def test_peak_traced_memory_of_the_passes(self):
+        # Pass 2 sets calibration's peak. 512 samples of wide-mvit-ln with
+        # search off traced a 63.8 MiB peak once the sweep released the tape
+        # as it went, stopped at the lowest watched unit and only searched
+        # units were cached, against 88.7 MiB before. numpy reports its
+        # allocations to tracemalloc, so the figure does not vary by run.
+        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=512)
+        graph, calib, _, _ = build_fixture(spec)
+        graph = with_mode(graph, "partial")
+        off = CalibOptions(scale_search=False, granularity_search=False,
+                           scheme_search=False)
+        tracemalloc.start()
+        try:
+            calibrate(graph, calib, options=off)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic_given_fixed_inputs(self):
         from hyquant.cli import qconfig_to_doc

@@ -1,4 +1,4 @@
-"""Fuzz the documents `hyquant evaluate` and `hyquant report` read.
+"""Fuzz the documents `hyquant evaluate`, `report` and `quantize` read.
 
 The inputs are an exported `tiny-mvit-ln` manifest (its layers, their
 attributes and its bridge annotation), a saved qconfig (its site entries) and
@@ -6,9 +6,10 @@ the .hqt blobs. The JSON mutations come from the schema tables the readers
 use: each field is dropped, given a value of another JSON type, or given an
 out-of-range value of its own type. A blob is truncated or has a header byte
 replaced. `report` reads no qconfig, so it gets the manifest and the
-calibration and validation blob mutations. Whatever the input, the CLI exits
-0, 1 or 2; a failure prints exactly one `error:` line and no traceback, and no
-exception escapes.
+calibration and validation blob mutations; `quantize` gets the manifest
+mutations, with a one-candidate, one-round search to keep each case short.
+Whatever the input, the CLI exits 0, 1 or 2; a failure prints exactly one
+`error:` line and no traceback, and no exception escapes.
 """
 
 import copy
@@ -111,6 +112,17 @@ def run_report(paths, manifest, calib_path=None, val_path=None):
         "--out", os.path.join(base, "fuzz_report.csv")])
 
 
+def run_quantize(paths, manifest):
+    base = os.path.dirname(paths["manifest"])
+    mpath = os.path.join(base, "fuzz_model.json")
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    return CliRunner().invoke(main, [
+        "quantize", "--model", mpath, "--calib", paths["calib"],
+        "--candidates", "1", "--iterations", "1",
+        "--out", os.path.join(base, "fuzz_quantized.json")])
+
+
 def assert_clean(result):
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
@@ -134,6 +146,13 @@ def test_unmutated_manifest_reports(artifacts):
     result = run_report(paths, manifest)
     assert result.exit_code == 0, result.output
     assert "activation sites" in result.output
+
+
+def test_unmutated_manifest_quantizes(artifacts):
+    _, paths, manifest, _ = artifacts
+    result = run_quantize(paths, manifest)
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("wrote ")
 
 
 @st.composite
@@ -239,3 +258,12 @@ def test_mutated_data_blobs_fail_cleanly_in_report(artifacts, data):
     assert_clean(run_report(
         paths, manifest, calib_path=target if which == "calib" else None,
         val_path=target if which == "eval" else None))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_mutated_manifests_fail_cleanly_in_quantize(artifacts, data):
+    _, paths, manifest, qconfig = artifacts
+    manifest, _ = data.draw(mutated_documents(
+        manifest, qconfig, targets=("manifest", "layer", "attrs", "bridge")))
+    assert_clean(run_quantize(paths, manifest))

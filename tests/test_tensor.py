@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,15 @@ class TestSoftmax:
         x = rng.normal(0, 3, (4, len(values))).astype(F32) + np.asarray(values, F32)
         sums = T.softmax(t(x), axis=-1).data.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+
+class TestSilu:
+    def test_large_negative_inputs_give_signed_zeros_without_warning(self):
+        # exp(-x) overflows float32 below about -88: sigmoid 0, silu -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.silu(t([-100.0, -89.0, 0.0, 5.0])).data
+        assert out.tobytes().hex() == "000000800000008000000000dded9e40"
 
 
 class TestNorms:
@@ -279,6 +290,63 @@ class TestBackward:
         probs = probs / probs.sum(1, keepdims=True)
         onehot = np.eye(4, dtype=F32)[labels]
         np.testing.assert_allclose(grad, probs - onehot, atol=1e-6)
+
+    def test_second_sweep_of_a_tape_is_refused(self):
+        tape = T.Tape()
+        xt = tape.leaf(t([1.0, 2.0]))
+        T.sum_all(T.mul(xt, xt, tape), tape)
+        tape.watch(xt.node)
+        T.backward(T.Tensor(1.0), tape)
+        with pytest.raises(T.TensorError, match="tape already swept"):
+            T.backward(T.Tensor(1.0), tape)
+
+    def test_sweep_stops_at_lowest_watched_node_and_releases_used_rules(self):
+        # x -> a -> b -> c -> loss, with b watched: the rules of b and below
+        # must not run, and every rule above b is released once used
+        tape = T.Tape()
+        xt = tape.leaf(t([1.0, -2.0, 3.0]))
+        a = T.scale(xt, 2.0, tape)
+        b = T.mul(a, a, tape)
+        c = T.relu(b, tape)
+        T.sum_all(T.mul(c, b, tape), tape)
+        tape.watch(b.node)
+        ran = []
+
+        def spy(nid, rule):
+            def wrapped(g):
+                ran.append(nid)
+                return rule(g)
+            return wrapped
+
+        tape.nodes = [(shape, spy(nid, rule))
+                      for nid, (shape, rule) in enumerate(tape.nodes)]
+        grads = T.backward(T.Tensor(1.0), tape)
+        last = len(tape.nodes) - 1
+        assert ran == list(range(last, b.node, -1))
+        assert all(rule is None for _, rule in tape.nodes[b.node + 1:])
+        assert all(rule is not None for _, rule in tape.nodes[:b.node + 1])
+        # d(c * b)/db = 2b where b > 0, here everywhere
+        np.testing.assert_array_equal(grads[b.node].data, 2 * b.data)
+
+    def test_stopped_sweep_gives_the_full_sweeps_bytes(self):
+        # watching the leaf as well forces a sweep to the bottom; the gradient
+        # at the upper watched node must not change by a bit
+        rng = np.random.default_rng(23)
+        x = rng.normal(0, 1, (4, 6)).astype(F32)
+        w = rng.normal(0, 1, (5, 6)).astype(F32)
+        got = []
+        for watch_leaf in (False, True):
+            tape = T.Tape()
+            xt = tape.leaf(t(x))
+            h = T.gelu(T.matmul(xt, t(w), tape, transpose_b=True), tape)
+            mid = T.softmax(h, -1, tape)
+            T.cross_entropy(T.add(mid, h, tape), np.arange(4), "sum", tape)
+            tape.watch(mid.node)
+            if watch_leaf:
+                tape.watch(xt.node)
+            got.append(T.backward(T.Tensor(1.0), tape)[mid.node].data.tobytes())
+        assert got[0] == got[1]
+
 
 
 class TestAttentionHelpers:

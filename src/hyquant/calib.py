@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
-from .graph import (GRAPH_INPUT, INPUT_NAMES, LAYER_STEPS, Graph, Site,
-                    execute, forward_fp, forward_quant, run_steps, site_cone,
-                    site_hook)
+from .graph import (GRAPH_INPUT, Graph, Site, forward_fp, forward_quant,
+                    run_steps, site_cone, site_hook)
 from .quant import QuantParams, channel_ranges, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
@@ -78,7 +77,7 @@ class CalibCache:
     """Write-once store filled by the two calibration passes."""
 
     unit_outputs: dict[int, np.ndarray] = field(default_factory=dict)
-    unit_inputs: dict[int, dict[tuple[int, int], np.ndarray]] = field(default_factory=dict)
+    unit_inputs: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
     site_values: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     unit_grads: dict[int, np.ndarray] = field(default_factory=dict)
     logits_fp: np.ndarray | None = None
@@ -172,7 +171,7 @@ def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     for u in units:
         cache.unit_outputs[u.output_id] = outs[u.output_id].data
         cache.unit_inputs[u.output_id] = {
-            (lid, pid): outs[pid].data
+            pid: outs[pid].data
             for lid in u.layer_ids for pid in graph.layer(lid).inputs
             if pid not in u.layer_ids}
     return cache
@@ -234,13 +233,14 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
 class _UnitEvaluator:
     """Re-runs one unit's layers on cached FP inputs and scores the output.
 
-    run() re-runs the whole unit and keeps every member's step values
-    (graph.LAYER_STEPS) as the state of its params. score_site() scores
-    params that differ from that state's only at one site by re-running just
-    that site's cone: in the site's layer, the step quantizing it and the
-    steps reading its result; in each later member (a unit is a chain), the
-    steps reading the changed input. Every other value, quantized operands
-    included, is the state's, so the result is bitwise run()'s.
+    The unit is the concatenation of its members' steps (LayerSpec.steps),
+    run on a base map of its cached inputs and its members' values. run()
+    runs them all and keeps every value as the state of its params.
+    score_site() scores params that differ from that state's only at one
+    site by re-running just that site's cone across the members (site_cone):
+    the step quantizing it and every step reading a changed value. Every
+    other value, quantized operands included, is the state's, so the result
+    is bitwise run()'s.
     """
 
     def __init__(self, graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
@@ -252,58 +252,38 @@ class _UnitEvaluator:
         if metric == "hessian" and grad is None:
             raise CalibError(f"unit {unit.label}: no pass 2 gradient cached; "
                              f"run pass2_cache_gradients first")
-        self.members = [graph.layer(lid) for lid in unit.layer_ids]
-        self._cones = {s.key: self._cone(s) for layer in self.members
+        members = [graph.layer(lid) for lid in unit.layer_ids]
+        self.steps = tuple(step for layer in members for step in layer.steps)
+        self._cones = {s.key: site_cone(self.steps, s.key) for layer in members
                        for s in graph.sites_by_layer[layer.id]}
-        self.output_id = unit.output_id
-        self.inputs = {pid: Tensor._wrap(arr)
-                       for (_, pid), arr in cache.unit_inputs[unit.output_id].items()}
+        self._base = {(pid, "out"): Tensor._wrap(arr)
+                      for pid, arr in cache.unit_inputs[unit.output_id].items()}
+        for layer in members:
+            self._base.update(layer.values)
+        self._out = (unit.output_id, "out")
         self.o_fp = cache.unit_outputs[unit.output_id]
         self.metric = metric
         if metric == "hessian":
             g64 = grad.astype(np.float64).ravel()
             self._g2 = g64 * g64
-        self._steps: dict[int, dict] = {}
+        self._state: dict = {}
         self.evals = 0
-
-    def _cone(self, site: Site):
-        """[(member, [(input name, changed producer)], steps)] to re-run, in
-        order, when only site's params change."""
-        cone, changed = [], set()
-        for layer in self.members:
-            own = site.name if layer.id == site.layer else None
-            fresh = [(n, pid) for n, pid in zip(INPUT_NAMES, layer.inputs)
-                     if pid in changed]
-            if own or fresh:
-                cone.append((layer, fresh, site_cone(
-                    LAYER_STEPS[layer.kind], own, [n for n, _ in fresh])))
-                changed.add(layer.id)
-        return cone
 
     def run(self, params: dict) -> float:
         """Objective of params from a full re-run; params become the state."""
         self.evals += 1
-        self._steps = {}
-        vals = execute(self.members, dict(self.inputs), params,
-                       step_values=self._steps)
-        return self._score(vals[self.output_id])
+        self._state = run_steps(self.steps, dict(self._base), site_hook(params))
+        return self._score(self._state[self._out])
 
     def score_site(self, params: dict, site: Site) -> float:
         """run(params)'s objective, re-running only the cone of site."""
         self.evals += 1
-        return self._score(self._rerun(params, site)[self.output_id]["out"])
+        return self._score(run_steps(self._cones[site.key], dict(self._state),
+                                     site_hook(params))[self._out])
 
     def adopt(self, params: dict, site: Site) -> None:
         """Make params, changed from the state's at site only, the state."""
-        self._steps.update(self._rerun(params, site))
-
-    def _rerun(self, params: dict, site: Site) -> dict[int, dict]:
-        steps: dict[int, dict] = {}
-        for layer, fresh, cone in self._cones[site.key]:
-            vals = dict(self._steps[layer.id],
-                        **{name: steps[pid]["out"] for name, pid in fresh})
-            steps[layer.id] = run_steps(cone, vals, site_hook(layer.id, params))
-        return steps
+        run_steps(self._cones[site.key], self._state, site_hook(params))
 
     def _score(self, out: Tensor) -> float:
         o_hat = out.data

@@ -261,7 +261,8 @@ def main():
 @click.option("--beta", type=float, default=1.2, show_default=True)
 @click.option("--candidates", type=int, default=100, show_default=True)
 @click.option("--iterations", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=None, help="fixture seed override")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="fixture seed override")
 @click.option("--out", type=click.Path(), required=True, help="qconfig output path")
 @click.option("--trace", type=click.Path(), default=None, help="search trace CSV")
 def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search,
@@ -307,7 +308,8 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
               help="evaluation labels blob")
 @click.option("--qconfig", "qconfig_path", type=click.Path(exists=True),
               required=True)
-@click.option("--seed", type=int, default=None, help="fixture seed override")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="fixture seed override")
 @click.option("--out", type=click.Path(), default=None, help="metrics JSON path")
 def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
     """Report FP vs quantized top-1, agreement and logit MSE."""
@@ -332,7 +334,8 @@ def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
 @click.option("--bits", type=click.Choice(["8", "6"]), default="8", show_default=True)
 @click.option("--mode", type=click.Choice(["partial", "full"]), default=None,
               help="override the model's declared quantization mode")
-@click.option("--seed", type=int, default=None, help="fixture seed override")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="fixture seed override")
 @click.option("--out", type=click.Path(), required=True, help="report CSV path")
 def report(model, fixture, calib, val, bits, mode, seed, out):
     """Per-channel activation ranges, overflow flags, calib-vs-val gap."""

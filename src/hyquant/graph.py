@@ -69,6 +69,27 @@ class LayerSpec:
     inputs: list[int] = field(default_factory=list)
     weights: dict[str, Tensor] = field(default_factory=dict)
 
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        """Its kind's steps (LAYER_STEPS) with every value named by key: the
+        inputs x and y are (producer id, "out"), any other name and each site
+        are (layer id, name). A step drops only the layer's own values."""
+        ext = dict(zip(("x", "y"), ((pid, "out") for pid in self.inputs)))
+
+        def key(name):
+            return ext.get(name, (self.id, name))
+        return tuple(s._replace(
+            out=key(s.out), ins=tuple(map(key, s.ins)),
+            site=s.site and (self.id, s.site),
+            drop=tuple(key(n) for n in s.drop if n not in ext))
+            for s in LAYER_STEPS[self.kind])
+
+    @property
+    def values(self) -> dict:
+        """Its weights and attrs under the keys its steps read them by."""
+        return {**{(self.id, n): w for n, w in self.weights.items()},
+                (self.id, "attrs"): self.attrs}
+
 
 @dataclass
 class Graph:
@@ -255,19 +276,18 @@ def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
 # execution
 
 
-def site_hook(layer_id: int, qcfg: dict, tape: Tape | None = None,
-              capture: dict | None = None):
-    """The one site hook: a callable(name, Tensor) that fake-quantizes the
-    tensor at site (layer_id, name) when qcfg holds params for it.
+def site_hook(qcfg: dict, tape: Tape | None = None, capture: dict | None = None):
+    """The one site hook: a callable(key, Tensor) that fake-quantizes the
+    tensor at site key, (layer_id, site_name), when qcfg holds params for it.
 
     capture, when given, is filled with the full-precision value of every
-    site tensor keyed by (layer_id, site_name).
+    site tensor by its key.
     """
 
-    def site(name: str, x: Tensor) -> Tensor:
+    def site(key: tuple[int, str], x: Tensor) -> Tensor:
         if capture is not None:
-            capture[(layer_id, name)] = x.data
-        p = qcfg.get((layer_id, name))
+            capture[key] = x.data
+        p = qcfg.get(key)
         return quantize_dequantize(x, p, tape) if p is not None else x
 
     return site
@@ -276,16 +296,15 @@ def site_hook(layer_id: int, qcfg: dict, tape: Tape | None = None,
 # Every layer kind is an ordered list of steps (LAYER_STEPS). A step computes
 # out = op(*ins, tape) from named values or, when op is None, passes its one
 # input through the site hook under its site name; such a step is the one
-# declaration of that quant site (sites_for_layer). A layer's values start as
-# its weights by name, its attrs as "attrs" and its inputs as "x" and "y"; its
-# last step writes "out". One loop (run_steps) runs every list, so forwards,
-# calibration passes and the search's re-run of a site's cone (site_cone)
-# share one implementation.
+# declaration of that quant site (sites_for_layer). A kind's steps read its
+# weights by name, its attrs as "attrs" and its inputs as "x" and "y"; its
+# last step writes "out". LayerSpec.steps names these values by layer, so the
+# steps of any run of layers concatenate into one list, and one loop
+# (run_steps) runs forwards, calibration passes, a unit's re-run and a site's
+# cone across the unit (site_cone) alike.
 
-INPUT_NAMES = ("x", "y")
 
-
-class Step(NamedTuple):
+class Step(NamedTuple):  # names are keys (layer id, name) in LayerSpec.steps
     out: str
     op: Callable | None
     ins: tuple[str, ...]
@@ -447,7 +466,7 @@ def run_steps(steps, vals: dict, site, tape: Tape | None = None,
               keep: bool = True) -> dict:
     """Run steps in order on vals, a {name: value} map (a name it lacks reads
     as None, an absent bias); each step's output is added under its name and
-    the map is returned.
+    the map is returned. A site step's value is site(step.site, its input).
 
     keep=False drops each value after its last use (Step.drop), so a forward
     holds no more intermediates at once than the layer itself requires.
@@ -463,62 +482,30 @@ def run_steps(steps, vals: dict, site, tape: Tape | None = None,
     return vals
 
 
-def site_cone(steps, site: str | None, inputs=()) -> tuple[Step, ...]:
-    """The steps to re-run when only site's params, or only the values named
-    in inputs, change: the step that quantizes site plus every step that
-    reads a changed value, in list order."""
-    dirty, cone = set(inputs), []
+def site_cone(steps, site: tuple[int, str]) -> tuple[Step, ...]:
+    """The steps to re-run when only site's params change: the step that
+    quantizes site plus every step that reads a changed value, in list
+    order."""
+    dirty, cone = set(), []
     for step in steps:
-        if (site and step.site == site) or dirty.intersection(step.ins):
+        if step.site == site or dirty.intersection(step.ins):
             dirty.add(step.out)
             cone.append(step)
     return tuple(cone)
 
 
-def run_layer(layer: LayerSpec, inputs: list[Tensor], qcfg: dict,
-              tape: Tape | None = None, capture: dict | None = None,
-              step_values: dict | None = None) -> Tensor:
-    """Execute one layer: run its kind's step list (LAYER_STEPS) on its
-    values, fake-quantizing every site present in qcfg. capture, when given,
-    is filled with the full-precision value of every site tensor keyed by
-    (layer_id, site_name); step_values, when given, receives the layer's
-    {step name: value} map under its layer id.
+def run_layer(layer: LayerSpec, vals: dict, site,
+              tape: Tape | None = None) -> Tensor:
+    """Execute one layer: add its values to vals, the forward's {key: value}
+    map holding its inputs, and run its steps with keep=False and site as
+    the site hook. Returns its output, left in vals under (layer id, "out").
     """
-    vals = {**layer.weights, "attrs": layer.attrs}
-    vals.update(zip(INPUT_NAMES, inputs))
-    run_steps(LAYER_STEPS[layer.kind], vals,
-              site_hook(layer.id, qcfg, tape, capture), tape,
-              keep=step_values is not None)
-    if step_values is not None:
-        step_values[layer.id] = vals
-    return vals["out"]
-
-
-def execute(layers, vals: dict[int, Tensor], qcfg: dict,
-            tape: Tape | None = None, capture: dict | None = None,
-            step_values: dict | None = None) -> dict[int, Tensor]:
-    """Run layers in order on vals, a {producer_id: Tensor} map that must hold
-    every input the layers do not produce themselves; each layer's output is
-    added under its id and the map is returned. capture and step_values are
-    passed to run_layer.
-
-    The whole model, pass 1 and a reconstruction unit re-run on cached inputs
-    all execute through here, so they share one site hook (see run_layer).
-    """
-    for layer in layers:
-        ins = []
-        for pid in layer.inputs:
-            if pid not in vals:
-                raise GraphExecutionError(
-                    f"layer {layer.id} ({layer.kind}): missing producer {pid}")
-            ins.append(vals[pid])
-        try:
-            vals[layer.id] = run_layer(layer, ins, qcfg, tape, capture,
-                                       step_values)
-        except Exception as e:
-            raise GraphExecutionError(
-                f"layer {layer.id} ({layer.kind}): {e}") from e
-    return vals
+    vals.update(layer.values)
+    try:
+        run_steps(layer.steps, vals, site, tape, keep=False)
+        return vals[(layer.id, "out")]
+    except Exception as e:
+        raise GraphExecutionError(f"layer {layer.id} ({layer.kind}): {e}") from e
 
 
 def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
@@ -527,17 +514,19 @@ def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
         raise GraphExecutionError(
             f"input shape {tuple(x.shape[1:])} does not match graph input "
             f"{graph.input_shape}")
-    inputs = {GRAPH_INPUT: tape.leaf(x) if tape is not None else x}
-    vals = execute(graph.layers, inputs, qcfg, tape, capture)
+    vals = {(GRAPH_INPUT, "out"): tape.leaf(x) if tape is not None else x}
+    site = site_hook(qcfg, tape, capture)
+    for layer in graph.layers:
+        run_layer(layer, vals, site, tape)
     if capture is not None:  # site steps run in every mode; keep the mode's
         for key in set(capture) - {s.key for s in graph.quant_sites}:
             del capture[key]
-    outputs = {lid: vals[lid] for lid in watch if lid in vals}
+    outputs = {lid: vals[(lid, "out")] for lid in watch if (lid, "out") in vals}
     if tape is not None:
         for out in outputs.values():
             if out.node is not None:
                 tape.watch(out.node)
-    return vals[graph.output_id], outputs
+    return vals[(graph.output_id, "out")], outputs
 
 
 def forward_fp(graph: Graph, x: Tensor, watch=(), tape: Tape | None = None,

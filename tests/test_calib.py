@@ -16,7 +16,7 @@ from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
                            pass1_cache_fp, pass2_cache_gradients, search_unit)
 from hyquant.cli import qconfig_to_doc, with_mode
 from hyquant.graph import (GRAPH_INPUT, Graph, LayerSpec, forward_fp,
-                           forward_quant, run_layer)
+                           forward_quant, run_layer, site_hook)
 from hyquant.quant import fit_minmax, params_for_scale
 from hyquant.tensor import Tensor, cross_entropy
 from hyquant.zoo import FIXTURES, build_fixture
@@ -149,7 +149,7 @@ class TestPass1:
         batch = t(np.random.default_rng(0).normal(0, 1, (8, 4)).astype(F32))
         cache = pass1_cache_fp(g, batch, fixture_units(g))
         np.testing.assert_array_equal(cache.unit_outputs[0], batch.data)
-        np.testing.assert_array_equal(cache.unit_inputs[0][(0, -1)], batch.data)
+        np.testing.assert_array_equal(cache.unit_inputs[0][-1], batch.data)
 
     def test_cache_shapes_match_forward_watch(self):
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")
@@ -251,7 +251,8 @@ class TestPass2:
         layer1 = g.layer(1)
 
         def loss_from_unit0(o0):
-            y = run_layer(layer1, [Tensor._wrap(o0.astype(F32))], {})
+            y = run_layer(layer1, {(0, "out"): Tensor._wrap(o0.astype(F32))},
+                          site_hook({}))
             return cross_entropy(y, labels, "sum").item()
 
         o0 = cache.unit_outputs[0].copy()

@@ -562,6 +562,21 @@ class TestFixturesCommand:
         assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["quantize", "evaluate", "report"])
+def test_negative_seed_is_usage_error(runner, tmp_path, command):
+    qconfig = tmp_path / "q.json"
+    save_qconfig(str(qconfig), {}, 8, "partial")
+    out = tmp_path / "out"
+    args = [command, "--fixture", "tiny-mvit-ln", "--seed", "-5", "--out", str(out)]
+    if command == "evaluate":
+        args += ["--qconfig", str(qconfig)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    lines = error_lines(result.output)
+    assert len(lines) == 1 and "--seed" in lines[0], result.output
+    assert not out.exists()
+
+
 class TestBlasThreads:
     def test_quantize_writes_the_same_bytes_under_one_and_two_blas_threads(
             self, tmp_path):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from hyquant.cli import with_mode
-from hyquant.graph import (ATTENTION_STEPS, Graph, GraphError,
+from hyquant.graph import (ATTENTION_STEPS, GRAPH_INPUT, Graph, GraphError,
                            GraphExecutionError, LayerSpec, SiteCoverageError,
                            check_site_coverage, forward_fp, forward_quant,
-                           load_manifest, run_layer, run_steps, save_manifest)
+                           load_manifest, run_layer, run_steps, save_manifest,
+                           site_hook)
 from hyquant.quant import fit_minmax
 from hyquant.tensor import Tensor
 from hyquant.zoo import build_fixture
@@ -203,7 +204,7 @@ class TestQuantAttention:
         capture = {}
         mhsa = graph.layer(7)
         _, outs = forward_fp(graph, calib, watch={6})
-        run_layer(mhsa, [outs[6]], {}, capture=capture)
+        run_layer(mhsa, {(6, "out"): outs[6]}, site_hook({}, capture=capture))
         probs = capture[(7, "attn_probs")]
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -242,6 +243,22 @@ _SITE_PINS = {
 }
 
 
+def _pin_graph(name, mode):
+    """The graph that _SITE_PINS[(name, mode)] records."""
+    if name != "softmax-matmul":
+        return with_mode(build_fixture(name)[0], mode)
+    rng = np.random.default_rng(0)
+    return Graph(layers=[
+        LayerSpec(0, "linear", {}, [-1],
+                  {"w": t(rng.normal(0, 1, (4, 4)).astype(F32))}),
+        LayerSpec(1, "matmul", {"transpose_b": True}, [0, 0]),
+        LayerSpec(2, "softmax", {"axis": -1}, [1])],
+        input_shape=(3, 4), mode=mode)
+
+
+_BIASES = ("b", "b_q", "b_k", "b_v", "b_o")
+
+
 class TestSites:
     def test_partial_mode_site_census(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
@@ -267,16 +284,7 @@ class TestSites:
 
     @pytest.mark.parametrize("name,mode", sorted(_SITE_PINS))
     def test_sites_match_recorded_declarations(self, name, mode):
-        if name == "softmax-matmul":
-            rng = np.random.default_rng(0)
-            graph = Graph(layers=[
-                LayerSpec(0, "linear", {}, [-1],
-                          {"w": t(rng.normal(0, 1, (4, 4)).astype(F32))}),
-                LayerSpec(1, "matmul", {"transpose_b": True}, [0, 0]),
-                LayerSpec(2, "softmax", {"axis": -1}, [1])],
-                input_shape=(3, 4), mode=mode)
-        else:
-            graph = with_mode(build_fixture(name)[0], mode)
+        graph = _pin_graph(name, mode)
         got = {}
         for layer in graph.layers:
             sites = graph.sites_by_layer[layer.id]
@@ -287,6 +295,29 @@ class TestSites:
                     f"{s.name}@{s.channel_axis}{'' if s.allow_per_channel else '!'}"
                     for s in scan)
         assert got == _SITE_PINS[(name, mode)]
+
+    @pytest.mark.parametrize("name,mode", sorted(_SITE_PINS))
+    def test_keyed_steps_are_well_formed(self, name, mode):
+        # walked in order, the layers' steps read only the graph input, an
+        # earlier step's output, their own layer's weights and attrs, or an
+        # absent bias; each key is written once, by its own layer; and the
+        # site steps are the full-mode quant sites
+        graph = _pin_graph(name, mode)
+        written, sites = {(GRAPH_INPUT, "out")}, set()
+        for layer in graph.layers:
+            own = {(layer.id, n) for n in (*layer.weights, "attrs")}
+            absent = {(layer.id, n) for n in _BIASES if n not in layer.weights}
+            for step in layer.steps:
+                for key in step.ins:
+                    assert key in written | own | absent, (layer.id, step.out, key)
+                assert step.out[0] == layer.id and step.out not in written
+                assert all(key[0] == layer.id for key in step.drop)
+                written.add(step.out)
+                if step.site:
+                    assert step.site[0] == layer.id
+                    sites.add(step.site)
+        assert sites == {s.key for s in with_mode(graph, "full").quant_sites}
+        assert sites >= {s.key for s in graph.quant_sites}
 
     def test_layer_norm_channel_axis_does_not_move_its_site(self):
         # layer_norm always normalizes over the last axis, so a channel_axis

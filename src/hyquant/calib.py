@@ -177,9 +177,13 @@ def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     return cache
 
 
+# the min-max init as a (granularity, weight scheme, activation scheme, label)
+_DEFAULT = ("per_layer", "symmetric", "asymmetric", "default")
+
+
 def default_qconfig(graph: Graph, bits: int, cache: CalibCache) -> dict:
     """Min-max per-layer init: weights symmetric, activations asymmetric."""
-    return {site.key: _default_site_params(graph, site, cache, bits)
+    return {site.key: _fit(site, cache, bits, _DEFAULT)
             for site in graph.quant_sites}
 
 
@@ -192,11 +196,16 @@ def _site_fp_value(site: Site, cache: CalibCache) -> np.ndarray:
             f"run pass1_cache_fp first") from None
 
 
-def _default_site_params(graph: Graph, site: Site, cache: CalibCache,
-                         bits: int) -> QuantParams:
-    data = _site_fp_value(site, cache)
-    scheme = "symmetric" if site.kind == "weight" else "asymmetric"
-    return fit_minmax(Tensor._wrap(data), bits, scheme, "per_layer")
+def _fit(site: Site, cache: CalibCache, bits: int,
+         combo: tuple[str, str, str, str]) -> QuantParams:
+    """Min-max fit of one site's cached value under a (granularity, weight
+    scheme, activation scheme, label) combination; per layer where the site
+    has no per-channel axis."""
+    gran, s_w, s_a, _ = combo
+    return fit_minmax(_site_fp_value(site, cache), bits,
+                      s_w if site.kind == "weight" else s_a,
+                      gran if site.allow_per_channel else "per_layer",
+                      site.channel_axis)
 
 
 def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
@@ -302,31 +311,7 @@ def _combos(options: CalibOptions) -> list[tuple[str, str, str, str]]:
         gs.append("per_channel")
     if options.scheme_search:
         return [(g, s, s, s) for g in gs for s in ("symmetric", "asymmetric")]
-    return [(g, "symmetric", "asymmetric", "default") for g in gs]
-
-
-def _site_granularity(site: Site, granularity: str) -> str:
-    if granularity == "per_channel" and not site.allow_per_channel:
-        return "per_layer"
-    return granularity
-
-
-def _scan_candidates(evaluator, params, site, candidates, trace_rows,
-                     trace_meta):
-    """Score every candidate QuantParams for one site against the evaluator's
-    state; returns (best_obj, best_params)."""
-    saved = params[site.key]
-    objs = []
-    for p in candidates:
-        params[site.key] = p
-        objs.append(evaluator.score_site(params, site))
-    params[site.key] = saved
-    if trace_rows is not None:
-        label, g_lab, s_lab = trace_meta
-        for ci, obj in enumerate(objs):
-            trace_rows.append((label, g_lab, s_lab, ci, obj))
-    best_ci = int(np.argmin(objs))
-    return objs[best_ci], candidates[best_ci]
+    return [(g, *_DEFAULT[1:]) for g in gs]
 
 
 def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
@@ -345,9 +330,7 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
     if not sites:
         raise CalibError(f"unit {unit.label} has no quant sites to search")
     evaluator = _UnitEvaluator(graph, unit, cache, options.metric)
-    stats = {s.key: _site_fp_value(s, cache) for s in sites}
-    default_params = {s.key: _default_site_params(graph, s, cache, bits)
-                      for s in sites}
+    default_params = {s.key: _fit(s, cache, bits, _DEFAULT) for s in sites}
     default_obj = evaluator.run(default_params)
     if trace is not None:
         trace.append((unit.label, "per_layer", "default", -1, default_obj))
@@ -356,67 +339,54 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                             params=default_params, granularity="per_layer",
                             scheme="default", objective=default_obj)
     # an all-zero unit has nothing to scale: it keeps min-max, flagged
-    decision.fallback = options.scale_search and all(
-        float(np.abs(stats[s.key]).max()) == 0.0 for s in sites)
+    decision.fallback = options.scale_search and not any(
+        np.any(_site_fp_value(s, cache)) for s in sites)
     if not options.scale_search or decision.fallback:
         decision.evals = evaluator.evals
         return decision
 
-    weight_sites = [s for s in sites if s.kind == "weight"]
-    act_sites = [s for s in sites if s.kind == "activation"]
-    scales: dict[tuple[tuple[int, str], str], np.ndarray] = {}
-
-    for g, s_w, s_a, s_label in _combos(options):
-        params: dict[tuple[int, str], QuantParams] = {}
-        feasible = True
-        for site in sites:
-            scheme = s_w if site.kind == "weight" else s_a
-            gran = _site_granularity(site, g)
-            axis = site.channel_axis if gran == "per_channel" else None
-            p = fit_minmax(Tensor._wrap(stats[site.key]), bits, scheme, gran,
-                           axis)
-            if p.any_clamped:
-                # zero-point overflow: the grid cannot represent real zero, so
-                # this (g, s) combination is not a valid quantizer for the unit
-                feasible = False
-                break
-            params[site.key] = p
-        if not feasible:
+    scan_order = sorted(sites, key=lambda s: s.kind != "weight")
+    for combo in _combos(options):
+        g, _, _, s_label = combo
+        params = {s.key: _fit(s, cache, bits, combo) for s in sites}
+        if any(p.any_clamped for p in params.values()):
+            # zero-point overflow: the grid cannot represent real zero, so
+            # this combination is not a valid quantizer for the unit
             continue
         cur_obj = evaluator.run(params)
         if trace is not None:
             trace.append((unit.label, g, s_label, -1, cur_obj))
         # candidates keep the fit's zero-point, so one list serves every round
-        candidates = {}
-        for site in sites:
-            ck = (site.key, params[site.key].granularity)
-            if ck not in scales:
-                scales[ck] = np.atleast_1d(generate_candidates(
-                    Tensor._wrap(stats[site.key]), bits, space, ck[1],
-                    site.channel_axis))
-            candidates[site.key] = [params_for_scale(params[site.key], c)
-                                    for c in scales[ck]]
+        candidates = {s.key: [params_for_scale(params[s.key], c) for c in
+                              generate_candidates(
+                                  _site_fp_value(s, cache), bits, space,
+                                  params[s.key].granularity, s.channel_axis)]
+                      for s in sites}
         # A scan scores fixed candidates against the other sites' params, so
         # while no site adopts a scale it repeats its last result: the same
         # argmin, and obj < cur_obj false. It is skipped while the count of
         # adoptions in this combination is what it was after that scan.
         adoptions, scanned_at = 0, {}
         for _ in range(space.iterations):
-            for site in weight_sites + act_sites:
+            for site in scan_order:
                 if scanned_at.get(site.key) == adoptions:
                     continue
-                obj, p = _scan_candidates(
-                    evaluator, params, site, candidates[site.key], trace,
-                    (unit.label, g, s_label))
-                if obj < cur_obj:
-                    params[site.key] = p
+                cands = candidates[site.key]
+                objs = [evaluator.score_site({**params, site.key: p}, site)
+                        for p in cands]
+                if trace is not None:
+                    trace.extend((unit.label, g, s_label, ci, obj)
+                                 for ci, obj in enumerate(objs))
+                best = int(np.argmin(objs))
+                if objs[best] < cur_obj:
+                    params[site.key] = cands[best]
                     evaluator.adopt(params, site)
-                    cur_obj = obj
+                    cur_obj = objs[best]
                     adoptions += 1
                 scanned_at[site.key] = adoptions
         # strictly lower only: ties keep the default or the earlier combination
         if cur_obj < decision.objective:
-            decision = replace(decision, params=dict(params), granularity=g,
+            decision = replace(decision, params=params, granularity=g,
                                scheme=s_label, objective=cur_obj)
     decision.evals = evaluator.evals
     return decision

@@ -194,13 +194,21 @@ def _load_labels(path: str) -> np.ndarray:
     return vals.astype(np.int64).reshape(-1)
 
 
-def _check_source(model, fixture, needs: str, *data) -> None:
-    """Usage error unless exactly one model source is given and a --model
-    comes with every data blob it needs."""
+def _check_source(model, fixture, seed, blobs: dict) -> None:
+    """Usage error unless exactly one model source is given, a --model comes
+    with every data blob (flag -> path) and no --seed, and a --fixture, which
+    brings its own data, with no blob."""
     if (model is None) == (fixture is None):
         raise click.UsageError("give exactly one of --model or --fixture")
-    if model is not None and any(d is None for d in data):
-        raise click.UsageError(f"--model requires {needs}")
+    given = [flag for flag, path in blobs.items() if path is not None]
+    if fixture is not None:
+        if given:
+            raise click.UsageError(f"{given[0]} needs --model; --fixture "
+                                   f"brings its own data")
+    elif len(given) < len(blobs):
+        raise click.UsageError(f"--model requires {' and '.join(blobs)}")
+    elif seed is not None:
+        raise click.UsageError("--seed applies to --fixture only")
 
 
 def _load_source(model, fixture, seed, mode, calib_path=None, eval_path=None,
@@ -269,7 +277,7 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
              scheme_search, metric, alpha, beta, candidates, iterations, seed,
              out, trace):
     """Calibrate a model and write the quantization config document."""
-    _check_source(model, fixture, "--calib data", calib)
+    _check_source(model, fixture, seed, {"--calib": calib})
     try:
         space = SearchSpace(alpha=alpha, beta=beta, candidates=candidates,
                             iterations=iterations)
@@ -313,7 +321,8 @@ def quantize(model, fixture, calib, bits, mode, scale_search, granularity_search
 @click.option("--out", type=click.Path(), default=None, help="metrics JSON path")
 def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
     """Report FP vs quantized top-1, agreement and logit MSE."""
-    _check_source(model, fixture, "--eval and --labels", eval_path, labels_path)
+    _check_source(model, fixture, seed,
+                  {"--eval": eval_path, "--labels": labels_path})
     qcfg, _, mode = load_qconfig(qconfig_path)
     graph, _, eval_x, labels = _load_source(model, fixture, seed, mode,
                                             eval_path=eval_path,
@@ -339,7 +348,7 @@ def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
 @click.option("--out", type=click.Path(), required=True, help="report CSV path")
 def report(model, fixture, calib, val, bits, mode, seed, out):
     """Per-channel activation ranges, overflow flags, calib-vs-val gap."""
-    _check_source(model, fixture, "--calib and --val", calib, val)
+    _check_source(model, fixture, seed, {"--calib": calib, "--val": val})
     graph, calib_x, val_x, _ = _load_source(model, fixture, seed, mode,
                                             calib_path=calib, eval_path=val)
     rows = range_report(graph, calib_x, val_x, int(bits))

@@ -111,6 +111,9 @@ class Graph:
             if layer.kind not in LAYER_KINDS:
                 raise GraphError(f"unknown layer kind '{layer.kind}' at layer "
                                  f"{layer.id}; known: {', '.join(LAYER_KINDS)}")
+            if layer.id < 0:
+                raise GraphError(f"layer id {layer.id} is negative; "
+                                 f"{GRAPH_INPUT} names the graph input")
             if layer.id in self._by_id:
                 raise GraphError(f"duplicate layer id {layer.id}")
             for pid in layer.inputs:

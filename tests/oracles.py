@@ -104,39 +104,25 @@ def brute_force_search_minimum(graph, unit, cache, space, options, bits):
     import itertools
 
     from hyquant import calib as C
-    from hyquant.quant import fit_minmax, params_for_scale
-    from hyquant.tensor import Tensor
+    from hyquant.quant import params_for_scale
 
     ev = C._UnitEvaluator(graph, unit, cache, options.metric)
     sites = [s for lid in unit.layer_ids for s in graph.sites_by_layer[lid]]
-    stats = {s.key: C._site_fp_value(s, cache) for s in sites}
-    best = ev.run({s.key: C._default_site_params(graph, s, cache, bits)
-                   for s in sites})
-    for g, s_w, s_a, _ in C._combos(options):
-        init = {}
-        feasible = True
-        for s in sites:
-            scheme = s_w if s.kind == "weight" else s_a
-            gran = C._site_granularity(s, g)
-            axis = s.channel_axis if gran == "per_channel" else None
-            p = fit_minmax(Tensor._wrap(stats[s.key]), bits, scheme, gran, axis)
-            if p.any_clamped:
-                feasible = False
-                break
-            init[s.key] = p
-        if not feasible:
+    best = ev.run({s.key: C._fit(s, cache, bits, C._DEFAULT) for s in sites})
+    for combo in C._combos(options):
+        init = {s.key: C._fit(s, cache, bits, combo) for s in sites}
+        if any(p.any_clamped for p in init.values()):
             continue
         per_site = []
         for s in sites:
-            cands = np.atleast_1d(C.generate_candidates(
-                Tensor._wrap(stats[s.key]), bits, space,
-                init[s.key].granularity, s.channel_axis))
+            cands = C.generate_candidates(
+                C._site_fp_value(s, cache), bits, space,
+                init[s.key].granularity, s.channel_axis)
             choices = [init[s.key]]
-            choices += [params_for_scale(init[s.key], cands[ci])
-                        for ci in range(cands.shape[0])]
+            choices += [params_for_scale(init[s.key], c) for c in cands]
             per_site.append(choices)
-        for combo in itertools.product(*per_site):
-            params = {s.key: p for s, p in zip(sites, combo)}
+        for choice in itertools.product(*per_site):
+            params = {s.key: p for s, p in zip(sites, choice)}
             best = min(best, ev.run(params))
     return best
 

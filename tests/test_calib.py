@@ -298,7 +298,7 @@ class TestSearchUnit:
         # objective can never exceed the min-max default's
         ev = C._UnitEvaluator(g, unit, cache, "hessian")
         sites = [s for lid in unit.layer_ids for s in g.sites_by_layer[lid]]
-        default_obj = ev.run({s.key: C._default_site_params(g, s, cache, 8)
+        default_obj = ev.run({s.key: C._fit(s, cache, 8, C._DEFAULT)
                               for s in sites})
         assert d.objective <= default_obj
 
@@ -325,7 +325,7 @@ class TestSearchUnit:
             if not sites:
                 continue
             ev = C._UnitEvaluator(graph, unit, cache, "hessian")
-            default_obj = ev.run({s.key: C._default_site_params(graph, s, cache, 8)
+            default_obj = ev.run({s.key: C._fit(s, cache, 8, C._DEFAULT)
                                   for s in sites})
             d = search_unit(graph, unit, cache, space, CalibOptions(), bits=8)
             assert d.objective <= default_obj, unit.label
@@ -386,7 +386,7 @@ class TestSearchUnit:
                         CalibOptions(), bits=8)
         assert (d.granularity, d.scheme, d.objective) == \
             ("per_layer", "default", 0.0)
-        assert d.params == {s.key: C._default_site_params(g, s, cache, 8)
+        assert d.params == {s.key: C._fit(s, cache, 8, C._DEFAULT)
                             for s in g.quant_sites}
 
     @pytest.mark.parametrize("metric", ["hessian", "cosine"])
@@ -559,14 +559,8 @@ class TestOneExecutor:
                     continue
                 ev = C._UnitEvaluator(graph, unit, cache, metric)
                 ref = C._UnitEvaluator(graph, unit, cache, metric)
-                for ci, (g, s_w, s_a, _) in enumerate(C._combos(CalibOptions())):
-                    params = {}
-                    for s in sites:
-                        gran = C._site_granularity(s, g)
-                        params[s.key] = fit_minmax(
-                            Tensor._wrap(cache.site_values[s.key]), 8,
-                            s_w if s.kind == "weight" else s_a, gran,
-                            s.channel_axis if gran == "per_channel" else None)
+                for ci, combo in enumerate(C._combos(CalibOptions())):
+                    params = {s.key: C._fit(s, cache, 8, combo) for s in sites}
                     ev.run(params)
                     for si, s in enumerate(sites):
                         scales = generate_candidates(
@@ -576,7 +570,7 @@ class TestOneExecutor:
                             params[s.key], scales[(si + ci) % 2])}
                         got = ev.score_site(trial, s)
                         assert got.hex() == ref.run(trial).hex(), (
-                            metric, unit.label, g, s_w, s.name)
+                            metric, unit.label, combo, s.name)
                         checks += 1
                         params = trial
                         ev.adopt(params, s)
@@ -597,7 +591,7 @@ class TestOneExecutor:
         unit = next(u for u in units if u.label == label)
         sites = {s.key: s for lid in unit.layer_ids
                  for s in graph.sites_by_layer[lid]}
-        params = {k: C._default_site_params(graph, s, cache, 8)
+        params = {k: C._fit(s, cache, 8, C._DEFAULT)
                   for k, s in sites.items()}
         ev = C._UnitEvaluator(graph, unit, cache, "hessian")
         ev.run(params)
@@ -710,3 +704,66 @@ class TestSearchPinAllFixtures:
         assert hashlib.sha256(doc.encode()).hexdigest() == sha
         assert {d.label: d.evals for d in decisions} == evals
         assert len(rows) == n_rows
+
+
+# (fixture, mode, bits, options) -> (qconfig sha256, evaluations per unit,
+# sha256 of the trace rows written "unit,granularity,scheme,candidate,
+# objective.hex()" one a line) of calibrate with SearchSpace(candidates=4,
+# iterations=2): the ablation chain below the full search, whose combinations
+# carry the "default" scheme label, and the cosine metric
+_OPTION_PINS = {
+    ("overflow-bridge", "full", 6, "scale-only"): (
+        "8a6bd8a3f9b6ddbd3da25ba98846648e08d237fa600f9c0dff0f0a200755eab2",
+        {"layer0": 14, "layer1": 6, "bridge0": 30, "layer6": 6, "layer7": 46,
+         "layer9": 6, "layer10": 10, "layer12": 10, "layer15": 14},
+        "27f94c7f0b08bb41c969ac50eb29370a3e8822851da2f027583637e7b568620e"),
+    ("overflow-bridge", "full", 6, "no-scheme"): (
+        "a4f7203adbe275175f8920d45f6dddcb629bac8b8d55ce171a38f7b3a7117570",
+        {"layer0": 27, "layer1": 11, "bridge0": 30, "layer6": 11, "layer7": 95,
+         "layer9": 11, "layer10": 19, "layer12": 19, "layer15": 14},
+        "89b11a89e55e4ae63eb1565f47e1449d51d4da0f16ccf0c4bac9480953877704"),
+    ("overflow-bridge", "full", 6, "cosine"): (
+        "65daa29ff58dabb30ef031646730f47d31969a186f8493ede673be7c7b8fd6d2",
+        {"layer0": 53, "layer1": 21, "bridge0": 68, "layer6": 21, "layer7": 337,
+         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
+        "388f468db63fd4b224974f4495fc238e03af204c6962b0992b635a91bac2dc1a"),
+    ("tiny-mvit-bn", "partial", 8, "scale-only"): (
+        "ef9dc920148360a2771af9dad368c079b339f7de1f0847ea49634c78d299cdb4",
+        {"layer0": 10, "bridge0": 22, "layer7": 66, "layer10": 10,
+         "layer12": 10, "layer15": 10},
+        "f7acf7aa2d77292c67aab7de78816745097baa22a248a15e363d591dd544c701"),
+    ("tiny-mvit-bn", "partial", 8, "no-scheme"): (
+        "cc700cba16c6c01218522b0d6c77d4ed2401185134d448d21c431bfdef726b44",
+        {"layer0": 19, "bridge0": 39, "layer7": 139, "layer10": 19,
+         "layer12": 19, "layer15": 10},
+        "5259b95f7ae85bd2d8ac60fd643892397c3fc37bed7b6161502fbe9b0be95963"),
+    ("tiny-mvit-bn", "partial", 8, "cosine"): (
+        "7d22dfa3e5e2b83ff529de1f5dfa1fccbdb810435ecdd8e0b4e4fddea97346c9",
+        {"layer0": 37, "bridge0": 81, "layer7": 257, "layer10": 37,
+         "layer12": 37, "layer15": 28},
+        "10950fa8f8281a0dc79d141beddf659f34d0ed43eab1cd9b99233a6f392edfeb"),
+}
+
+_PIN_OPTIONS = {
+    "scale-only": CalibOptions(granularity_search=False, scheme_search=False),
+    "no-scheme": CalibOptions(scheme_search=False),
+    "cosine": CalibOptions(metric="cosine"),
+}
+
+
+class TestSearchPinOptions:
+    @pytest.mark.parametrize("name,mode,bits,options", sorted(_OPTION_PINS))
+    def test_search_matches_recorded_result(self, name, mode, bits, options):
+        sha, evals, trace_sha = _OPTION_PINS[(name, mode, bits, options)]
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        rows = []
+        qcfg, decisions = calibrate(graph, calib,
+                                    SearchSpace(candidates=4, iterations=2),
+                                    _PIN_OPTIONS[options], bits=bits, trace=rows)
+        doc = json.dumps(qconfig_to_doc(qcfg, bits, mode), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == sha
+        assert {d.label: d.evals for d in decisions} == evals
+        text = "\n".join(f"{u},{g},{s},{ci},{obj.hex()}"
+                         for u, g, s, ci, obj in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == trace_sha

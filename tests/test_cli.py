@@ -577,6 +577,44 @@ def test_negative_seed_is_usage_error(runner, tmp_path, command):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command, source, flag", [
+    ("quantize", "fixture", "--calib"),
+    ("evaluate", "fixture", "--eval"),
+    ("evaluate", "fixture", "--labels"),
+    ("report", "fixture", "--calib"),
+    ("report", "fixture", "--val"),
+    ("quantize", "model", "--seed"),
+    ("evaluate", "model", "--seed"),
+    ("report", "model", "--seed"),
+])
+def test_ignored_source_flag_is_usage_error(runner, tmp_path, command, source,
+                                            flag):
+    """A blob given with --fixture (which brings its own data) or a --seed
+    given with --model would go unread: each is refused, naming the flag."""
+    paths = export_fixture("overflow-bridge", str(tmp_path))
+    qconfig = tmp_path / "q.json"
+    save_qconfig(str(qconfig), {}, 8, "partial")
+    out = tmp_path / "out"
+    blobs = {"quantize": {"--calib": paths["calib"]},
+             "evaluate": {"--eval": paths["eval"],
+                          "--labels": paths["eval_labels"]},
+             "report": {"--calib": paths["calib"], "--val": paths["eval"]},
+             }[command]
+    if source == "fixture":
+        args = ["--fixture", "overflow-bridge", flag, blobs[flag]]
+    else:
+        args = ["--model", paths["manifest"], "--seed", "3"]
+        args += [v for item in blobs.items() for v in item]
+    if command == "evaluate":
+        args += ["--qconfig", str(qconfig)]
+    result = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = error_lines(result.output)
+    assert len(lines) == 1 and flag in lines[0], result.output
+    assert not out.exists()
+
+
 class TestBlasThreads:
     def test_quantize_writes_the_same_bytes_under_one_and_two_blas_threads(
             self, tmp_path):

@@ -48,6 +48,14 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="duplicate"):
             Graph(layers=layers, input_shape=(4,))
 
+    @pytest.mark.parametrize("layer_id", [GRAPH_INPUT, -2])
+    def test_negative_id_rejected(self, layer_id):
+        # layer -1 would shadow the graph input for every later consumer
+        layers = [LayerSpec(layer_id, "activation", {"fn": "relu"}, [-1]),
+                  LayerSpec(0, "add", {}, [-1, -1])]
+        with pytest.raises(GraphError, match=f"layer id {layer_id} is negative"):
+            Graph(layers=layers, input_shape=(3,))
+
     def test_forward_reference_rejected(self):
         layers = [LayerSpec(0, "add", {}, [-1, 1]),
                   LayerSpec(1, "activation", {"fn": "relu"}, [0])]

@@ -35,7 +35,8 @@ class CalibError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Scale-candidate range multipliers, candidate count, alternation rounds."""
+    """Scale-candidate range multipliers, candidate count, alternation rounds;
+    0 <= alpha <= beta and beta > 0, as a scale <= 0 is floored to SCALE_FLOOR."""
 
     alpha: float = 0.0
     beta: float = 1.2
@@ -46,6 +47,10 @@ class SearchSpace:
         for name in ("alpha", "beta"):
             if not np.isfinite(getattr(self, name)):
                 raise CalibError(f"{name} {getattr(self, name)} must be finite")
+        if self.alpha < 0:
+            raise CalibError(f"alpha {self.alpha} must not be negative")
+        if self.beta <= 0:
+            raise CalibError(f"beta {self.beta} must be positive")
         if self.alpha > self.beta:
             raise CalibError(f"alpha {self.alpha} must not exceed beta {self.beta}")
         if self.candidates < 1:
@@ -209,24 +214,20 @@ def _fit(site: Site, cache: CalibCache, bits: int,
 
 
 def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
-                          cache: CalibCache, bits: int = 8,
-                          qconfig_override: dict | None = None) -> CalibCache:
+                          cache: CalibCache, bits: int = 8) -> CalibCache:
     """Default-quantized forward + backward; caches per-unit output gradients.
 
     Loss is sum-reduced cross-entropy of the quantized logits against the
     full-precision argmax labels, so the logit gradient is softmax - onehot.
-    qconfig_override replaces the min-max default (an empty dict gives the
-    exact full-precision path, useful as a smooth-gradient stub).
     """
     if cache.logits_fp is None:
         raise CalibError("pass 1 cache missing; run pass1_cache_fp first")
-    qcfg = default_qconfig(graph, bits, cache) if qconfig_override is None \
-        else qconfig_override
+    qcfg = default_qconfig(graph, bits, cache)
     tape = Tape()
     watch = {u.output_id for u in units}
     logits, outs = forward_quant(graph, calib_batch, qcfg, watch=watch, tape=tape)
     labels = np.argmax(cache.logits_fp, axis=1)
-    loss = cross_entropy(logits, labels, reduction="sum", tape=tape)
+    loss = cross_entropy(logits, labels, tape=tape)
     assert loss.node is not None
     grads = backward(Tensor(1.0), tape)
     for u in units:

@@ -532,12 +532,11 @@ def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
     return vals[(graph.output_id, "out")], outputs
 
 
-def forward_fp(graph: Graph, x: Tensor, watch=(), tape: Tape | None = None,
-               capture: dict | None = None):
+def forward_fp(graph: Graph, x: Tensor, watch=(), capture: dict | None = None):
     """Full-precision forward; returns (logits, {id: output}) for the ids in
     watch (GRAPH_INPUT allowed). capture, when given, receives the value of
     every quant site of the graph's mode keyed by (layer_id, site_name)."""
-    return _forward(graph, x, {}, watch, tape, capture)
+    return _forward(graph, x, {}, watch, None, capture)
 
 
 def forward_quant(graph: Graph, x: Tensor, qcfg: dict, watch=(),

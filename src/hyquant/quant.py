@@ -151,14 +151,6 @@ class OverflowReport:
     axis: int
     channels: tuple[ChannelOverflow, ...] = field(default=())
 
-    @property
-    def flagged_channels(self) -> tuple[int, ...]:
-        return tuple(c.channel for c in self.channels if c.flagged)
-
-    @property
-    def flagged_count(self) -> int:
-        return len(self.flagged_channels)
-
 
 def channel_ranges(t: np.ndarray, channel_axis: int | None):
     """float64 (min, max, absmax) over everything, or per channel along
@@ -172,14 +164,6 @@ def channel_ranges(t: np.ndarray, channel_axis: int | None):
     return (moved.min(axis=1).astype(np.float64),
             moved.max(axis=1).astype(np.float64),
             np.abs(moved).max(axis=1).astype(np.float64))
-
-
-def _asym_zero_points(r_min: np.ndarray, scale: np.ndarray, bits: int):
-    """Continuous raw zero-point and its rounded, clamped integer form."""
-    q_min, q_max = grid_range(bits)
-    raw = q_min - np.asarray(r_min, dtype=np.float64) / np.asarray(scale, dtype=np.float64)
-    stored = np.clip(round_half_away(raw), q_min, q_max).astype(np.int32)
-    return raw, stored
 
 
 def fit_minmax(t: Tensor, bits: int, scheme: str, granularity: str,
@@ -205,7 +189,8 @@ def fit_minmax(t: Tensor, bits: int, scheme: str, granularity: str,
         raw = np.zeros_like(sc, dtype=np.float64)
     elif scheme == "asymmetric":
         sc = floor_scale((r_max - r_min) / (2 ** bits - 1))
-        raw, zp = _asym_zero_points(r_min, sc, bits)
+        raw = q_min - r_min / sc
+        zp = np.clip(round_half_away(raw), q_min, q_max).astype(np.int32)
     else:
         raise QuantError(f"unknown scheme '{scheme}'")
     return QuantParams(bits=bits, scheme=scheme, granularity=granularity,
@@ -343,10 +328,9 @@ def detect_zero_point_overflow(t: Tensor, bits: int, axis: int) -> OverflowRepor
     if not -data.ndim <= axis < data.ndim:
         raise QuantError(f"axis {axis} invalid for shape {data.shape}")
     r_min, r_max, _ = channel_ranges(data, axis)
-    sc = floor_scale((r_max - r_min) / (2 ** bits - 1))
-    raw, _ = _asym_zero_points(r_min, sc, bits)
-    q_min, q_max = grid_range(bits)
-    flagged = (raw < q_min) | (raw > q_max)
+    p = fit_minmax(data, bits, "asymmetric", "per_channel", axis)
+    raw = p.zero_point_raw
+    flagged = (raw < p.q_min) | (raw > p.q_max)
     channels = tuple(
         ChannelOverflow(channel=i, r_min=float(r_min[i]), r_max=float(r_max[i]),
                         zero_point_raw=float(raw[i]), flagged=bool(flagged[i]))

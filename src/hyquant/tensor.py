@@ -1,7 +1,9 @@
 """Dense float32 tensors plus the reverse-mode tape behind calibration gradients.
 
 Everything downstream (graph execution, calibration passes) is built from the
-ops in this module, so every op carries its own backward rule. Tensors are
+ops in this module, so every op carries its own backward rule. Weights have no
+tape node and are never differentiated, so only matmul and add, which can
+combine two activations, have a rule for a second operand. Tensors are
 immutable by convention: ops allocate fresh arrays and never write into their
 inputs. A tape is single-owner (one forward/backward pair per tape); tensors
 themselves are safe to share across threads.
@@ -44,12 +46,12 @@ class Tensor:
 
     __slots__ = ("data", "node")
 
-    def __init__(self, data, node: int | None = None):
+    def __init__(self, data):
         arr = np.array(data, dtype=_F32, order="C")
         if not np.all(np.isfinite(arr)):
             raise TensorError("tensor rejects non-finite values (NaN/Inf)")
         self.data = arr
-        self.node = node
+        self.node = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, node: int | None = None) -> "Tensor":
@@ -69,9 +71,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f", node={self.node}" if self.node is not None else ""
@@ -200,18 +199,6 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     ])
 
 
-def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError as e:
-        raise ShapeMismatchError(f"mul {a.shape} * {b.shape}: {e}") from e
-    ad, bd = a.data, b.data
-    return _record(tape, out, [
-        (a, lambda g: _unbroadcast(g * bd, ad.shape)),
-        (b, lambda g: _unbroadcast(g * ad, bd.shape)),
-    ])
-
-
 def scale(t: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     c32 = _F32(c)
     return _record(tape, t.data * c32, [(t, lambda g: g * c32)])
@@ -294,15 +281,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
             return dxp[:, :, ph:ph + H, pw:pw + W]
         return dxp
 
-    def grad_w(g):
-        gg = g.reshape(N, groups, O // groups, Ho * Wo)
-        dwg = np.matmul(gg, np.swapaxes(colsg, -1, -2)).sum(axis=0)
-        return dwg.reshape(O, Cg, kh, kw)
-
-    pairs = [(x, grad_x), (w, grad_w)]
-    if bias is not None:
-        pairs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    return _record(tape, out, pairs)
+    return _record(tape, out, [(x, grad_x)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +343,7 @@ def _norm_core(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     bshape[ca] = C
     ga = gamma.data.reshape(bshape)
     be = beta.data.reshape(bshape)
-    xhat_full = xhat.reshape(xa.shape)
-    out = (xhat_full * ga + be).astype(_F32, copy=False)
-    reduce_axes = tuple(i for i in range(xa.ndim) if i != ca)
+    out = (xhat.reshape(xa.shape) * ga + be).astype(_F32, copy=False)
 
     def grad_x(g):
         dxhat = (g * ga).reshape(lead, groups, m)
@@ -374,14 +351,7 @@ def _norm_core(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
         t2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         return (inv * (dxhat - t1 - xhat * t2)).reshape(xa.shape)
 
-    def grad_gamma(g):
-        return (g * xhat_full).sum(axis=reduce_axes)
-
-    def grad_beta(g):
-        return g.sum(axis=reduce_axes)
-
-    return _record(tape, out,
-                   [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
+    return _record(tape, out, [(x, grad_x)])
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
@@ -415,13 +385,7 @@ def batch_norm_folded(x: Tensor, scale_w: Tensor, shift: Tensor,
     bshape[ca] = C
     sa = scale_w.data.reshape(bshape)
     ta = shift.data.reshape(bshape)
-    out = xa * sa + ta
-    reduce_axes = tuple(i for i in range(xa.ndim) if i != ca)
-    return _record(tape, out, [
-        (x, lambda g: g * sa),
-        (scale_w, lambda g: (g * xa).sum(axis=reduce_axes)),
-        (shift, lambda g: g.sum(axis=reduce_axes)),
-    ])
+    return _record(tape, xa * sa + ta, [(x, lambda g: g * sa)])
 
 
 def gelu(t: Tensor, tape: Tape | None = None) -> Tensor:
@@ -490,20 +454,10 @@ def mean(t: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
     return _record(tape, out, [(t, grad)])
 
 
-def sum_all(t: Tensor, tape: Tape | None = None) -> Tensor:
-    """Scalar sum; accumulates in float64 to keep test oracles quiet."""
-    out = np.asarray(np.sum(t.data, dtype=np.float64), dtype=_F32)
-    src = t.data.shape
-    return _record(tape, out,
-                   [(t, lambda g: np.broadcast_to(g, src).astype(_F32, copy=False))])
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "sum",
+def cross_entropy(logits: Tensor, labels: np.ndarray,
                   tape: Tape | None = None) -> Tensor:
-    """Cross-entropy of logits (N, C) against integer labels.
-
-    With reduction="sum" the logit gradient is exactly softmax - onehot.
-    """
+    """Sum-reduced cross-entropy of logits (N, C) against integer labels; the
+    logit gradient is exactly softmax - onehot."""
     la = logits.data
     if la.ndim != 2:
         raise ShapeMismatchError(f"cross_entropy expects (N, C) logits, got {logits.shape}")
@@ -511,24 +465,16 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "sum",
     if labels.shape != (la.shape[0],):
         raise ShapeMismatchError(
             f"labels shape {labels.shape} does not match batch {la.shape[0]}")
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction '{reduction}'")
-    n = la.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(la.shape[0])
     m = la.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(la - m).sum(axis=1, keepdims=True))
     nll = lse[:, 0] - la[idx, labels]
-    total = np.sum(nll, dtype=np.float64)
-    if reduction == "mean":
-        total /= n
-    out = np.asarray(total, dtype=_F32)
+    out = np.asarray(np.sum(nll, dtype=np.float64), dtype=_F32)
     probs = np.exp(la - lse)
 
     def grad(g):
         d = probs.copy()
         d[idx, labels] -= 1.0
-        if reduction == "mean":
-            d /= n
         return d * g
 
     return _record(tape, out, [(logits, grad)])

@@ -131,6 +131,17 @@ class TestSpaceAndOptions:
     def test_single_candidate_and_equal_bounds_allowed(self):
         SearchSpace(alpha=1.0, beta=1.0, candidates=1)
 
+    @pytest.mark.parametrize("alpha,beta,match", [
+        (-3.0, -1.0, "alpha -3.0 must not be negative"),
+        (-0.5, 1.2, "alpha -0.5 must not be negative"),
+        (0.0, 0.0, "beta 0.0 must be positive"),
+        (0.0, -1.0, "beta -1.0 must be positive"),
+    ])
+    def test_range_without_positive_scale_rejected(self, alpha, beta, match):
+        # every multiplier <= 0 is floored to the same SCALE_FLOOR scale
+        with pytest.raises(CalibError, match=match):
+            SearchSpace(alpha=alpha, beta=beta)
+
     def test_flag_chain_enforced(self):
         with pytest.raises(CalibError, match="granularity"):
             CalibOptions(scale_search=False, granularity_search=True)
@@ -219,17 +230,18 @@ class TestPass2:
             pass2_cache_gradients(graph, calib, units, C.CalibCache(), bits=8)
 
     def test_logit_gradient_is_softmax_minus_onehot_on_fp_path(self):
-        # with an identity (empty) quantization stub, pass-2's loss gradient at
-        # the logits is exactly softmax - onehot
+        # with an empty qconfig, whose forward is the full-precision one bit
+        # for bit, pass-2's loss gradient at the logits is exactly
+        # softmax - onehot
         rng = np.random.default_rng(5)
         w = rng.normal(0, 1, (3, 4)).astype(F32)
         g = linear_graph([w], 4)
         batch = t(rng.normal(0, 1, (6, 4)).astype(F32))
         from hyquant.tensor import Tape, backward
         tape = Tape()
-        logits, outs = forward_fp(g, batch, watch={0}, tape=tape)
+        logits, outs = forward_quant(g, batch, {}, watch={0}, tape=tape)
         labels = np.argmax(logits.data, axis=1)
-        cross_entropy(logits, labels, "sum", tape)
+        cross_entropy(logits, labels, tape)
         grads = backward(Tensor(1.0), tape)
         got = grads[outs[0].node].data
         probs = np.exp(logits.data - logits.data.max(1, keepdims=True))
@@ -237,8 +249,8 @@ class TestPass2:
         onehot = np.eye(3, dtype=F32)[labels]
         np.testing.assert_allclose(got, probs - onehot, atol=1e-6)
 
-    def test_gradients_match_finite_differences_on_two_layer_toy(self):
-        # the empty-qconfig stub keeps the pass-2 path smooth for differencing
+    def test_gradients_match_finite_differences_on_two_layer_toy(self, monkeypatch):
+        # an empty default qconfig keeps the pass-2 path smooth for differencing
         rng = np.random.default_rng(9)
         w0 = rng.normal(0, 1, (4, 4)).astype(F32)
         w1 = rng.normal(0, 1, (3, 4)).astype(F32)
@@ -246,14 +258,15 @@ class TestPass2:
         batch = t(rng.normal(0, 1, (5, 4)).astype(F32))
         units = fixture_units(g)
         cache = pass1_cache_fp(g, batch, units)
-        pass2_cache_gradients(g, batch, units, cache, qconfig_override={})
+        monkeypatch.setattr(C, "default_qconfig", lambda *args: {})
+        pass2_cache_gradients(g, batch, units, cache)
         labels = np.argmax(cache.logits_fp, axis=1)
         layer1 = g.layer(1)
 
         def loss_from_unit0(o0):
             y = run_layer(layer1, {(0, "out"): Tensor._wrap(o0.astype(F32))},
                           site_hook({}))
-            return cross_entropy(y, labels, "sum").item()
+            return float(cross_entropy(y, labels).data)
 
         o0 = cache.unit_outputs[0].copy()
         analytic = cache.unit_grads[0]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -92,13 +93,18 @@ class TestQuantizeCommand:
                               ["--no-granularity-search"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "inf")])
+    @pytest.mark.parametrize("args,message", [
+        (["--alpha", "nan"], "alpha nan must be finite"),
+        (["--beta", "inf"], "beta inf must be finite"),
+        (["--alpha", "-3", "--beta", "-1"], "alpha -3.0 must not be negative"),
+        (["--beta", "0"], "beta 0.0 must be positive"),
+    ], ids=["--alpha-nan", "--beta-inf", "--alpha--3", "--beta-0"])
     def test_non_finite_search_range_is_usage_error(self, runner, tmp_path,
-                                                    flag, value):
-        result = run_quantize(runner, tmp_path / "q.json", [flag, value])
+                                                    args, message):
+        result = run_quantize(runner, tmp_path / "q.json", args)
         assert result.exit_code == 2, result.output
         assert len(error_lines(result.output)) == 1
-        assert f"{flag[2:]} {value} must be finite" in result.output
+        assert message in result.output
         assert not (tmp_path / "q.json").exists()
 
     def test_model_and_fixture_together_is_usage_error(self, runner, tmp_path):
@@ -530,6 +536,63 @@ class TestReportCommand:
         path = tmp_path / "r.csv"
         write_report_csv(str(path), rows)
         assert read_report(path) == rows
+
+
+# (fixture, mode, bits) -> sha256 of the report CSV written from
+# range_report(graph in that mode, calibration batch, evaluation batch, bits)
+_REPORT_PINS = {
+    ("overflow-bridge", "partial", 6):
+        "dc2d75ea045b937a7f34bd5395522e5e88a67bda1222338b85a5719d2c6c4cb2",
+    ("overflow-bridge", "partial", 8):
+        "8ade112acd1ae0c6dbbf3c376ac644124c1ecce58fd19c462deb72bd465c8b67",
+    ("overflow-bridge", "full", 6):
+        "016bd122f7b550bf231b2e3832b41db1d4e57e29b41e12b3446a7d0e82378776",
+    ("overflow-bridge", "full", 8):
+        "de74e739f2c061488b2d88144feca700253e383d89245a5857b9c9928b05ec8a",
+    ("tiny-mvit-bn", "partial", 6):
+        "352b5d84b3e89fcc8507f2e8371a31e555fb81c4aada2642f13fa5129ebab1f5",
+    ("tiny-mvit-bn", "partial", 8):
+        "d927b64b6c9b782cf4ed39d151e2644495b60abf880893812a191c8dfb8e4d29",
+    ("tiny-mvit-bn", "full", 6):
+        "287744d9af82bb92c745ac21bb6c08e7c867ad00caeeb733c59088f25e0f0e35",
+    ("tiny-mvit-bn", "full", 8):
+        "730ffa861cbce5149048cae6131e30fa9ab037500e7c4adc835b6eba20a1159c",
+    ("tiny-mvit-gn", "partial", 6):
+        "2528c28872ebcefd9c519120fa5e0b15e4872972cb59b83087211dfc5d0a10af",
+    ("tiny-mvit-gn", "partial", 8):
+        "8a9b6687f8690d22c3997fd7e7bbaafae9503249fd3da06444d499bc69d6e852",
+    ("tiny-mvit-gn", "full", 6):
+        "1a45c49f97d265ac8300d6282530bf2cbb9f6dd0dfb9da3fac6bb9ced6241094",
+    ("tiny-mvit-gn", "full", 8):
+        "732dd88b13042b50dce7fba8b25f7495907d219464f881087eb1d7bd45d99fc0",
+    ("tiny-mvit-ln", "partial", 6):
+        "01322cb46287b3bf841cb52cf3612287b58afe195ca240d08739712b68c2a685",
+    ("tiny-mvit-ln", "partial", 8):
+        "d7fb8d9fbf37a74bf9ea216c922facd690c2e88f0a7af1c2158382b3bdfd1a63",
+    ("tiny-mvit-ln", "full", 6):
+        "cec9d63fbb68dc6d4b4f2bb795499aad0970edf601995614dfb70396a332bc7f",
+    ("tiny-mvit-ln", "full", 8):
+        "6438ad1d2f86a326f0fa26174fe05dc2464f90b4ad634a79f29a582818a76c6b",
+    ("wide-mvit-ln", "partial", 6):
+        "61f744e866ffe9e7dfbba28ba4fea0c98c519f8502d13d66291bb7a3a009e735",
+    ("wide-mvit-ln", "partial", 8):
+        "1e1fc9ac94fd62a43e169a72749b3352852e35105def32cd5212f8adef5bd88c",
+    ("wide-mvit-ln", "full", 6):
+        "8df572fb4bb62c9967a43e470563f3ac9c564707ec80e6d3cbdb42bfc3e388e1",
+    ("wide-mvit-ln", "full", 8):
+        "c24ef963e5c640d655cea5ac2d2c80a42d178aee6dcea2abe627dc358c6104b0",
+}
+
+
+class TestReportPin:
+    @pytest.mark.parametrize("name,mode,bits", sorted(_REPORT_PINS))
+    def test_report_bytes_match_recorded(self, name, mode, bits, tmp_path):
+        graph, calib, ev, _ = build_fixture(name)
+        path = tmp_path / "report.csv"
+        write_report_csv(str(path),
+                         range_report(with_mode(graph, mode), calib, ev, bits))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            _REPORT_PINS[(name, mode, bits)]
 
 
 class TestFixturesCommand:

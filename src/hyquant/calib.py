@@ -5,11 +5,13 @@ every reconstruction unit's output, the unit members' external inputs, the
 full-precision values at every quant site, and the final logits. Pass 2 runs
 the default-quantized model (min-max fits), takes cross-entropy against the
 full-precision argmax labels, and backpropagates to cache each unit's output
-gradient. The search then minimizes the squared-gradient reconstruction
-objective per unit over scale candidates, granularity and scheme, re-running
-only the unit's own layers on the cached full-precision inputs. A scale
-candidate re-runs only the steps that depend on the scanned site (its cone);
-every other value is reused from the unit's current parameters.
+gradient. Both passes run the batch in chunks of PASS_CHUNK samples and
+write each chunk's rows into whole-batch arrays. The search then minimizes
+the squared-gradient reconstruction objective per unit over scale candidates,
+granularity and scheme, re-running only the unit's own layers on the cached
+full-precision inputs. A scale candidate re-runs only the steps that depend
+on the scanned site (its cone); every other value is reused from the unit's
+current parameters.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
-from .graph import (GRAPH_INPUT, Graph, Site, forward_fp, forward_quant,
-                    run_steps, site_cone, site_hook)
+from .graph import (Graph, Site, forward_fp, forward_quant, run_steps,
+                    site_cone, site_hook)
 from .quant import QuantParams, channel_ranges, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
@@ -163,22 +165,89 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 # calibration passes
 
 
+# Samples per chunk of either pass. No step of a forward mixes samples (batch
+# norm is folded, nothing keeps batch statistics), so a chunk's values are its
+# rows of the whole batch's, byte for byte, as long as each matrix product
+# runs the same kernel: OpenBLAS picks its sgemm kernel by row count, and with
+# 256 or 128 rows wide-mvit-ln's head product (N, 32)·(32, 4) changes in the
+# last bit.
+PASS_CHUNK = 512
+
+
+def _chunks(calib_batch: Tensor):
+    """(rows, chunk) pairs covering the batch in PASS_CHUNK-sample chunks; a
+    batch of one chunk comes as itself, with rows slice(None)."""
+    n = calib_batch.shape[0]
+    if n <= PASS_CHUNK:
+        yield slice(None), calib_batch
+        return
+    for start in range(0, n, PASS_CHUNK):
+        rows = slice(start, start + PASS_CHUNK)
+        yield rows, Tensor._wrap(calib_batch.data[rows])
+
+
+def _write_rows(whole: dict, part: dict, rows: slice, n: int,
+                held: dict) -> None:
+    """Write part, one chunk's {key: array}, into whole's n-sample arrays at
+    rows. The first chunk allocates them, one per distinct array of part, so
+    keys that share an array keep sharing one. held maps the id of a part
+    array to an array that already holds every sample's value (the batch
+    itself, a weight); whole keeps that one and never writes it. A batch of
+    one chunk keeps part's arrays as they are."""
+    if rows == slice(None):
+        whole.update(part)
+        return
+    if not whole:
+        arrays = dict(held)
+        for key, a in part.items():
+            if id(a) not in arrays:
+                arrays[id(a)] = np.empty((n, *a.shape[1:]), a.dtype)
+            whole[key] = arrays[id(a)]
+    written = {id(a) for a in held.values()}
+    for key, a in part.items():
+        dst = whole[key]
+        if id(dst) not in written:
+            dst[rows] = a
+            written.add(id(dst))
+
+
+def _fp_chunk(graph: Graph, chunk: Tensor, watch) -> dict:
+    """Pass 1 on one chunk: {("site", key): value, ("out", id): output,
+    "logits": logits} for every quant site and watched layer."""
+    sites: dict = {}
+    logits, outs = forward_fp(graph, chunk, watch=watch, capture=sites)
+    part: dict = {("site", key): v for key, v in sites.items()}
+    part.update({("out", lid): t.data for lid, t in outs.items()})
+    part["logits"] = logits.data
+    return part
+
+
 def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
-    """Forward the calibration batch in full precision; cache unit outputs,
-    member inputs, per-site values and the final logits."""
-    if calib_batch.size == 0 or calib_batch.shape[0] == 0:
+    """Forward the calibration batch in full precision, PASS_CHUNK samples at
+    a time; cache unit outputs, member inputs, per-site values and the final
+    logits."""
+    if calib_batch.ndim == 0:
+        raise CalibError("calibration batch is a scalar; it needs a sample axis")
+    if calib_batch.size == 0:
         raise CalibError("calibration batch is empty")
-    cache = CalibCache()
-    every_id = [GRAPH_INPUT] + [layer.id for layer in graph.layers]
-    logits, outs = forward_fp(graph, calib_batch, watch=every_id,
-                              capture=cache.site_values)
-    cache.logits_fp = logits.data
-    for u in units:
-        cache.unit_outputs[u.output_id] = outs[u.output_id].data
-        cache.unit_inputs[u.output_id] = {
-            pid: outs[pid].data
-            for lid in u.layer_ids for pid in graph.layer(lid).inputs
-            if pid not in u.layer_ids}
+    inputs = {u.output_id: [pid for lid in u.layer_ids
+                            for pid in graph.layer(lid).inputs
+                            if pid not in u.layer_ids] for u in units}
+    watch = set(inputs).union(*inputs.values())
+    weights = [("site", s.key) for s in graph.quant_sites if s.kind == "weight"]
+    whole: dict = {}
+    for rows, chunk in _chunks(calib_batch):
+        part = _fp_chunk(graph, chunk, watch)
+        held = {id(part[key]): part[key] for key in weights}
+        held[id(chunk.data)] = calib_batch.data
+        _write_rows(whole, part, rows, calib_batch.shape[0], held)
+        del part  # before the next chunk's forward
+    cache = CalibCache(logits_fp=whole.pop("logits"))
+    cache.site_values = {key[1]: a for key, a in whole.items()
+                         if key[0] == "site"}
+    for uid, pids in inputs.items():
+        cache.unit_outputs[uid] = whole["out", uid]
+        cache.unit_inputs[uid] = {pid: whole["out", pid] for pid in pids}
     return cache
 
 
@@ -218,22 +287,33 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
     """Default-quantized forward + backward; caches per-unit output gradients.
 
     Loss is sum-reduced cross-entropy of the quantized logits against the
-    full-precision argmax labels, so the logit gradient is softmax - onehot.
+    full-precision argmax labels, so the logit gradient is softmax - onehot
+    and each sample's gradient is its own: the pass runs PASS_CHUNK samples
+    at a time, each chunk with its own tape, under one min-max qconfig
+    fitted on the whole batch's pass-1 values.
     """
     if cache.logits_fp is None:
         raise CalibError("pass 1 cache missing; run pass1_cache_fp first")
     qcfg = default_qconfig(graph, bits, cache)
+    grads: dict = {}
+    for rows, chunk in _chunks(calib_batch):
+        _write_rows(grads, _grads_chunk(graph, chunk, qcfg, units,
+                                        cache.logits_fp[rows]),
+                    rows, calib_batch.shape[0], {})
+    cache.unit_grads.update(grads)
+    return cache
+
+
+def _grads_chunk(graph: Graph, chunk: Tensor, qcfg: dict, units,
+                 logits_fp: np.ndarray) -> dict:
+    """Pass 2 on one chunk: {unit output id: its loss gradient}."""
     tape = Tape()
-    watch = {u.output_id for u in units}
-    logits, outs = forward_quant(graph, calib_batch, qcfg, watch=watch, tape=tape)
-    labels = np.argmax(cache.logits_fp, axis=1)
-    loss = cross_entropy(logits, labels, tape=tape)
+    logits, outs = forward_quant(graph, chunk, qcfg, tape=tape,
+                                 watch={u.output_id for u in units})
+    loss = cross_entropy(logits, np.argmax(logits_fp, axis=1), tape=tape)
     assert loss.node is not None
     grads = backward(Tensor(1.0), tape)
-    for u in units:
-        node = outs[u.output_id].node
-        cache.unit_grads[u.output_id] = grads[node].data
-    return cache
+    return {u.output_id: grads[outs[u.output_id].node].data for u in units}
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +359,15 @@ class _UnitEvaluator:
         self._state: dict = {}
         self.evals = 0
 
-    def run(self, params: dict) -> float:
-        """Objective of params from a full re-run; params become the state."""
+    def run(self, params: dict, keep: bool = True) -> float:
+        """Objective of params from a full re-run; params become the state.
+        keep=False drops each value after its last use and leaves no state,
+        for a run that no score_site follows."""
         self.evals += 1
-        self._state = run_steps(self.steps, dict(self._base), site_hook(params))
-        return self._score(self._state[self._out])
+        vals = run_steps(self.steps, dict(self._base), site_hook(params),
+                         keep=keep)
+        self._state = vals if keep else {}
+        return self._score(vals[self._out])
 
     def score_site(self, params: dict, site: Site) -> float:
         """run(params)'s objective, re-running only the cone of site."""
@@ -332,17 +416,19 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
         raise CalibError(f"unit {unit.label} has no quant sites to search")
     evaluator = _UnitEvaluator(graph, unit, cache, options.metric)
     default_params = {s.key: _fit(s, cache, bits, _DEFAULT) for s in sites}
-    default_obj = evaluator.run(default_params)
+    # an all-zero unit has nothing to scale: it keeps min-max, flagged
+    fallback = options.scale_search and not any(
+        np.any(_site_fp_value(s, cache)) for s in sites)
+    scans = options.scale_search and not fallback
+    default_obj = evaluator.run(default_params, keep=scans)
     if trace is not None:
         trace.append((unit.label, "per_layer", "default", -1, default_obj))
 
     decision = UnitDecision(label=unit.label, output_id=unit.output_id,
                             params=default_params, granularity="per_layer",
-                            scheme="default", objective=default_obj)
-    # an all-zero unit has nothing to scale: it keeps min-max, flagged
-    decision.fallback = options.scale_search and not any(
-        np.any(_site_fp_value(s, cache)) for s in sites)
-    if not options.scale_search or decision.fallback:
+                            scheme="default", objective=default_obj,
+                            fallback=fallback)
+    if not scans:
         decision.evals = evaluator.evals
         return decision
 

@@ -261,13 +261,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
-    colsg = cols.reshape(N, groups, Cg * kh * kw, Ho * Wo)
+    del xp  # the call's largest temporaries are freed as soon as used
     wg = wa.reshape(groups, O // groups, Cg * kh * kw)
-    out = np.matmul(wg[None], colsg).reshape(N, O, Ho, Wo)
+    out = np.matmul(wg[None], cols.reshape(N, groups, Cg * kh * kw, Ho * Wo))
+    del cols
+    out = out.reshape(N, O, Ho, Wo)
     if bias is not None:
         if bias.data.shape != (O,):
             raise ShapeMismatchError(f"conv2d bias shape {bias.shape} != ({O},)")
-        out = out + bias.data.reshape(1, O, 1, 1)
+        out += bias.data.reshape(1, O, 1, 1)
 
     def grad_x(g):
         gg = g.reshape(N, groups, O // groups, Ho * Wo)

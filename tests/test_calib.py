@@ -185,6 +185,11 @@ class TestPass1:
         with pytest.raises(CalibError, match="empty"):
             pass1_cache_fp(g, Tensor(np.zeros((0, 4), F32)), fixture_units(g))
 
+    def test_scalar_batch_rejected(self):
+        g = linear_graph([np.eye(4, dtype=F32)], 4)
+        with pytest.raises(CalibError, match="sample axis"):
+            pass1_cache_fp(g, Tensor(np.float32(1.0)), fixture_units(g))
+
 
 class TestPass2:
     def test_every_unit_gets_a_gradient(self):
@@ -418,6 +423,85 @@ class TestSearchUnit:
             search_unit(g, unit, cache, SearchSpace(candidates=2),
                         CalibOptions(), bits=8)
 
+
+def searched_units(graph):
+    return [u for u in fixture_units(graph)
+            if any(graph.sites_by_layer[lid] for lid in u.layer_ids)]
+
+
+def cache_entries(cache):
+    """(key, array) of every array a CalibCache holds, in a fixed order."""
+    yield "logits", cache.logits_fp
+    for uid, a in cache.unit_outputs.items():
+        yield ("out", uid), a
+    for uid, ext in cache.unit_inputs.items():
+        for pid, a in ext.items():
+            yield ("in", uid, pid), a
+    for key, a in cache.site_values.items():
+        yield ("site", key), a
+    for uid, a in cache.unit_grads.items():
+        yield ("grad", uid), a
+
+
+class TestChunkedPasses:
+    """Both passes run C.PASS_CHUNK samples at a time into whole-batch
+    arrays, which hold what one whole-batch pass holds, byte for byte and
+    array for array."""
+
+    @staticmethod
+    def passes(graph, calib):
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        return pass2_cache_gradients(graph, calib, units, cache)
+
+    def test_chunk_is_512_samples(self):
+        # chunks of 256 or 128 samples change wide-mvit-ln's head product
+        # (N, 32)·(32, 4) in the last bit, since OpenBLAS picks its sgemm
+        # kernel by row count; test_chunks_equal_one_chunk_bytes shows it
+        assert C.PASS_CHUNK == 512
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_chunks_equal_one_chunk_bytes(self, name, mode, monkeypatch):
+        spec = replace(FIXTURES[name], calib_count=2048)
+        graph, calib, _, _ = build_fixture(spec)
+        graph = with_mode(graph, mode)
+        forwards = []
+        fp = C.forward_fp
+        monkeypatch.setattr(C, "forward_fp",
+                            lambda g, x, **kw: forwards.append(x) or fp(g, x, **kw))
+        chunked = dict(cache_entries(self.passes(graph, calib)))
+        assert [x.shape[0] for x in forwards] == [512] * 4
+        monkeypatch.setattr(C, "PASS_CHUNK", 2048)
+        whole = dict(cache_entries(self.passes(graph, calib)))
+        assert list(chunked) == list(whole)
+        for key, a in whole.items():
+            b = chunked[key]
+            assert (b.dtype, b.shape) == (a.dtype, a.shape), key
+            assert b.tobytes() == a.tobytes(), key
+
+        def sharing(cache):  # each key's first key holding the same array
+            first: dict = {}
+            return {key: first.setdefault(id(a), key) for key, a in cache.items()}
+        assert sharing(chunked) == sharing(whole)
+        held = {key for key, a in whole.items() if a is calib.data}
+        assert held and held == {key for key, a in chunked.items()
+                                 if a is calib.data}
+
+    def test_one_chunk_caches_the_forwards_own_arrays(self, monkeypatch):
+        graph, calib, _, _ = build_fixture("wide-mvit-ln")
+        units = searched_units(graph)
+        runs = []
+        fp = C.forward_fp
+        monkeypatch.setattr(C, "forward_fp",
+                            lambda g, x, **kw: runs.append(fp(g, x, **kw)) or runs[-1])
+        cache = pass1_cache_fp(graph, calib, units)
+        (logits, outs), = runs
+        assert cache.logits_fp is logits.data
+        for u in units:
+            assert cache.unit_outputs[u.output_id] is outs[u.output_id].data
+
+
 class TestCalibrate:
     def test_covers_every_site_exactly_once(self):
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")
@@ -428,13 +512,16 @@ class TestCalibrate:
         decided = [k for d in decisions for k in d.params]
         assert len(decided) == len(set(decided)) == len(qcfg)
 
-    def test_peak_traced_memory_of_the_passes(self):
-        # Pass 2 sets calibration's peak. 512 samples of wide-mvit-ln with
-        # search off traced a 63.8 MiB peak once the sweep released the tape
-        # as it went, stopped at the lowest watched unit and only searched
-        # units were cached, against 88.7 MiB before. numpy reports its
-        # allocations to tracemalloc, so the figure does not vary by run.
-        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=512)
+    # 512 samples are one pass chunk, where pass 2 sets the peak: 63.8 MiB
+    # once the sweep released the tape as it went, stopped at the lowest
+    # watched unit and only searched units were cached, against 88.7 MiB
+    # before. At 2,048 samples, four chunks, the peak is 148.9 MiB (bridge0's
+    # search; pass 2 holds 147.6), against 254.4 MiB when pass 2 ran the
+    # whole batch on one tape. numpy reports its allocations to tracemalloc,
+    # so the figures do not vary by run.
+    @pytest.mark.parametrize("count, bound_mib", [(512, 65), (2048, 155)])
+    def test_peak_traced_memory_of_the_passes(self, count, bound_mib):
+        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=count)
         graph, calib, _, _ = build_fixture(spec)
         graph = with_mode(graph, "partial")
         off = CalibOptions(scale_search=False, granularity_search=False,
@@ -445,7 +532,8 @@ class TestCalibrate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 65 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+        assert peak < bound_mib * 2 ** 20, \
+            f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic_given_fixed_inputs(self):
         from hyquant.cli import qconfig_to_doc

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hyquant.cli import (evaluate_model, load_qconfig, main, qconfig_to_doc,
                          write_report_csv)
 from hyquant.graph import forward_fp
 from hyquant.quant import detect_zero_point_overflow
-from hyquant.tensor import Tensor, load_tensor, save_tensor
+from hyquant.tensor import BLOB_MAGIC, Tensor, load_tensor, save_tensor
 from hyquant.zoo import build_fixture, export_fixture
 
 
@@ -376,6 +377,18 @@ class TestEvaluateCommand:
         errors = error_lines(result.stderr)
         assert len(errors) == 1
         assert str(labels_path) in errors[0] and "int64" in errors[0]
+
+    def test_scalar_calibration_blob_fails_cleanly(self, tmp_path):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        scalar = tmp_path / "scalar.hqt"  # rank 0, which save_tensor never writes
+        scalar.write_bytes(BLOB_MAGIC + struct.pack("<If", 0, 1.0))
+        result = run_cli_process([
+            "quantize", "--model", paths["manifest"], "--calib", str(scalar),
+            "--out", str(tmp_path / "q.json")])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        errors = error_lines(result.stderr)
+        assert len(errors) == 1 and "sample axis" in errors[0]
 
     @pytest.mark.parametrize("link", ["blobs-dir", "blob-file"])
     def test_symlinked_blob_leaving_the_dir_is_refused_unread(

@@ -170,20 +170,23 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 # rows of the whole batch's, byte for byte, as long as each matrix product
 # runs the same kernel: OpenBLAS picks its sgemm kernel by row count, and with
 # 256 or 128 rows wide-mvit-ln's head product (N, 32)·(32, 4) changes in the
-# last bit.
+# last bit. So a remainder is never a chunk of its own.
 PASS_CHUNK = 512
 
 
-def _chunks(calib_batch: Tensor):
-    """(rows, chunk) pairs covering the batch in PASS_CHUNK-sample chunks; a
-    batch of one chunk comes as itself, with rows slice(None)."""
-    n = calib_batch.shape[0]
-    if n <= PASS_CHUNK:
-        yield slice(None), calib_batch
+def chunks(batch: Tensor):
+    """(rows, chunk) pairs covering the batch in PASS_CHUNK-sample chunks,
+    the last of which takes the remainder too, so no chunk of a longer batch
+    has fewer than PASS_CHUNK rows. A batch of fewer than 2 * PASS_CHUNK
+    samples comes as itself, with rows slice(None)."""
+    count = batch.shape[0] // PASS_CHUNK
+    if count < 2:
+        yield slice(None), batch
         return
-    for start in range(0, n, PASS_CHUNK):
-        rows = slice(start, start + PASS_CHUNK)
-        yield rows, Tensor._wrap(calib_batch.data[rows])
+    for k in range(count):
+        end = (k + 1) * PASS_CHUNK if k + 1 < count else batch.shape[0]
+        rows = slice(k * PASS_CHUNK, end)
+        yield rows, Tensor._wrap(batch.data[rows])
 
 
 def _write_rows(whole: dict, part: dict, rows: slice, n: int,
@@ -236,7 +239,7 @@ def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     watch = set(inputs).union(*inputs.values())
     weights = [("site", s.key) for s in graph.quant_sites if s.kind == "weight"]
     whole: dict = {}
-    for rows, chunk in _chunks(calib_batch):
+    for rows, chunk in chunks(calib_batch):
         part = _fp_chunk(graph, chunk, watch)
         held = {id(part[key]): part[key] for key in weights}
         held[id(chunk.data)] = calib_batch.data
@@ -296,7 +299,7 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
         raise CalibError("pass 1 cache missing; run pass1_cache_fp first")
     qcfg = default_qconfig(graph, bits, cache)
     grads: dict = {}
-    for rows, chunk in _chunks(calib_batch):
+    for rows, chunk in chunks(calib_batch):
         _write_rows(grads, _grads_chunk(graph, chunk, qcfg, units,
                                         cache.logits_fp[rows]),
                     rows, calib_batch.shape[0], {})

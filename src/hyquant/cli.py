@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .calib import CalibError, CalibOptions, SearchSpace, calibrate
+from .calib import CalibError, CalibOptions, SearchSpace, calibrate, chunks
 from .graph import (Graph, GraphError, _is_int, _list_of, _one_of, forward_fp,
                     forward_quant, load_manifest, read_fields, read_json)
 from .quant import (GRANULARITIES, SCHEMES, QuantError, QuantParams,
@@ -120,21 +120,29 @@ def with_mode(graph: Graph, mode: str) -> Graph:
 
 def evaluate_model(graph: Graph, qcfg: dict, eval_x: Tensor,
                    labels: np.ndarray) -> dict:
-    """FP vs quantized top-1, agreement, and mean logit MSE on one batch."""
-    y_fp, _ = forward_fp(graph, eval_x)
-    if y_fp.ndim != 2:
-        raise GraphError(f"model output {y_fp.shape} is not (N, classes) logits")
-    y_q, _ = forward_quant(graph, eval_x, qcfg)
-    pred_fp = np.argmax(y_fp.data, axis=1)
-    pred_q = np.argmax(y_q.data, axis=1)
+    """FP vs quantized top-1, agreement, and mean logit MSE on one batch,
+    forwarded in the calibration passes' chunks; the metrics are taken on
+    the joined logits, whose bytes are the whole batch's."""
+    if eval_x.ndim == 0:
+        raise GraphError("evaluation batch is a scalar; it needs a sample axis")
+    fp, q = [], []
+    for _, chunk in chunks(eval_x):
+        y_fp, _ = forward_fp(graph, chunk)
+        if y_fp.ndim != 2:
+            raise GraphError(f"model output {y_fp.shape} is not (N, classes) logits")
+        fp.append(y_fp.data)
+        q.append(forward_quant(graph, chunk, qcfg)[0].data)
+    y_fp, y_q = np.concatenate(fp), np.concatenate(q)
+    pred_fp = np.argmax(y_fp, axis=1)
+    pred_q = np.argmax(y_q, axis=1)
     return {
         "format": METRICS_FORMAT,
         "samples": int(eval_x.shape[0]),
         "fp_top1": float(np.mean(pred_fp == labels)),
         "quant_top1": float(np.mean(pred_q == labels)),
         "top1_agreement": float(np.mean(pred_fp == pred_q)),
-        "mean_logit_mse": float(np.mean((y_fp.data.astype(np.float64)
-                                         - y_q.data.astype(np.float64)) ** 2)),
+        "mean_logit_mse": float(np.mean((y_fp.astype(np.float64)
+                                         - y_q.astype(np.float64)) ** 2)),
     }
 
 

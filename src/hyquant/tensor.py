@@ -11,6 +11,7 @@ themselves are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Callable
@@ -253,15 +254,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
         raise ShapeMismatchError(
             f"conv2d output dims must be positive, got {Ho}x{Wo} from input {x.shape}")
 
-    xp = xa
-    if ph or pw:
-        xp = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=_F32)
-        xp[:, :, ph:ph + H, pw:pw + W] = xa
-    cols = np.empty((N, C, kh, kw, Ho, Wo), dtype=_F32)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
-    del xp  # the call's largest temporaries are freed as soon as used
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):  # columns = the input
+        cols = np.ascontiguousarray(xa)
+    else:
+        idx, padded = _im2col_index(H, W, kh, kw, sh, sw, ph, pw)
+        cols = np.take(xa.reshape(N * C, H * W), idx, axis=1)
+        cols[:, padded] = 0
     wg = wa.reshape(groups, O // groups, Cg * kh * kw)
     out = np.matmul(wg[None], cols.reshape(N, groups, Cg * kh * kw, Ho * Wo))
     del cols
@@ -274,16 +272,36 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     def grad_x(g):
         gg = g.reshape(N, groups, O // groups, Ho * Wo)
         dcols = np.matmul(np.swapaxes(wg[None], -1, -2), gg)
-        dcols = dcols.reshape(N, C, kh, kw, Ho, Wo)
-        dxp = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=_F32)
+        # col2im with the batch and channel axes innermost: each tap adds
+        # runs of N*C elements instead of Wo; an element's adds keep the
+        # tap order (i outer, j inner), so its sum has the same bits
+        dcols = np.moveaxis(dcols.reshape(N * C, kh, kw, Ho, Wo), 0, -1)
+        dxp = np.zeros((H + 2 * ph, W + 2 * pw, N * C), dtype=_F32)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[:, :, i, j]
-        if ph or pw:
-            return dxp[:, :, ph:ph + H, pw:pw + W]
-        return dxp
+                dxp[i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[i, j]
+        dx = np.moveaxis(dxp[ph:ph + H, pw:pw + W], -1, 0)
+        return np.ascontiguousarray(dx).reshape(N, C, H, W)
 
     return _record(tape, out, [(x, grad_x)])
+
+
+@functools.cache
+def _im2col_index(H: int, W: int, kh: int, kw: int, sh: int, sw: int,
+                  ph: int, pw: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather index, padded columns) of im2col over a row of H*W pixels, in
+    the column order (kh, kw, Ho, Wo): tap (i, j) of output pixel (y, x)
+    reads pixel (sh*y + i - ph, sw*x + j - pw). A tap that falls in the
+    padding reads pixel 0 and is then zeroed, so no padded copy is made."""
+    Ho = (H + 2 * ph - kh) // sh + 1
+    Wo = (W + 2 * pw - kw) // sw + 1
+    r = (np.arange(kh)[:, None] + sh * np.arange(Ho)[None, :] - ph)[:, None, :, None]
+    c = (np.arange(kw)[:, None] + sw * np.arange(Wo)[None, :] - pw)[None, :, None, :]
+    inside = ((r >= 0) & (r < H) & (c >= 0) & (c < W)).reshape(-1)
+    idx = np.where(inside, (r * W + c).reshape(-1), 0).astype(np.intp)
+    padded = np.flatnonzero(~inside)
+    idx.flags.writeable = padded.flags.writeable = False  # shared by every call
+    return idx, padded
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +505,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
 
 
 def save_tensor(path, t: Tensor) -> None:
-    arr = np.ascontiguousarray(t.data, dtype="<f4")
+    arr = np.asarray(t.data, dtype="<f4")  # keeps a scalar rank 0
     with open(path, "wb") as f:
         f.write(BLOB_MAGIC)
         f.write(struct.pack("<I", arr.ndim))

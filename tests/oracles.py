@@ -54,6 +54,37 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     return out
 
 
+def conv2d_slice_reference(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                           stride, padding, groups: int):
+    """(output, input gradient for output gradient g) of conv2d as it was
+    first written: im2col from kh*kw strided slice copies of a zero-padded
+    input, col2im by kh*kw strided slice adds into zeros, tap (i, j) in
+    row-major order. Its matrix products have the library's operand shapes,
+    so its bytes are what a faster im2col/col2im must reproduce."""
+    sh, sw = T._pair(stride)
+    ph, pw = T._pair(padding)
+    n, c, h, wd = x.shape
+    o, cg, kh, kw = w.shape
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+    wg = w.reshape(groups, o // groups, cg * kh * kw)
+    out = np.matmul(wg[None], cols.reshape(n, groups, cg * kh * kw, ho * wo))
+    gg = g.reshape(n, groups, o // groups, ho * wo)
+    dcols = np.matmul(np.swapaxes(wg[None], -1, -2), gg)
+    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += dcols[:, :, i, j]
+    return out.reshape(n, o, ho, wo), dxp[:, :, ph:ph + h, pw:pw + wd]
+
+
 def attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      heads: int) -> np.ndarray:
     n, t, e = q.shape

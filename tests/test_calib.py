@@ -488,6 +488,40 @@ class TestChunkedPasses:
         assert held and held == {key for key, a in chunked.items()
                                  if a is calib.data}
 
+    @pytest.mark.parametrize("n, sizes", [
+        (0, [0]), (1023, [1023]), (1024, [512, 512]), (1300, [512, 788]),
+        (2047, [512, 512, 1023])])
+    def test_remainder_joins_the_last_chunk(self, n, sizes):
+        batch = Tensor(np.arange(n, dtype=F32).reshape(n, 1))
+        parts = list(C.chunks(batch))
+        assert [chunk.shape[0] for _, chunk in parts] == sizes
+        if len(parts) == 1:
+            assert parts[0][0] == slice(None) and parts[0][1] is batch
+        for rows, chunk in parts:
+            assert chunk.data.tobytes() == batch.data[rows].tobytes()
+        assert parts[-1][0].stop in (None, n)
+
+    # no chunk of 1,300 samples has fewer than 512 rows, so its bytes are
+    # still the whole batch's
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_remainder_chunk_equals_one_chunk_bytes(self, name, mode,
+                                                    monkeypatch):
+        spec = replace(FIXTURES[name], calib_count=1300)
+        graph, calib, _, _ = build_fixture(spec)
+        graph = with_mode(graph, mode)
+        forwards = []
+        fp = C.forward_fp
+        monkeypatch.setattr(C, "forward_fp",
+                            lambda g, x, **kw: forwards.append(x) or fp(g, x, **kw))
+        chunked = dict(cache_entries(self.passes(graph, calib)))
+        assert [x.shape[0] for x in forwards] == [512, 788]
+        monkeypatch.setattr(C, "PASS_CHUNK", 1300)
+        whole = dict(cache_entries(self.passes(graph, calib)))
+        assert list(chunked) == list(whole)
+        for key, a in whole.items():
+            assert chunked[key].tobytes() == a.tobytes(), key
+
     def test_one_chunk_caches_the_forwards_own_arrays(self, monkeypatch):
         graph, calib, _, _ = build_fixture("wide-mvit-ln")
         units = searched_units(graph)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyquant import tensor as T
-from oracles import attention_oracle, check_gradient, conv2d_oracle, matmul_oracle
+from oracles import (attention_oracle, check_gradient, conv2d_oracle,
+                     conv2d_slice_reference, matmul_oracle)
 
 F32 = np.float32
 
@@ -89,6 +90,51 @@ class TestConv2d:
         got = T.conv2d(t(x), t(w), stride=1, padding=1, groups=4).data
         want = conv2d_oracle(x, w, None, 1, 1, 4)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+    # (x shape, kernel shape, stride, padding, groups): strides 1-3 and
+    # padding 0-2, also as pairs; groups 1, C and between; H != W; 1x1
+    # kernels; kernels larger than the stride; the fixtures' stem and
+    # depthwise conv last. Inputs and output gradients hold zeros of both
+    # signs, since a sum that starts from +0.0 drops the sign of a -0.0.
+    SLICE_CASES = [
+        ((2, 4, 7, 5), (6, 4, 3, 3), 1, 0, 1),
+        ((2, 4, 7, 5), (6, 2, 3, 3), 2, 1, 2),
+        ((2, 4, 9, 6), (4, 1, 3, 3), 3, 2, 4),
+        ((2, 4, 8, 7), (8, 4, 3, 2), (2, 1), (1, 0), 1),
+        ((2, 6, 7, 9), (6, 3, 2, 3), (1, 3), (0, 2), 2),
+        ((3, 6, 5, 4), (6, 6, 1, 1), 1, 0, 1),
+        ((2, 4, 5, 3), (4, 1, 1, 1), 1, 0, 4),
+        ((2, 6, 6, 4), (6, 2, 1, 1), 2, 0, 3),
+        ((2, 4, 4, 6), (4, 4, 1, 1), 1, 1, 1),
+        ((2, 3, 10, 9), (4, 3, 5, 5), 2, 2, 1),
+        ((2, 4, 6, 6), (4, 1, 2, 2), 2, 0, 4),
+        ((3, 3, 16, 16), (16, 3, 3, 3), 2, 1, 1),
+        ((3, 16, 8, 8), (16, 1, 3, 3), 2, 1, 16),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(SLICE_CASES)))
+    def test_bytes_equal_the_slice_loop_reference(self, case):
+        xs, ws, stride, padding, groups = self.SLICE_CASES[case]
+        rng = np.random.default_rng(700 + case)
+
+        def values(shape):  # with exact zeros of both signs
+            a = rng.normal(0, 1, shape).astype(F32)
+            a[rng.random(shape) < 0.1] = 0.0
+            a[rng.random(shape) < 0.1] = -0.0
+            return a
+        x, w = values(xs), values(ws)
+        tape = T.Tape()
+        xt = tape.leaf(t(x))
+        out = T.conv2d(xt, t(w), stride=stride, padding=padding,
+                       groups=groups, tape=tape)
+        tape.watch(xt.node)
+        g = values(out.shape)
+        dx = T.backward(t(g), tape)[xt.node].data
+        want_out, want_dx = conv2d_slice_reference(x, w, g, stride, padding,
+                                                   groups)
+        assert (out.shape, dx.shape) == (want_out.shape, x.shape)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == np.ascontiguousarray(want_dx).tobytes()
 
     def test_group_divisibility_error(self):
         with pytest.raises(T.ShapeMismatchError, match="groups"):
@@ -377,6 +423,13 @@ class TestDeterminismAndBlobs:
         back = T.load_tensor(path)
         assert back.data.tobytes() == x.tobytes()
         assert back.shape == x.shape
+
+    def test_blob_round_trip_keeps_rank_zero(self, tmp_path):
+        path = tmp_path / "scalar.hqt"
+        T.save_tensor(path, T.Tensor(np.float32(1.0)))
+        back = T.load_tensor(path)
+        assert back.shape == ()
+        assert back.data.tobytes() == np.float32(1.0).tobytes()
 
     def test_blob_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.hqt"

@@ -10,18 +10,24 @@ Usage: python scripts/bitwidth_sweep.py [--fixtures ...]
 import argparse
 
 from hyquant import CalibOptions, SearchSpace, build_fixture, calibrate
+from hyquant.calib import CalibError
 from hyquant.cli import evaluate_model
 from hyquant.zoo import FIXTURES
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fixtures", nargs="*", default=sorted(FIXTURES))
+    parser.add_argument("--fixtures", nargs="*", default=sorted(FIXTURES),
+                        choices=sorted(FIXTURES))
     parser.add_argument("--candidates", type=int, default=32)
     parser.add_argument("--iterations", type=int, default=2)
     args = parser.parse_args()
 
-    space = SearchSpace(candidates=args.candidates, iterations=args.iterations)
+    try:
+        space = SearchSpace(candidates=args.candidates,
+                            iterations=args.iterations)
+    except CalibError as e:
+        parser.error(str(e))
     methods = [
         ("searched", CalibOptions()),
         ("minmax", CalibOptions(scale_search=False, granularity_search=False,

@@ -11,6 +11,7 @@ import argparse
 import time
 
 from hyquant import CalibOptions, SearchSpace, build_fixture, calibrate
+from hyquant.calib import CalibError
 from hyquant.cli import evaluate_model
 from hyquant.zoo import FIXTURES
 
@@ -25,13 +26,18 @@ CHAIN = [
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fixtures", nargs="*", default=sorted(FIXTURES))
+    parser.add_argument("--fixtures", nargs="*", default=sorted(FIXTURES),
+                        choices=sorted(FIXTURES))
     parser.add_argument("--bits", type=int, default=8, choices=(6, 8))
     parser.add_argument("--candidates", type=int, default=32)
     parser.add_argument("--iterations", type=int, default=2)
     args = parser.parse_args()
 
-    space = SearchSpace(candidates=args.candidates, iterations=args.iterations)
+    try:
+        space = SearchSpace(candidates=args.candidates,
+                            iterations=args.iterations)
+    except CalibError as e:
+        parser.error(str(e))
     for name in args.fixtures:
         graph, calib, ev, labels = build_fixture(name)
         print(f"\n{name} (W{args.bits}A{args.bits})")

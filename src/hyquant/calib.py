@@ -5,9 +5,9 @@ every reconstruction unit's output, the unit members' external inputs, the
 full-precision values at every quant site, and the final logits. Pass 2 runs
 the default-quantized model (min-max fits), takes cross-entropy against the
 full-precision argmax labels, and backpropagates to cache each unit's output
-gradient. Both passes run the batch in chunks of PASS_CHUNK samples and
-write each chunk's rows into whole-batch arrays. The search then minimizes
-the squared-gradient reconstruction objective per unit over scale candidates,
+gradient. Pass 1 is one whole-batch forward; pass 2 runs PASS_CHUNK samples
+at a time, each chunk on its own tape. The search then minimizes the
+squared-gradient reconstruction objective per unit over scale candidates,
 granularity and scheme, re-running only the unit's own layers on the cached
 full-precision inputs. A scale candidate re-runs only the steps that depend
 on the scanned site (its cone); every other value is reused from the unit's
@@ -165,12 +165,14 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 # calibration passes
 
 
-# Samples per chunk of either pass. No step of a forward mixes samples (batch
-# norm is folded, nothing keeps batch statistics), so a chunk's values are its
-# rows of the whole batch's, byte for byte, as long as each matrix product
-# runs the same kernel: OpenBLAS picks its sgemm kernel by row count, and with
-# 256 or 128 rows wide-mvit-ln's head product (N, 32)·(32, 4) changes in the
-# last bit. So a remainder is never a chunk of its own.
+# Samples per chunk of pass 2 and of evaluation. Pass 1 holds no tape and is
+# one forward: at 2,048 samples of wide-mvit-ln it peaks at 98.4 MiB traced
+# (99.0 in chunks), under pass 2's 147.6. No step of a forward mixes samples
+# (batch norm is folded), so a chunk's values are its rows of the whole
+# batch's, byte for byte, as long as each matrix product runs the same
+# kernel: OpenBLAS picks its sgemm kernel by row count, and with 256 or 128
+# rows wide-mvit-ln's head product (N, 32)·(32, 4) changes in the last bit.
+# So a remainder is never a chunk of its own.
 PASS_CHUNK = 512
 
 
@@ -189,46 +191,10 @@ def chunks(batch: Tensor):
         yield rows, Tensor._wrap(batch.data[rows])
 
 
-def _write_rows(whole: dict, part: dict, rows: slice, n: int,
-                held: dict) -> None:
-    """Write part, one chunk's {key: array}, into whole's n-sample arrays at
-    rows. The first chunk allocates them, one per distinct array of part, so
-    keys that share an array keep sharing one. held maps the id of a part
-    array to an array that already holds every sample's value (the batch
-    itself, a weight); whole keeps that one and never writes it. A batch of
-    one chunk keeps part's arrays as they are."""
-    if rows == slice(None):
-        whole.update(part)
-        return
-    if not whole:
-        arrays = dict(held)
-        for key, a in part.items():
-            if id(a) not in arrays:
-                arrays[id(a)] = np.empty((n, *a.shape[1:]), a.dtype)
-            whole[key] = arrays[id(a)]
-    written = {id(a) for a in held.values()}
-    for key, a in part.items():
-        dst = whole[key]
-        if id(dst) not in written:
-            dst[rows] = a
-            written.add(id(dst))
-
-
-def _fp_chunk(graph: Graph, chunk: Tensor, watch) -> dict:
-    """Pass 1 on one chunk: {("site", key): value, ("out", id): output,
-    "logits": logits} for every quant site and watched layer."""
-    sites: dict = {}
-    logits, outs = forward_fp(graph, chunk, watch=watch, capture=sites)
-    part: dict = {("site", key): v for key, v in sites.items()}
-    part.update({("out", lid): t.data for lid, t in outs.items()})
-    part["logits"] = logits.data
-    return part
-
-
 def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
-    """Forward the calibration batch in full precision, PASS_CHUNK samples at
-    a time; cache unit outputs, member inputs, per-site values and the final
-    logits."""
+    """Forward the whole calibration batch in full precision; cache unit
+    outputs, member inputs, per-site values and the final logits as the
+    forward's own arrays, so keys that hold one value share one array."""
     if calib_batch.ndim == 0:
         raise CalibError("calibration batch is a scalar; it needs a sample axis")
     if calib_batch.size == 0:
@@ -236,21 +202,13 @@ def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     inputs = {u.output_id: [pid for lid in u.layer_ids
                             for pid in graph.layer(lid).inputs
                             if pid not in u.layer_ids] for u in units}
-    watch = set(inputs).union(*inputs.values())
-    weights = [("site", s.key) for s in graph.quant_sites if s.kind == "weight"]
-    whole: dict = {}
-    for rows, chunk in chunks(calib_batch):
-        part = _fp_chunk(graph, chunk, watch)
-        held = {id(part[key]): part[key] for key in weights}
-        held[id(chunk.data)] = calib_batch.data
-        _write_rows(whole, part, rows, calib_batch.shape[0], held)
-        del part  # before the next chunk's forward
-    cache = CalibCache(logits_fp=whole.pop("logits"))
-    cache.site_values = {key[1]: a for key, a in whole.items()
-                         if key[0] == "site"}
+    cache = CalibCache()
+    logits, outs = forward_fp(graph, calib_batch, capture=cache.site_values,
+                              watch=set(inputs).union(*inputs.values()))
+    cache.logits_fp = logits.data
     for uid, pids in inputs.items():
-        cache.unit_outputs[uid] = whole["out", uid]
-        cache.unit_inputs[uid] = {pid: whole["out", pid] for pid in pids}
+        cache.unit_outputs[uid] = outs[uid].data
+        cache.unit_inputs[uid] = {pid: outs[pid].data for pid in pids}
     return cache
 
 
@@ -300,9 +258,16 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
     qcfg = default_qconfig(graph, bits, cache)
     grads: dict = {}
     for rows, chunk in chunks(calib_batch):
-        _write_rows(grads, _grads_chunk(graph, chunk, qcfg, units,
-                                        cache.logits_fp[rows]),
-                    rows, calib_batch.shape[0], {})
+        part = _grads_chunk(graph, chunk, qcfg, units, cache.logits_fp[rows])
+        if rows == slice(None):  # one chunk: its gradients are the batch's
+            grads = part
+            continue
+        for uid in part:  # the first chunk allocates the batch's arrays
+            if uid not in grads:
+                grads[uid] = np.empty((calib_batch.shape[0],
+                                       *part[uid].shape[1:]), part[uid].dtype)
+            grads[uid][rows] = part[uid]
+        del part  # before the next chunk's tape
     cache.unit_grads.update(grads)
     return cache
 

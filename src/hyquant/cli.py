@@ -118,6 +118,10 @@ def with_mode(graph: Graph, mode: str) -> Graph:
 # metrics
 
 
+class LabelError(TensorError):
+    """Evaluation labels outside the model's classes."""
+
+
 def evaluate_model(graph: Graph, qcfg: dict, eval_x: Tensor,
                    labels: np.ndarray) -> dict:
     """FP vs quantized top-1, agreement, and mean logit MSE on one batch,
@@ -133,6 +137,11 @@ def evaluate_model(graph: Graph, qcfg: dict, eval_x: Tensor,
         fp.append(y_fp.data)
         q.append(forward_quant(graph, chunk, qcfg)[0].data)
     y_fp, y_q = np.concatenate(fp), np.concatenate(q)
+    classes = y_fp.shape[1]
+    if not np.all((labels >= 0) & (labels < classes)):
+        raise LabelError(f"labels must lie in [0, {classes}) for a model of "
+                         f"{classes} classes, got {labels.min()} to "
+                         f"{labels.max()}")
     pred_fp = np.argmax(y_fp, axis=1)
     pred_q = np.argmax(y_q, axis=1)
     return {
@@ -335,7 +344,10 @@ def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
     graph, _, eval_x, labels = _load_source(model, fixture, seed, mode,
                                             eval_path=eval_path,
                                             labels_path=labels_path)
-    metrics = evaluate_model(graph, qcfg, eval_x, labels)
+    try:
+        metrics = evaluate_model(graph, qcfg, eval_x, labels)
+    except LabelError as e:
+        raise TensorError(f"{labels_path}: {e}") from None
     doc = json.dumps(metrics, indent=2, sort_keys=True)
     click.echo(doc)
     if out:

@@ -444,15 +444,27 @@ def cache_entries(cache):
 
 
 class TestChunkedPasses:
-    """Both passes run C.PASS_CHUNK samples at a time into whole-batch
-    arrays, which hold what one whole-batch pass holds, byte for byte and
-    array for array."""
+    """Pass 1 is one whole-batch forward; pass 2 runs C.PASS_CHUNK samples
+    at a time into whole-batch arrays. The cache holds what whole-batch
+    passes hold, byte for byte and array for array."""
 
     @staticmethod
     def passes(graph, calib):
         units = searched_units(graph)
         cache = pass1_cache_fp(graph, calib, units)
         return pass2_cache_gradients(graph, calib, units, cache)
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """Lists of the batch sizes that forward_fp (pass 1) and
+        forward_quant (pass 2) are called with."""
+        fp, quant = C.forward_fp, C.forward_quant
+        fps, quants = [], []
+        monkeypatch.setattr(C, "forward_fp", lambda g, x, **kw:
+                            fps.append(x.shape[0]) or fp(g, x, **kw))
+        monkeypatch.setattr(C, "forward_quant", lambda g, x, q, **kw:
+                            quants.append(x.shape[0]) or quant(g, x, q, **kw))
+        return fps, quants
 
     def test_chunk_is_512_samples(self):
         # chunks of 256 or 128 samples change wide-mvit-ln's head product
@@ -466,12 +478,9 @@ class TestChunkedPasses:
         spec = replace(FIXTURES[name], calib_count=2048)
         graph, calib, _, _ = build_fixture(spec)
         graph = with_mode(graph, mode)
-        forwards = []
-        fp = C.forward_fp
-        monkeypatch.setattr(C, "forward_fp",
-                            lambda g, x, **kw: forwards.append(x) or fp(g, x, **kw))
+        forwards, quants = self.count_forwards(monkeypatch)
         chunked = dict(cache_entries(self.passes(graph, calib)))
-        assert [x.shape[0] for x in forwards] == [512] * 4
+        assert forwards == [2048] and quants == [512] * 4
         monkeypatch.setattr(C, "PASS_CHUNK", 2048)
         whole = dict(cache_entries(self.passes(graph, calib)))
         assert list(chunked) == list(whole)
@@ -510,20 +519,19 @@ class TestChunkedPasses:
         spec = replace(FIXTURES[name], calib_count=1300)
         graph, calib, _, _ = build_fixture(spec)
         graph = with_mode(graph, mode)
-        forwards = []
-        fp = C.forward_fp
-        monkeypatch.setattr(C, "forward_fp",
-                            lambda g, x, **kw: forwards.append(x) or fp(g, x, **kw))
+        forwards, quants = self.count_forwards(monkeypatch)
         chunked = dict(cache_entries(self.passes(graph, calib)))
-        assert [x.shape[0] for x in forwards] == [512, 788]
+        assert forwards == [1300] and quants == [512, 788]
         monkeypatch.setattr(C, "PASS_CHUNK", 1300)
         whole = dict(cache_entries(self.passes(graph, calib)))
         assert list(chunked) == list(whole)
         for key, a in whole.items():
             assert chunked[key].tobytes() == a.tobytes(), key
 
+    # pass 1 is one forward at every batch size, 2,048 samples included
     def test_one_chunk_caches_the_forwards_own_arrays(self, monkeypatch):
-        graph, calib, _, _ = build_fixture("wide-mvit-ln")
+        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=2048)
+        graph, calib, _, _ = build_fixture(spec)
         units = searched_units(graph)
         runs = []
         fp = C.forward_fp
@@ -568,6 +576,22 @@ class TestCalibrate:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20, \
             f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+    # Pass 1 is one whole-batch forward, which holds no tape: 98.4 MiB at
+    # 2,048 samples (99.0 MiB when it ran in 512-sample chunks). The bound
+    # stays below pass 2's 147.6 MiB, so pass 1 becoming the peak shows here.
+    def test_peak_traced_memory_of_pass1(self):
+        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=2048)
+        graph, calib, _, _ = build_fixture(spec)
+        graph = with_mode(graph, "partial")
+        units = searched_units(graph)
+        tracemalloc.start()
+        try:
+            pass1_cache_fp(graph, calib, units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 105 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic_given_fixed_inputs(self):
         from hyquant.cli import qconfig_to_doc

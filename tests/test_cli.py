@@ -365,6 +365,26 @@ class TestEvaluateCommand:
         assert len(errors) == 1
         assert str(labels_path) in errors[0] and f"{count} labels" in errors[0]
 
+    @pytest.mark.parametrize("bad", [99, -1, 4])
+    def test_labels_outside_the_classes_are_refused(self, runner, tmp_path,
+                                                    bad):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        labels = load_tensor(paths["eval_labels"]).data.copy()
+        labels[-1] = bad
+        labels_path = tmp_path / "labels.hqt"
+        save_tensor(str(labels_path), Tensor(labels))
+        qpath = tmp_path / "q.json"
+        save_qconfig(str(qpath), {}, 8, "partial")
+        result = runner.invoke(main, [
+            "evaluate", "--model", paths["manifest"], "--eval", paths["eval"],
+            "--labels", str(labels_path), "--qconfig", str(qpath)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert str(labels_path) in errors[0] and "4 classes" in errors[0]
+
     def test_labels_beyond_int64_fail_without_a_cast_warning(self, tmp_path):
         paths = export_fixture("tiny-mvit-ln", str(tmp_path))
         labels = load_tensor(paths["eval_labels"]).data.copy()

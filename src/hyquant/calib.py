@@ -5,13 +5,13 @@ every reconstruction unit's output, the unit members' external inputs, the
 full-precision values at every quant site, and the final logits. Pass 2 runs
 the default-quantized model (min-max fits), takes cross-entropy against the
 full-precision argmax labels, and backpropagates to cache each unit's output
-gradient. Pass 1 is one whole-batch forward; pass 2 runs PASS_CHUNK samples
-at a time, each chunk on its own tape. The search then minimizes the
-squared-gradient reconstruction objective per unit over scale candidates,
-granularity and scheme, re-running only the unit's own layers on the cached
-full-precision inputs. A scale candidate re-runs only the steps that depend
-on the scanned site (its cone); every other value is reused from the unit's
-current parameters.
+gradient. Pass 1 is one whole-batch forward; pass 2, like evaluation, runs
+through run_chunked, PASS_CHUNK samples at a time, each chunk on its own
+tape. The search then minimizes the squared-gradient reconstruction
+objective per unit over scale candidates, granularity and scheme, re-running
+only the unit's own layers on the cached full-precision inputs. A scale
+candidate re-runs only the steps that depend on the scanned site (its cone);
+every other value is reused from the unit's current parameters.
 """
 
 from __future__ import annotations
@@ -176,19 +176,28 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 PASS_CHUNK = 512
 
 
-def chunks(batch: Tensor):
-    """(rows, chunk) pairs covering the batch in PASS_CHUNK-sample chunks,
-    the last of which takes the remainder too, so no chunk of a longer batch
-    has fewer than PASS_CHUNK rows. A batch of fewer than 2 * PASS_CHUNK
-    samples comes as itself, with rows slice(None)."""
-    count = batch.shape[0] // PASS_CHUNK
+def run_chunked(batch: Tensor, run) -> dict:
+    """run(rows, chunk) -> {key: the chunk's rows} on PASS_CHUNK-sample
+    chunks, the last taking the remainder too, joined into {key: the whole
+    batch's rows}. A batch of fewer than 2 * PASS_CHUNK samples is one call,
+    run(slice(None), batch), whose arrays come back as they are; otherwise
+    the first chunk allocates each whole-batch array and a chunk's results
+    are released before the next chunk runs."""
+    n = batch.shape[0]
+    count = n // PASS_CHUNK
     if count < 2:
-        yield slice(None), batch
-        return
+        return run(slice(None), batch)
+    out: dict = {}
     for k in range(count):
-        end = (k + 1) * PASS_CHUNK if k + 1 < count else batch.shape[0]
-        rows = slice(k * PASS_CHUNK, end)
-        yield rows, Tensor._wrap(batch.data[rows])
+        rows = slice(k * PASS_CHUNK, (k + 1) * PASS_CHUNK if k + 1 < count else n)
+        part = run(rows, Tensor._wrap(batch.data[rows]))
+        if not out:
+            out = {key: np.empty((n, *a.shape[1:]), a.dtype)
+                   for key, a in part.items()}
+        for key in part:
+            out[key][rows] = part[key]
+        del part  # before the next chunk runs
+    return out
 
 
 def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
@@ -250,25 +259,14 @@ def pass2_cache_gradients(graph: Graph, calib_batch: Tensor, units,
     Loss is sum-reduced cross-entropy of the quantized logits against the
     full-precision argmax labels, so the logit gradient is softmax - onehot
     and each sample's gradient is its own: the pass runs PASS_CHUNK samples
-    at a time, each chunk with its own tape, under one min-max qconfig
-    fitted on the whole batch's pass-1 values.
+    at a time (run_chunked), each chunk with its own tape, under one min-max
+    qconfig fitted on the whole batch's pass-1 values.
     """
     if cache.logits_fp is None:
         raise CalibError("pass 1 cache missing; run pass1_cache_fp first")
     qcfg = default_qconfig(graph, bits, cache)
-    grads: dict = {}
-    for rows, chunk in chunks(calib_batch):
-        part = _grads_chunk(graph, chunk, qcfg, units, cache.logits_fp[rows])
-        if rows == slice(None):  # one chunk: its gradients are the batch's
-            grads = part
-            continue
-        for uid in part:  # the first chunk allocates the batch's arrays
-            if uid not in grads:
-                grads[uid] = np.empty((calib_batch.shape[0],
-                                       *part[uid].shape[1:]), part[uid].dtype)
-            grads[uid][rows] = part[uid]
-        del part  # before the next chunk's tape
-    cache.unit_grads.update(grads)
+    cache.unit_grads.update(run_chunked(calib_batch, lambda rows, chunk:
+        _grads_chunk(graph, chunk, qcfg, units, cache.logits_fp[rows])))
     return cache
 
 

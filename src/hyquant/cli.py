@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .calib import CalibError, CalibOptions, SearchSpace, calibrate, chunks
+from .calib import CalibError, CalibOptions, SearchSpace, calibrate, run_chunked
 from .graph import (Graph, GraphError, _is_int, _list_of, _one_of, forward_fp,
                     forward_quant, load_manifest, read_fields, read_json)
 from .quant import (GRANULARITIES, SCHEMES, QuantError, QuantParams,
@@ -124,19 +124,22 @@ class LabelError(TensorError):
 
 def evaluate_model(graph: Graph, qcfg: dict, eval_x: Tensor,
                    labels: np.ndarray) -> dict:
-    """FP vs quantized top-1, agreement, and mean logit MSE on one batch,
-    forwarded in the calibration passes' chunks; the metrics are taken on
-    the joined logits, whose bytes are the whole batch's."""
+    """FP vs quantized top-1, agreement, and mean logit MSE on one batch of
+    one label per sample, forwarded in the calibration passes' chunks
+    (run_chunked); the metrics are taken on the whole batch's logits."""
     if eval_x.ndim == 0:
         raise GraphError("evaluation batch is a scalar; it needs a sample axis")
-    fp, q = [], []
-    for _, chunk in chunks(eval_x):
-        y_fp, _ = forward_fp(graph, chunk)
-        if y_fp.ndim != 2:
-            raise GraphError(f"model output {y_fp.shape} is not (N, classes) logits")
-        fp.append(y_fp.data)
-        q.append(forward_quant(graph, chunk, qcfg)[0].data)
-    y_fp, y_q = np.concatenate(fp), np.concatenate(q)
+    if eval_x.size == 0:
+        raise GraphError("evaluation batch is empty")
+    if labels.shape != eval_x.shape[:1]:
+        raise LabelError(f"{labels.size} labels for an evaluation batch of "
+                         f"shape {eval_x.shape}")
+    logits = run_chunked(eval_x, lambda rows, chunk: {
+        "fp": forward_fp(graph, chunk)[0].data,
+        "q": forward_quant(graph, chunk, qcfg)[0].data})
+    y_fp, y_q = logits["fp"], logits["q"]
+    if y_fp.ndim != 2:
+        raise GraphError(f"model output {y_fp.shape} is not (N, classes) logits")
     classes = y_fp.shape[1]
     if not np.all((labels >= 0) & (labels < classes)):
         raise LabelError(f"labels must lie in [0, {classes}) for a model of "
@@ -240,9 +243,6 @@ def _load_source(model, fixture, seed, mode, calib_path=None, eval_path=None,
         data = [load(path) if path else None for load, path in (
             (load_tensor, calib_path), (load_tensor, eval_path),
             (_load_labels, labels_path))]
-        if labels_path and data[2].shape != data[1].shape[:1]:
-            raise TensorError(f"{labels_path}: {data[2].size} labels for an "
-                              f"evaluation batch of shape {data[1].shape}")
     return (graph if mode is None else with_mode(graph, mode), *data)
 
 

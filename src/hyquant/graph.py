@@ -204,34 +204,41 @@ def _one_of(*values):
 
 
 _POSITIVE = (lambda v: _is_int(v) and v > 0, "a positive integer")
-_INT = (_is_int, "an integer", None)
-_STRIDE = (_int_or_pair(_POSITIVE[0]), "a positive integer or a pair of them", None)
+_INT = (_is_int, "an integer")
+_STRIDE = (_int_or_pair(_POSITIVE[0]), "a positive integer or a pair of them", 1)
 _PADDING = (_int_or_pair(lambda v: _is_int(v) and v >= 0),
-            "a non-negative integer or a pair of them", None)
+            "a non-negative integer or a pair of them", 0)
 _EPS = (lambda v: (_is_int(v) or isinstance(v, (float, np.floating))) and v >= 0,
-        "a non-negative number", None)
+        "a non-negative number", 1e-5)
 
 # by layer kind, the attributes its steps read: name -> (check, what a valid
-# value is[, default]); None marks an attribute the op supplies a default for
+# value is[, default]); a None default marks one that only some uses need
 _LAYER_ATTRS = {
-    "conv2d": {"stride": _STRIDE, "padding": _PADDING, "groups": (*_POSITIVE, None)},
+    "conv2d": {"stride": _STRIDE, "padding": _PADDING, "groups": (*_POSITIVE, 1)},
     "depthwise_conv2d": {"stride": _STRIDE, "padding": _PADDING},
     "mhsa": {"heads": _POSITIVE},
-    "softmax": {"axis": _INT},
+    "softmax": {"axis": (*_INT, -1)},
     "layer_norm": {"eps": _EPS},
-    "group_norm": {"groups": _POSITIVE, "eps": _EPS, "channel_axis": _INT},
-    "batch_norm": {"channel_axis": _INT},
+    "group_norm": {"groups": _POSITIVE, "eps": _EPS, "channel_axis": (*_INT, 1)},
+    "batch_norm": {"channel_axis": (*_INT, 1)},
     "activation": {"fn": _one_of(*ACTIVATION_FNS)},
     "reshape": {"op": _one_of("nchw_to_tokens", "tokens_to_nchw", "flatten"),
                 "h": (*_POSITIVE, None), "w": (*_POSITIVE, None)},
     "pool": {"op": _one_of("mean_tokens", "global_avg")},
-    "matmul": {"transpose_b": (lambda v: isinstance(v, bool), "a boolean", None)},
+    "matmul": {"transpose_b": (lambda v: isinstance(v, bool), "a boolean", False)},
 }
 
 
 def _validate_layer(layer: LayerSpec) -> None:
-    k, a, w = layer.kind, layer.attrs, layer.weights
-    read_fields(a, _LAYER_ATTRS.get(k, {}), GraphError, f"layer {layer.id}", "attribute")
+    """Check the layer and set its attrs to those its steps read, defaults
+    filled in and None left out, so that a second check changes nothing."""
+    k, w, where = layer.kind, layer.weights, f"layer {layer.id}"
+    a = layer.attrs = {name: v for name, v in read_fields(
+        layer.attrs, _LAYER_ATTRS.get(k, {}), GraphError, where,
+        "attribute").items() if v is not None}
+    if a.get("op") == "tokens_to_nchw":  # the one op that reads h and w
+        read_fields(a, {"h": _POSITIVE, "w": _POSITIVE}, GraphError,
+                    f"{where} (tokens_to_nchw)", "attribute")
     arity = 2 if k in ("add", "matmul") else 1
     if len(layer.inputs) != arity:
         raise GraphError(f"layer {layer.id}: {k} needs exactly {arity} input(s)")
@@ -266,8 +273,7 @@ def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
     """The layer's quant sites as its kind's steps declare them, in step
     order; sites of "full" mode only come last and only in that mode. A
     channel_axis attr, on the kinds that take one, overrides the step's."""
-    axis = layer.attrs.get("channel_axis") \
-        if "channel_axis" in _LAYER_ATTRS.get(layer.kind, {}) else None
+    axis = layer.attrs.get("channel_axis")
     steps = sorted((s for s in LAYER_STEPS[layer.kind] if s.site
                     and (mode == "full" or not s.full_only)),
                    key=lambda s: s.full_only)
@@ -335,20 +341,16 @@ def _step_list(*steps: Step) -> tuple[Step, ...]:
 
 # Ops look T.<name> up when they run, so a tracer that rebinds the tensor
 # functions sees every call.
-def _tensor_op(name: str, **defaults):
-    """An op whose last input is the layer's attrs: T.<name>(*tensors, **kw),
-    kw holding each attr named in defaults, or its default when absent."""
+def _tensor_op(name: str):
+    """An op whose last input is the layer's attrs: T.<name>(*ts, **attrs)."""
     def op(*ins):
         *tensors, attrs, tape = ins
-        kw = {k: attrs.get(k, v) for k, v in defaults.items()}
-        return getattr(T, name)(*tensors, tape=tape, **kw)
+        return getattr(T, name)(*tensors, tape=tape, **attrs)
     return op
 
 
 def _depthwise_conv(x, w, b, attrs, tape) -> Tensor:
-    return T.conv2d(x, w, b, stride=attrs.get("stride", 1),
-                    padding=attrs.get("padding", 0), groups=w.shape[0],
-                    tape=tape)
+    return T.conv2d(x, w, b, groups=w.shape[0], tape=tape, **attrs)
 
 
 def _project(x: Tensor, w: Tensor, b: Tensor | None, tape) -> Tensor:
@@ -409,7 +411,7 @@ ATTENTION_STEPS = _step_list(
     Step("vh", _split_heads, ("vs", "attrs")),
     Step("scores", _scores, ("qh", "kh")),
     _quant("scores_q", "scores", "softmax_in", per_channel=False, full_only=True),
-    Step("probs", _tensor_op("softmax"), ("scores_q", "attrs")),
+    Step("probs", lambda s, tape: T.softmax(s, -1, tape), ("scores_q",)),
     _quant("probs_q", "probs", "attn_probs", per_channel=False),
     Step("ctx", _merge_heads, ("probs_q", "vh")),
 )
@@ -427,8 +429,8 @@ _WEIGHT = _weight("wq", "w", "weight")
 
 # by layer kind, in the order of LAYER_KINDS
 LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
-    ("conv2d", (_input(axis=1), _WEIGHT, Step("out", _tensor_op(
-        "conv2d", stride=1, padding=0, groups=1), ("xq", "wq", "b", "attrs")))),
+    ("conv2d", (_input(axis=1), _WEIGHT, Step("out", _tensor_op("conv2d"),
+                                              ("xq", "wq", "b", "attrs")))),
     ("depthwise_conv2d", (_input(axis=1), _WEIGHT,
                           Step("out", _depthwise_conv, ("xq", "wq", "b", "attrs")))),
     ("linear", (_input(), _WEIGHT, Step("out", _project, ("xq", "wq", "b")))),
@@ -445,21 +447,19 @@ LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
         _weight("wo", "w_o", "w_o"),
         Step("out", _project, ("ctx_q", "wo", "b_o")))),
     ("softmax", (_input(per_channel=False, full_only=True),
-                 Step("out", _tensor_op("softmax", axis=-1), ("xq", "attrs")))),
+                 Step("out", _tensor_op("softmax"), ("xq", "attrs")))),
     ("layer_norm", (_input(full_only=True), Step("out", _tensor_op(
-        "layer_norm", eps=1e-5), ("xq", "gamma", "beta", "attrs")))),
+        "layer_norm"), ("xq", "gamma", "beta", "attrs")))),
     ("group_norm", (_input(axis=1, full_only=True), Step("out", _tensor_op(
-        "group_norm", groups=None, eps=1e-5, channel_axis=1),
-        ("xq", "gamma", "beta", "attrs")))),
+        "group_norm"), ("xq", "gamma", "beta", "attrs")))),
     ("batch_norm", (_input(axis=1, full_only=True), Step("out", _tensor_op(
-        "batch_norm_folded", channel_axis=1), ("xq", "scale", "shift", "attrs")))),
+        "batch_norm_folded"), ("xq", "scale", "shift", "attrs")))),
     ("activation", (Step("out", _activation, ("x", "attrs")),)),
     ("add", (Step("out", _tensor_op("add"), ("x", "y", "attrs")),)),
     ("reshape", (Step("out", _reshape, ("x", "attrs")),)),
     ("pool", (Step("out", _pool, ("x", "attrs")),)),
     ("matmul", (_quant("aq", "x", "input_a"), _quant("bq", "y", "input_b"),
-                Step("out", _tensor_op("matmul", transpose_b=False),
-                     ("aq", "bq", "attrs")))),
+                Step("out", _tensor_op("matmul"), ("aq", "bq", "attrs")))),
 )}
 
 LAYER_KINDS = tuple(LAYER_STEPS)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -472,17 +473,23 @@ class TestChunkedPasses:
         # kernel by row count; test_chunks_equal_one_chunk_bytes shows it
         assert C.PASS_CHUNK == 512
 
+    # no chunk of 1,300 samples has fewer than 512 rows, so its bytes are
+    # still the whole batch's
+    @pytest.mark.parametrize("count, sizes", [(2048, [512] * 4),
+                                              (1300, [512, 788])])
     @pytest.mark.parametrize("mode", ["partial", "full"])
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_chunks_equal_one_chunk_bytes(self, name, mode, monkeypatch):
-        spec = replace(FIXTURES[name], calib_count=2048)
+    def test_chunks_equal_one_chunk_bytes(self, name, mode, count, sizes,
+                                          monkeypatch):
+        spec = replace(FIXTURES[name], calib_count=count)
         graph, calib, _, _ = build_fixture(spec)
         graph = with_mode(graph, mode)
         forwards, quants = self.count_forwards(monkeypatch)
         chunked = dict(cache_entries(self.passes(graph, calib)))
-        assert forwards == [2048] and quants == [512] * 4
-        monkeypatch.setattr(C, "PASS_CHUNK", 2048)
+        assert forwards == [count] and quants == sizes
+        monkeypatch.setattr(C, "PASS_CHUNK", count)
         whole = dict(cache_entries(self.passes(graph, calib)))
+        assert forwards == [count] * 2 and quants == sizes + [count]
         assert list(chunked) == list(whole)
         for key, a in whole.items():
             b = chunked[key]
@@ -501,32 +508,33 @@ class TestChunkedPasses:
         (0, [0]), (1023, [1023]), (1024, [512, 512]), (1300, [512, 788]),
         (2047, [512, 512, 1023])])
     def test_remainder_joins_the_last_chunk(self, n, sizes):
-        batch = Tensor(np.arange(n, dtype=F32).reshape(n, 1))
-        parts = list(C.chunks(batch))
-        assert [chunk.shape[0] for _, chunk in parts] == sizes
-        if len(parts) == 1:
-            assert parts[0][0] == slice(None) and parts[0][1] is batch
-        for rows, chunk in parts:
-            assert chunk.data.tobytes() == batch.data[rows].tobytes()
-        assert parts[-1][0].stop in (None, n)
+        batch = Tensor(np.arange(2 * n, dtype=F32).reshape(n, 2))
+        calls, results = [], []
 
-    # no chunk of 1,300 samples has fewer than 512 rows, so its bytes are
-    # still the whole batch's
-    @pytest.mark.parametrize("mode", ["partial", "full"])
-    @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_remainder_chunk_equals_one_chunk_bytes(self, name, mode,
-                                                    monkeypatch):
-        spec = replace(FIXTURES[name], calib_count=1300)
-        graph, calib, _, _ = build_fixture(spec)
-        graph = with_mode(graph, mode)
-        forwards, quants = self.count_forwards(monkeypatch)
-        chunked = dict(cache_entries(self.passes(graph, calib)))
-        assert forwards == [1300] and quants == [512, 788]
-        monkeypatch.setattr(C, "PASS_CHUNK", 1300)
-        whole = dict(cache_entries(self.passes(graph, calib)))
-        assert list(chunked) == list(whole)
-        for key, a in whole.items():
-            assert chunked[key].tobytes() == a.tobytes(), key
+        def run(rows, chunk):
+            # the previous chunk's results are released before this one runs
+            assert all(ref() is None for part in results for ref in part)
+            calls.append((rows, chunk))
+            part = {"twice": chunk.data * 2,
+                    "first": chunk.data[:, 0].astype(np.int64)}
+            results.append([weakref.ref(a) for a in part.values()])
+            return part
+        joined = C.run_chunked(batch, run)
+        assert [chunk.shape[0] for _, chunk in calls] == sizes
+        for rows, chunk in calls:
+            assert chunk.data.tobytes() == batch.data[rows].tobytes()
+        assert calls[-1][0].stop in (None, n)
+        if len(calls) == 1:  # the batch itself, and run's arrays as they are
+            assert calls[0][0] == slice(None) and calls[0][1] is batch
+            assert all(ref() is a for ref, a in zip(results[0],
+                                                    joined.values()))
+        expected = {"twice": batch.data * 2,
+                    "first": batch.data[:, 0].astype(np.int64)}
+        assert list(joined) == list(expected)
+        for key, a in expected.items():
+            b = joined[key]
+            assert (b.dtype, b.shape) == (a.dtype, a.shape), key
+            assert b.tobytes() == a.tobytes(), key
 
     # pass 1 is one forward at every batch size, 2,048 samples included
     def test_one_chunk_caches_the_forwards_own_arrays(self, monkeypatch):

@@ -16,8 +16,8 @@ from click.testing import CliRunner
 
 import hyquant.calib as C
 import hyquant.cli as cli_module
-from hyquant.cli import (evaluate_model, load_qconfig, main, qconfig_to_doc,
-                         range_report, save_qconfig, with_mode,
+from hyquant.cli import (LabelError, evaluate_model, load_qconfig, main,
+                         qconfig_to_doc, range_report, save_qconfig, with_mode,
                          write_report_csv)
 from hyquant.graph import GraphError, GraphExecutionError, forward_fp
 from hyquant.quant import detect_zero_point_overflow
@@ -537,6 +537,28 @@ class TestReportCommand:
             [c.flagged for c in rep.channels]
         assert "overflow flags" in result.output
 
+    def test_tokens_to_nchw_without_h_fails_at_load(self, runner, tmp_path):
+        manifest = tmp_path / "model.json"
+        manifest.write_text(json.dumps({
+            "format": "hyquant-manifest/1", "input_shape": [4, 3],
+            "layers": [
+                {"id": 0, "kind": "reshape", "inputs": [-1],
+                 "attrs": {"op": "tokens_to_nchw"}},
+                {"id": 1, "kind": "pool", "inputs": [0],
+                 "attrs": {"op": "global_avg"}}]}))
+        blob = str(tmp_path / "x.hqt")
+        save_tensor(blob, Tensor(np.ones((2, 4, 3), dtype=np.float32)))
+        result = runner.invoke(main, ["report", "--model", str(manifest),
+                                      "--calib", blob, "--val", blob,
+                                      "--out", str(tmp_path / "r.csv")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1
+        assert str(manifest) in errors[0] and "layer 0" in errors[0]
+        assert "missing attribute 'h'" in errors[0]
+
     def test_plain_fixture_bridge_site_unflagged(self, runner, tmp_path):
         out = tmp_path / "report.csv"
         result = runner.invoke(main, ["report", "--fixture", "tiny-mvit-ln",
@@ -794,6 +816,20 @@ class TestChunkedEvaluation:
         graph, _, _, labels = build_fixture("tiny-mvit-ln")
         with pytest.raises(GraphError, match="scalar"):
             evaluate_model(graph, {}, Tensor(1.0), labels)
+
+    # the count is checked before any forward: one label used to broadcast
+    # to wrong metrics, and three raised a bare numpy ValueError
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_label_count_must_match_the_batch(self, count):
+        graph, _, ev, labels = build_fixture("tiny-mvit-ln")
+        with pytest.raises(LabelError, match=f"^{count} labels for an "
+                           r"evaluation batch of shape \(128, "):
+            evaluate_model(graph, {}, ev, labels[:count])
+
+    def test_empty_batch_is_refused(self):
+        graph, _, ev, labels = build_fixture("tiny-mvit-ln")
+        with pytest.raises(GraphError, match="empty"):
+            evaluate_model(graph, {}, Tensor._wrap(ev.data[:0]), labels[:0])
 
     # 20.6 MiB traced with 512-sample chunks, against 82.1 MiB when both
     # forwards ran the 2,048 samples whole

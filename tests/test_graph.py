@@ -419,6 +419,37 @@ class TestManifest:
         y1, _ = forward_fp(back, calib)
         assert y0.data.tobytes() == y1.data.tobytes()
 
+    def test_saved_attributes_are_the_effective_ones(self, tmp_path):
+        # omitted attributes are saved with their defaults, and building a
+        # graph again from the same layers changes none of them
+        graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        path = tmp_path / "model.json"
+        save_manifest(graph, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["layers"][0]["attrs"] == {"stride": 2, "padding": 1,
+                                             "groups": 1}
+        attrs = [dict(l.attrs) for l in graph.layers]
+        full = Graph(layers=graph.layers, input_shape=graph.input_shape,
+                     mode="full")
+        assert [l.attrs for l in full.layers] == attrs
+
+    @pytest.mark.parametrize("given, missing", [
+        ({}, "h"), ({"w": 2}, "h"), ({"h": 2}, "w")])
+    def test_tokens_to_nchw_needs_h_and_w_at_load(self, tmp_path, given,
+                                                  missing):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "hyquant-manifest/1", "input_shape": [4, 3],
+            "layers": [
+                {"id": 0, "kind": "reshape", "inputs": [-1],
+                 "attrs": {"op": "tokens_to_nchw", **given}},
+                {"id": 1, "kind": "pool", "inputs": [0],
+                 "attrs": {"op": "global_avg"}}]}))
+        with pytest.raises(GraphError) as e:
+            load_manifest(str(path))
+        assert str(e.value) == (f"{path}: layer 0 (tokens_to_nchw): missing "
+                                f"attribute '{missing}'")
+
     def test_unknown_kind_in_manifest_rejected(self, tmp_path):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
         path = tmp_path / "model.json"

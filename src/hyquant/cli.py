@@ -63,8 +63,8 @@ def _one_or_list(ok, what: str):  # a per_layer value or per_channel list
     return lambda v: ok(v) or _list_of(ok)(v), f"{what} or a list of them"
 
 
-_NUMBERS = _one_or_list(lambda v: type(v) in (int, float) and math.isfinite(v),
-                        "a finite number")
+_FINITE = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+_NUMBERS = _one_or_list(*_FINITE)
 # (check, what a valid value is[, default]) per field, read by read_fields
 _QCONFIG_FIELDS = {
     "format": (lambda v: v == QCONFIG_FORMAT, repr(QCONFIG_FORMAT)),
@@ -82,6 +82,8 @@ _ENTRY_FIELDS = {
     "scale": _NUMBERS,
     "zero_point": _one_or_list(_is_int, "an integer"),
     "zero_point_raw": _NUMBERS,
+    # written by quantize for the record; not part of the params
+    "objective": (*_FINITE, None),
 }
 
 
@@ -96,6 +98,7 @@ def load_qconfig(path: str):
         if fields["bits"] != doc["bits"]:
             raise QuantError(f"{where}: field 'bits' is {fields['bits']} but "
                              f"the document's bits is {doc['bits']}")
+        del fields["objective"]
         key = (fields.pop("layer"), fields.pop("site"))
         if key in qcfg:
             raise QuantError(f"{where}: a second entry for the same site")

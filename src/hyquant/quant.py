@@ -1,10 +1,11 @@
 """Uniform quantizer: scale/zero-point fitting, fake quantization, overflow analysis.
 
-Conventions fixed here and relied on by golden files elsewhere:
+Conventions fixed here:
 
 * signed integer grid [-2^(k-1), 2^(k-1)-1] for weights and activations;
-* rounding is half-away-from-zero (numpy's default half-even would shift
-  quantized codes by one ulp and break bit-exact artifacts);
+* codes and zero-points round half to even (np.rint), IEEE 754's default and
+  PyTorch's; fake quantization runs in float32 throughout, and its float32
+  clip bounds are exact up to 24 bits (above, q_max rounds up to 2^(k-1));
 * the raw zero-point is kept as the continuous value q_min - r_min/scale so
   overflow diagnosis is exactly the r_min>0 / r_max<0 condition, while the
   stored integer zero-point is rounded then clamped into the grid;
@@ -17,7 +18,6 @@ All functions are pure over immutable inputs and freely parallel.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +27,6 @@ from .tensor import Tape, Tensor
 _F32 = np.float32
 
 SCALE_FLOOR = 1e-8
-
-# Elements per block of quantize_dequantize: a block's work arrays (64 KiB
-# each in float32, 128 KiB in float64) stay in L2 cache from pass to pass.
-_BLOCK = 16384
 
 SCHEMES = ("symmetric", "asymmetric")
 GRANULARITIES = ("per_layer", "per_channel")
@@ -51,11 +47,6 @@ def grid_range(bits: int) -> tuple[int, int]:
     return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero (ties at .5 move away from 0)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def floor_scale(scale: np.ndarray) -> np.ndarray:
     """Apply the degenerate-range floor so scales stay strictly positive."""
     return np.maximum(np.asarray(scale, dtype=np.float64), SCALE_FLOOR)
@@ -68,8 +59,7 @@ class QuantParams:
     scale/zero_point are scalars (shape ()) for per_layer granularity and
     vectors (C,) along channel_axis for per_channel. zero_point_raw retains
     the continuous pre-round, pre-clamp zero-point for overflow diagnosis.
-    q_min/q_max and their float32 form, the float32 form of zero_point and
-    whether fake quantization must run in float64 (see quantize_dequantize),
+    q_min/q_max and their float32 form and the float32 form of zero_point,
     which every quantize_dequantize call reads, are derived once at
     construction.
     """
@@ -85,7 +75,6 @@ class QuantParams:
     q_max: int = field(init=False, repr=False, compare=False)
     q_bounds32: tuple = field(init=False, repr=False, compare=False)
     zero_point32: np.ndarray = field(init=False, repr=False, compare=False)
-    float64_path: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -116,13 +105,12 @@ class QuantParams:
     @property
     def any_clamped(self) -> bool:
         """True when clamping altered a stored integer zero-point."""
-        rounded = round_half_away(self.zero_point_raw)
+        rounded = np.rint(self.zero_point_raw)
         return bool(np.any((rounded < self.q_min) | (rounded > self.q_max)))
 
 
 def _set_scale(p: QuantParams, scale) -> None:
-    """Give p a float32 scale, refused unless strictly positive and finite,
-    and derive from it whether p's fake quantization runs in float64."""
+    """Give p a float32 scale, refused unless strictly positive and finite."""
     with np.errstate(over="ignore"):  # too large for float32: inf, refused below
         scale = np.asarray(scale, dtype=_F32)
     # array methods, not np.all/np.any: a search builds thousands of params
@@ -130,8 +118,6 @@ def _set_scale(p: QuantParams, scale) -> None:
         raise QuantError("scale must be strictly positive (floor degenerate "
                          "ranges) and finite as float32")
     object.__setattr__(p, "scale", scale)
-    object.__setattr__(p, "float64_path", p.bits > 16 or (
-        scale.max() >= 2 and bool(((p.zero_point == 0) & (scale >= 2)).any())))
 
 
 @dataclass(frozen=True)
@@ -190,7 +176,7 @@ def fit_minmax(t: Tensor, bits: int, scheme: str, granularity: str,
     elif scheme == "asymmetric":
         sc = floor_scale((r_max - r_min) / (2 ** bits - 1))
         raw = q_min - r_min / sc
-        zp = np.clip(round_half_away(raw), q_min, q_max).astype(np.int32)
+        zp = np.clip(np.rint(raw), q_min, q_max).astype(np.int32)
     else:
         raise QuantError(f"unknown scheme '{scheme}'")
     return QuantParams(bits=bits, scheme=scheme, granularity=granularity,
@@ -223,41 +209,16 @@ def _broadcast_param(v: np.ndarray, ndim: int, channel_axis: int | None) -> np.n
     return v.reshape(shape)
 
 
-def _round_half_away64(x, s, z, sel) -> np.ndarray:
-    """The reference codes round_half_away(x64 / sc + zp) of the elements
-    sel picks, with s and z broadcast against x."""
-    v = x[sel] / np.broadcast_to(s, x.shape)[sel].astype(np.float64)
-    v += np.broadcast_to(z, x.shape)[sel]
-    return round_half_away(v)
-
-
 def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> Tensor:
-    """Fake quantization: clip(round(x/scale + zp)) mapped back to reals.
+    """Fake quantization: (clip(rint(x / sc + zp)) - zp) * sc in float32.
 
-    The output is bit for bit the float64 reference formula
-    `((clip(round_half_away(x64 / sc + zp)) - zp) * sc).astype(float32)`,
-    so the high-bit limit collapses to identity within float32 rounding.
-    Backward is a clip-aware straight-through estimator: the gradient passes
-    where the unclipped code lies in [q_min, q_max] (a bool mask taken before
-    clipping; g * mask gives the bits of g times a float32 0/1 mask).
-
-    The tensor runs in blocks of about _BLOCK elements along axis 0, in place
-    in reused work arrays, in float32: y = x / sc + zp, c = rint(y); where y
-    is a half-integer (y - c is exact, so |y - c| == 0.5 finds every one),
-    c becomes the reference's float64 code; then (clip(c) - zp) * sc. This
-    is exact for bits <= 16. x / sc and + zp round monotonely in both
-    widths, and every half-integer below 2^22 is a float32 number, so y can
-    land on a rounding boundary the float64 value sits near but never cross
-    one; off the ties both round to the same integer. c - zp has at most 17
-    bits, so its product with the 24-bit scale is exact in float64 and the
-    one float32 rounding is the reference's cast. p.float64_path runs every
-    element through the reference arithmetic instead: at bits > 16, and for
-    a zero zero-point with a scale >= 2, where x / sc of a negative subnormal
-    x can underflow to -0.0 in float32, which + zp turns into +0.0 while the
-    reference code is -0.0.
+    Each step is one float32 ufunc over the whole tensor, and rint rounds
+    half to even. Backward is a clip-aware straight-through estimator: the
+    gradient passes where the unclipped code lies in [q_min, q_max] (a bool
+    mask taken before clipping; g * mask gives the bits of g times a float32
+    0/1 mask).
     """
     xa = t.data
-    ax = None
     if p.granularity == "per_channel":
         if not -xa.ndim <= p.channel_axis < xa.ndim:
             raise QuantError(f"channel_axis {p.channel_axis} is out of range "
@@ -267,55 +228,28 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
             raise QuantError(
                 f"per_channel params carry {p.scale.size} channels but tensor "
                 f"has {xa.shape[ax]} along axis {ax}")
-    wide = p.float64_path
-    work = np.float64 if wide else _F32
-    sc = _broadcast_param(p.scale.astype(work, copy=False), xa.ndim, p.channel_axis)
-    zp = _broadcast_param(p.zero_point.astype(work) if wide else p.zero_point32,
-                          xa.ndim, p.channel_axis)
-    # float32 bounds are exact up to 24 bits; the float64 path covers the rest
-    q_min, q_max = (p.q_min, p.q_max) if wide else p.q_bounds32
-    x = xa.reshape(1) if xa.ndim == 0 else xa
-    out = np.empty(x.shape, _F32)
+    sc = _broadcast_param(p.scale, xa.ndim, p.channel_axis)
+    zp = _broadcast_param(p.zero_point32, xa.ndim, p.channel_axis)
+    q_min, q_max = p.q_bounds32
     taped = tape is not None and t.node is not None
-    mask = np.empty(x.shape, np.bool_) if taped else None
-    rows = max(1, min(len(x), _BLOCK // max(1, math.prod(x.shape[1:]))))
-    y_buf = np.empty((rows,) + x.shape[1:], work)
-    c_buf = np.empty_like(y_buf)
-    # float32 x / sc can overflow, and inf - rint(inf) is NaN, where float64
-    # stays finite; both clip to the same bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(x), rows):
-            blk = slice(i, i + rows)
-            s, z = (sc[blk], zp[blk]) if ax == 0 else (sc, zp)
-            xb = x[blk]
-            y, c = y_buf[:len(xb)], c_buf[:len(xb)]
-            np.divide(xb, s, out=y)
-            y += z
-            if wide:
-                c[...] = round_half_away(y)
-            else:
-                np.rint(y, out=c)
-                y -= c
-                np.abs(y, out=y)
-                if np.fmax.reduce(y, axis=None) == 0.5:  # fmax skips NaN
-                    tie = y == 0.5
-                    c[tie] = _round_half_away64(xb, s, z, tie)
-            if taped:
-                np.logical_and(c >= q_min, c <= q_max, out=mask[blk])
-            # np.clip without its wrapper (c is never NaN). Bound first: on a
-            # tie numpy returns the second operand, so a -0.0 code at
-            # q_max == 0 (bits 1) stays -0.0, as under np.clip
-            np.maximum(q_min, c, out=c)
-            np.minimum(q_max, c, out=c)
-            c -= z
-            np.multiply(c, s, out=out[blk], casting="same_kind")
-    out = out.reshape(xa.shape)
+    # x / sc can overflow float32 to inf, which clips to a bound
+    with np.errstate(over="ignore"):
+        c = np.divide(xa, sc, out=np.empty(xa.shape, _F32))
+        c += zp
+        np.rint(c, out=c)
+        mask = (c >= q_min) & (c <= q_max) if taped else None
+        # np.clip without its wrapper (c is never NaN). Bound first: on a tie
+        # numpy returns the second operand, so a -0.0 code at q_max == 0
+        # (bits 1) stays -0.0, as under np.clip
+        np.maximum(q_min, c, out=c)
+        np.minimum(q_max, c, out=c)
+        c -= zp
+        c *= sc
     if not taped:
-        return Tensor._wrap(out)
-    mask = mask.reshape(xa.shape)
+        return Tensor._wrap(c)
     parent = t.node
-    nid = tape.record(out.shape, lambda g: [(parent, g * mask)])
-    return Tensor._wrap(out, nid)
+    nid = tape.record(c.shape, lambda g: [(parent, g * mask)])
+    return Tensor._wrap(c, nid)
 
 
 def detect_zero_point_overflow(t: Tensor, bits: int, axis: int) -> OverflowReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from hyquant import tensor as T
-from hyquant.quant import grid_range, round_half_away
+from hyquant.quant import grid_range
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,12 +108,6 @@ def dense_objective_oracle(delta_o: np.ndarray, g: np.ndarray) -> float:
     d = delta_o.astype(np.float64).reshape(-1)
     h = np.diag(g.astype(np.float64).reshape(-1) ** 2)
     return float(d @ h @ d)
-
-
-def quantize_oracle(x: np.ndarray, scale: float, zp: int, bits: int) -> np.ndarray:
-    q_min, q_max = grid_range(bits)
-    q = np.clip(round_half_away(x.astype(np.float64) / scale + zp), q_min, q_max)
-    return ((q - zp) * scale).astype(np.float64)
 
 
 def raw_zero_point_oracle(values: np.ndarray, bits: int) -> float:

@@ -883,32 +883,32 @@ _OPTION_PINS = {
         "8a6bd8a3f9b6ddbd3da25ba98846648e08d237fa600f9c0dff0f0a200755eab2",
         {"layer0": 14, "layer1": 6, "bridge0": 30, "layer6": 6, "layer7": 46,
          "layer9": 6, "layer10": 10, "layer12": 10, "layer15": 14},
-        "27f94c7f0b08bb41c969ac50eb29370a3e8822851da2f027583637e7b568620e"),
+        "8395d01e902044f64c4b9d0d3e71a2330174634d4298a4b8a6630a0ac41b940f"),
     ("overflow-bridge", "full", 6, "no-scheme"): (
         "a4f7203adbe275175f8920d45f6dddcb629bac8b8d55ce171a38f7b3a7117570",
         {"layer0": 27, "layer1": 11, "bridge0": 30, "layer6": 11, "layer7": 95,
          "layer9": 11, "layer10": 19, "layer12": 19, "layer15": 14},
-        "89b11a89e55e4ae63eb1565f47e1449d51d4da0f16ccf0c4bac9480953877704"),
+        "20b62c69044c4209200e293e0d41b6c18355ed55891e2c26cb8d144ad245b23c"),
     ("overflow-bridge", "full", 6, "cosine"): (
         "65daa29ff58dabb30ef031646730f47d31969a186f8493ede673be7c7b8fd6d2",
         {"layer0": 53, "layer1": 21, "bridge0": 68, "layer6": 21, "layer7": 337,
          "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
-        "388f468db63fd4b224974f4495fc238e03af204c6962b0992b635a91bac2dc1a"),
+        "24ebe623c6aca5999b28cec60c1d1cecb1b1662e0c89987e986ff3c7e10d8e55"),
     ("tiny-mvit-bn", "partial", 8, "scale-only"): (
         "ef9dc920148360a2771af9dad368c079b339f7de1f0847ea49634c78d299cdb4",
         {"layer0": 10, "bridge0": 22, "layer7": 66, "layer10": 10,
          "layer12": 10, "layer15": 10},
-        "f7acf7aa2d77292c67aab7de78816745097baa22a248a15e363d591dd544c701"),
+        "00aac75d3bbe5f8e90d6693d35ff440e80bdcea40f26fa30df207ed90cf80548"),
     ("tiny-mvit-bn", "partial", 8, "no-scheme"): (
         "cc700cba16c6c01218522b0d6c77d4ed2401185134d448d21c431bfdef726b44",
         {"layer0": 19, "bridge0": 39, "layer7": 139, "layer10": 19,
          "layer12": 19, "layer15": 10},
-        "5259b95f7ae85bd2d8ac60fd643892397c3fc37bed7b6161502fbe9b0be95963"),
+        "f2358cdf3651059e4b9289bfd06338e24b758af7bd493cb00fdcedf0b34fb73d"),
     ("tiny-mvit-bn", "partial", 8, "cosine"): (
         "7d22dfa3e5e2b83ff529de1f5dfa1fccbdb810435ecdd8e0b4e4fddea97346c9",
         {"layer0": 37, "bridge0": 81, "layer7": 257, "layer10": 37,
          "layer12": 37, "layer15": 28},
-        "10950fa8f8281a0dc79d141beddf659f34d0ed43eab1cd9b99233a6f392edfeb"),
+        "d36b5bd004bcf8d6ec1e807e92f2662d2a8b8918f4550dae839d89263f1c35a2"),
 }
 
 _PIN_OPTIONS = {

@@ -77,6 +77,10 @@ class TestQuantizeCommand:
         assert doc["format"] == "hyquant-qconfig/1"
         assert all("objective" in e and "zero_point_raw" in e
                    for e in doc["sites"])
+        # everything but the objectives is read back as written
+        entries = [{k: v for k, v in e.items() if k != "objective"}
+                   for e in doc["sites"]]
+        assert qconfig_to_doc(qcfg, bits, mode)["sites"] == entries
 
     def test_default_settings_run_under_60s(self, runner, tmp_path):
         out = tmp_path / "q.json"
@@ -199,6 +203,8 @@ class TestEvaluateCommand:
         ("zero_point", 2 ** 40, "out of bounds"),
         ("scale", [0.1, 0.2], "per_layer params need"),
         ("scale", 1e300, "finite as float32"),
+        ("objective", "abc", "field 'objective' has the wrong type"),
+        ("objective", [0.5], "field 'objective' has the wrong type"),
     ])
     def test_malformed_qconfig_entry_fails_cleanly(self, runner, tmp_path,
                                                    field, value, message):

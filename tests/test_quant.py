@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyquant.graph as graph_module
-import hyquant.quant as quant_module
 from hyquant.bridge import resolve_bridge_blocks, units_for
 from hyquant.calib import pass1_cache_fp, pass2_cache_gradients
 from hyquant.cli import with_mode
 from hyquant.quant import (QuantError, QuantParams, SCALE_FLOOR,
                            detect_zero_point_overflow, fit_minmax, grid_range,
-                           params_for_scale, quantize_dequantize,
-                           round_half_away)
+                           params_for_scale, quantize_dequantize)
 from hyquant.tensor import Tape, Tensor, backward
 from hyquant.zoo import FIXTURES, build_fixture
 from oracles import raw_zero_point_oracle
@@ -24,14 +22,13 @@ def t(data):
 
 
 class TestRounding:
-    def test_half_away_from_zero(self):
-        x = np.array([0.5, -0.5, 1.5, -1.5, 2.49, -2.51])
-        np.testing.assert_array_equal(round_half_away(x), [1, -1, 2, -2, 2, -3])
-
-    def test_differs_from_bankers_rounding(self):
-        # the convention that keeps golden files stable
-        assert round_half_away(np.array([2.5]))[0] == 3.0
-        assert np.round(np.array([2.5]))[0] == 2.0
+    def test_kernel_rounds_ties_to_even(self):
+        p = QuantParams(bits=8, scheme="symmetric", granularity="per_layer",
+                        channel_axis=None, scale=1.0, zero_point=0,
+                        zero_point_raw=0.0)
+        out = quantize_dequantize(t([0.5, 1.5, 2.5, -0.5, -2.5]), p).data
+        # half away from zero would give [1, 2, 3, -1, -3]
+        assert out.tobytes() == np.array([0, 2, 2, -0.0, -2], F32).tobytes()
 
 
 class TestFitMinmax:
@@ -46,6 +43,13 @@ class TestFitMinmax:
         assert p.scale == pytest.approx(0.01)
         assert float(p.zero_point_raw) == pytest.approx(-128.0)
         assert int(p.zero_point) == -128
+        assert not p.any_clamped
+
+    def test_zero_point_rounds_ties_to_even(self):
+        # scale (253.5 + 1.5) / 255 = 1, raw zero-point -128 + 1.5 = -126.5
+        p = fit_minmax(t([-1.5, 253.5]), 8, "asymmetric", "per_layer")
+        assert float(p.scale) == 1.0 and float(p.zero_point_raw) == -126.5
+        assert int(p.zero_point) == -126  # half away from zero gives -127
         assert not p.any_clamped
 
     def test_all_positive_channel_is_clamped(self):
@@ -195,13 +199,13 @@ def _param_shape(p: QuantParams, ndim: int):
 
 
 def reference_fake_quant(x: np.ndarray, p: QuantParams):
-    """The formula quantize_dequantize must reproduce bit for bit, computed
-    on the whole tensor at once; also returns the unclipped codes."""
-    sc = p.scale.astype(np.float64).reshape(_param_shape(p, x.ndim))
-    zp = p.zero_point.astype(np.float64).reshape(_param_shape(p, x.ndim))
-    r = round_half_away(x.astype(np.float64) / sc + zp)
-    q = np.clip(r, p.q_min, p.q_max)
-    return ((q - zp) * sc).astype(F32), r
+    """The formula quantize_dequantize must reproduce bit for bit, float32
+    throughout with ties rounded to even; also returns the unclipped codes."""
+    sc = p.scale.astype(F32).reshape(_param_shape(p, x.ndim))
+    zp = p.zero_point.astype(F32).reshape(_param_shape(p, x.ndim))
+    r = np.rint(x.astype(F32) / sc + zp)
+    q = np.clip(r, F32(p.q_min), F32(p.q_max))
+    return (q - zp) * sc, r
 
 
 def reference_quantize_dequantize(t, p, tape=None):
@@ -250,15 +254,10 @@ def hard_inputs(shape, p: QuantParams, rng) -> np.ndarray:
     return x
 
 
-# leading sizes chosen against the kernel's block so that the axis-0 split
-# covers several blocks with a ragged last one
-BLOCK_ROWS_1000 = quant_module._BLOCK // 1000
-KERNEL_SHAPES = [(), (7,), (3 * quant_module._BLOCK + 11,),
-                 (2, 3, 5, 4), (5, 6, 40, 40),
-                 (3 * BLOCK_ROWS_1000 + 5, 4, 250)]
+KERNEL_SHAPES = [(), (7,), (49163,), (2, 3, 5, 4), (5, 6, 40, 40), (53, 4, 250)]
 
 
-class TestBlockedKernel:
+class TestKernelAgainstReference:
     @pytest.mark.parametrize("bits", [1, 2, 4, 6, 8, 16, 32])
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
     def test_bytes_equal_reference_formula(self, bits, scheme):
@@ -290,7 +289,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("axis", [None, 0, -1])
     def test_ste_gradient_is_g_times_unclipped_code_mask(self, bits, axis):
         rng = np.random.default_rng(bits + (axis or 0) + 10)
-        shape = (3 * BLOCK_ROWS_1000 + 5, 1000)
+        shape = (53, 1000)
         p = power_of_two_params(bits, "asymmetric", axis, shape[axis or 0], rng)
         x = hard_inputs(shape, p, rng)
         # codes that round to just outside the grid, and ones whose unclipped
@@ -388,9 +387,9 @@ def near_ties(bits, scale, zp, rng):
 
 
 class TestFloat32KernelStress:
-    """The float32 path and its float64 fix-up near ties, against the
-    reference formula, with scales whose preimages of half-integers do not
-    land exactly on float32 inputs."""
+    """The kernel near ties, against the reference formula, with scales
+    whose preimages of half-integers do not land exactly on float32
+    inputs."""
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24])
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
@@ -416,20 +415,24 @@ class TestFloat32KernelStress:
             assert out.data.tobytes() == want.tobytes()
             assert got.tobytes() == (g * in_grid.astype(F32)).tobytes()
 
-    def test_inputs_reach_float32_ties_and_signed_zero_underflow(self):
+    def test_inputs_reach_ties_that_half_away_rounds_apart_and_underflow(self):
         rng = np.random.default_rng(5)
         p_small, p_big = arbitrary_params(8, "symmetric", None, rng)
-        assert p_big.scale >= 2 and p_big.float64_path
-        assert not p_small.float64_path
-        x = near_ties(8, p_small.scale, 0, rng)
-        y32 = x / p_small.scale
-        y64 = x.astype(np.float64) / float(p_small.scale)
-        tie32 = y32 - np.rint(y32) == 0.5
-        # float32 ties whose float64 value lies off the tie
-        assert np.any(tie32 & (y64 - np.floor(y64) != 0.5))
+        assert p_big.scale >= 2
+        for p in (p_small, p_big):
+            y = near_ties(8, p.scale, 0, rng) / p.scale
+            tie = np.abs(y - np.rint(y)) == 0.5
+            away = np.sign(y) * np.floor(np.abs(y) + 0.5)
+            # float32 ties on both odd and even codes, so half to even and
+            # half away from zero give different codes on some of them
+            assert np.any(tie & (np.rint(y) != away))
+            assert np.any(tie & (np.rint(y) == away))
+        # negative subnormals whose x / scale underflows to -0.0, which
+        # + zero-point makes +0.0
         sub = near_ties(8, p_big.scale, 0, rng)[-4:]
-        assert np.any(sub / p_big.scale == 0) and np.all(sub < 0)
-        assert np.all(np.signbit(reference_fake_quant(sub, p_big)[0]))
+        under = sub / p_big.scale == 0
+        assert np.any(under) and np.all(sub < 0)
+        assert not np.any(np.signbit(reference_fake_quant(sub, p_big)[0][under]))
 
 
 class TestParamsForScale:

@@ -11,7 +11,9 @@ tape. The search then minimizes the squared-gradient reconstruction
 objective per unit over scale candidates, granularity and scheme, re-running
 only the unit's own layers on the cached full-precision inputs. A scale
 candidate re-runs only the steps that depend on the scanned site (its cone);
-every other value is reused from the unit's current parameters.
+every other value is reused from the unit's current parameters. The
+(granularity, scheme) combinations are searched by successive halving
+(ROUND1_ARMS, FINAL_ARMS).
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ class CalibCache:
 
 @dataclass
 class UnitDecision:
-    """Chosen parameters for every site of one unit plus the winning objective."""
+    """Chosen parameters for every site of one unit plus the winning
+    objective; evals counts the unit's evaluations, the re-runs that resume
+    a combination's search included."""
 
     label: str
     output_id: int
@@ -365,17 +369,42 @@ def _combos(options: CalibOptions) -> list[tuple[str, str, str, str]]:
     return [(g, *_DEFAULT[1:]) for g in gs]
 
 
+# Successive halving over the feasible (granularity, scheme) combinations:
+# every one scores its min-max start, the ROUND1_ARMS with the lowest start
+# run alternation round 1, and the FINAL_ARMS lowest after it run the rest.
+# Each combination's search starts from its own fits, so a cut changes the
+# result only by dropping the winner. These cuts kept it on every fixture at
+# W6 and W8; keeping 1 after round 1, or only the 2 best starts, did not.
+ROUND1_ARMS = 3
+FINAL_ARMS = 2
+
+
+@dataclass
+class _Arm:
+    """One (granularity, scheme) combination's search so far: its params and
+    their objective, scale candidates, adoptions and scan marks."""
+
+    combo: tuple[str, str, str, str]
+    params: dict
+    objective: float = float("inf")
+    candidates: dict | None = None
+    adoptions: int = 0
+    scanned_at: dict = field(default_factory=dict)
+
+
 def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                 space: SearchSpace, options: CalibOptions, bits: int = 8,
                 trace: list | None = None) -> UnitDecision:
     """Pick scale / granularity / scheme for every site of one unit.
 
     For each enabled (granularity, scheme) combination, weight-site scales and
-    then activation-site scales are alternately optimized for the configured
-    number of rounds; the min-max default always stays available as the
-    fallback candidate, so the result never scores worse than the default.
-    Ties resolve to per-layer over per-channel, symmetric over asymmetric,
-    then the smallest scale, via the fixed enumeration order.
+    then activation-site scales are alternately optimized; the min-max default
+    always stays available as the fallback candidate, so the result never
+    scores worse than the default. Past FINAL_ARMS feasible combinations, the
+    rounds go by successive halving (ROUND1_ARMS, FINAL_ARMS); otherwise each
+    combination runs every round before the next starts. Ties resolve to
+    per-layer over per-channel, symmetric over asymmetric, then the smallest
+    scale, via the fixed enumeration order.
     """
     sites = [s for lid in unit.layer_ids for s in graph.sites_by_layer[lid]]
     if not sites:
@@ -398,49 +427,86 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
         decision.evals = evaluator.evals
         return decision
 
-    scan_order = sorted(sites, key=lambda s: s.kind != "weight")
+    arms = []
     for combo in _combos(options):
-        g, _, _, s_label = combo
         params = {s.key: _fit(s, cache, bits, combo) for s in sites}
-        if any(p.any_clamped for p in params.values()):
-            # zero-point overflow: the grid cannot represent real zero, so
-            # this combination is not a valid quantizer for the unit
-            continue
-        cur_obj = evaluator.run(params)
+        # zero-point overflow: the grid cannot represent real zero, so this
+        # combination is not a valid quantizer for the unit
+        if not any(p.any_clamped for p in params.values()):
+            arms.append(_Arm(combo, params))
+    scan_order = sorted(sites, key=lambda s: s.kind != "weight")
+    live = None  # the arm whose params are the evaluator's state
+
+    def start(arm: _Arm) -> None:
+        nonlocal live
+        arm.objective, live = evaluator.run(arm.params), arm
         if trace is not None:
-            trace.append((unit.label, g, s_label, -1, cur_obj))
+            trace.append((unit.label, arm.combo[0], arm.combo[3], -1,
+                          arm.objective))
+
+    def advance(arm: _Arm, rounds: int) -> None:
+        nonlocal live
+        if not rounds or all(arm.scanned_at.get(s.key) == arm.adoptions
+                             for s in sites):
+            return  # no scan would run (see below)
+        if live is not arm:  # resume: run() rebuilds its state bit for bit
+            evaluator.run(arm.params)
+            live = arm
+        g, _, _, s_label = arm.combo
+        params = arm.params
         # candidates keep the fit's zero-point, so one list serves every round
-        candidates = {s.key: [params_for_scale(params[s.key], c) for c in
-                              generate_candidates(
-                                  _site_fp_value(s, cache), bits, space,
-                                  params[s.key].granularity, s.channel_axis)]
-                      for s in sites}
+        if arm.candidates is None:
+            arm.candidates = {s.key: [params_for_scale(params[s.key], c) for c in
+                                      generate_candidates(
+                                          _site_fp_value(s, cache), bits, space,
+                                          params[s.key].granularity,
+                                          s.channel_axis)] for s in sites}
         # A scan scores fixed candidates against the other sites' params, so
         # while no site adopts a scale it repeats its last result: the same
-        # argmin, and obj < cur_obj false. It is skipped while the count of
+        # argmin, and obj < objective false. It is skipped while the count of
         # adoptions in this combination is what it was after that scan.
-        adoptions, scanned_at = 0, {}
-        for _ in range(space.iterations):
+        for _ in range(rounds):
             for site in scan_order:
-                if scanned_at.get(site.key) == adoptions:
+                if arm.scanned_at.get(site.key) == arm.adoptions:
                     continue
-                cands = candidates[site.key]
+                cands = arm.candidates[site.key]
                 objs = [evaluator.score_site({**params, site.key: p}, site)
                         for p in cands]
                 if trace is not None:
                     trace.extend((unit.label, g, s_label, ci, obj)
                                  for ci, obj in enumerate(objs))
                 best = int(np.argmin(objs))
-                if objs[best] < cur_obj:
+                if objs[best] < arm.objective:
                     params[site.key] = cands[best]
                     evaluator.adopt(params, site)
-                    cur_obj = objs[best]
-                    adoptions += 1
-                scanned_at[site.key] = adoptions
-        # strictly lower only: ties keep the default or the earlier combination
-        if cur_obj < decision.objective:
-            decision = replace(decision, params=params, granularity=g,
-                               scheme=s_label, objective=cur_obj)
+                    arm.objective = objs[best]
+                    arm.adoptions += 1
+                arm.scanned_at[site.key] = arm.adoptions
+
+    def lowest(k: int) -> list[_Arm]:
+        """The k arms of lowest objective, earlier first on a tie, in
+        preference order; no dropped arm can rank above a kept one, as a
+        round never raises an objective."""
+        ranked = sorted(range(len(arms)), key=lambda i: arms[i].objective)
+        return [arms[i] for i in sorted(ranked[:k])]
+
+    if len(arms) <= min(ROUND1_ARMS, FINAL_ARMS):  # no cut drops an arm
+        for arm in arms:
+            start(arm)
+            advance(arm, space.iterations)
+    else:
+        for arm in arms:
+            start(arm)
+        for arm in lowest(ROUND1_ARMS):
+            advance(arm, 1)
+        for arm in lowest(FINAL_ARMS):
+            advance(arm, space.iterations - 1)
+    # strictly lower only: ties keep the default or the earlier combination
+    for arm in arms:
+        if arm.objective < decision.objective:
+            decision = replace(decision, params=arm.params,
+                               granularity=arm.combo[0], scheme=arm.combo[3],
+                               objective=arm.objective)
     decision.evals = evaluator.evals
     return decision
 

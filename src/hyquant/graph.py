@@ -160,9 +160,14 @@ class Graph:
 
 def read_fields(doc, schema: dict, error: type, where: str, noun="field") -> dict:
     """doc's fields read against schema, {name: (check, what a valid value
-    is[, default])}, defaults filled in; error names where and the field."""
+    is[, default])}, defaults filled in; error names where and the field,
+    the first one outside schema included, so that no misspelled name is
+    dropped unread."""
     if not isinstance(doc, dict):
         raise error(f"{where} is not an object: {reprlib.repr(doc)}")
+    for name in doc:
+        if name not in schema:
+            raise error(f"{where}: unknown {noun} {reprlib.repr(name)}")
     out = {}
     for name, entry in schema.items():
         if name in doc:
@@ -237,7 +242,8 @@ def _validate_layer(layer: LayerSpec) -> None:
         layer.attrs, _LAYER_ATTRS.get(k, {}), GraphError, where,
         "attribute").items() if v is not None}
     if a.get("op") == "tokens_to_nchw":  # the one op that reads h and w
-        read_fields(a, {"h": _POSITIVE, "w": _POSITIVE}, GraphError,
+        read_fields({n: a[n] for n in ("h", "w") if n in a},
+                    {"h": _POSITIVE, "w": _POSITIVE}, GraphError,
                     f"{where} (tokens_to_nchw)", "attribute")
     arity = 2 if k in ("add", "matmul") else 1
     if len(layer.inputs) != arity:

@@ -148,7 +148,13 @@ def test_criterion_4_objective_matches_dense_hessian():
 
 
 def test_criterion_5_search_equals_brute_force():
-    """Alternating search hits the exhaustive grid minimum exactly (tol 0)."""
+    """Alternating search hits the exhaustive grid minimum exactly (tol 0).
+
+    The search scores every feasible (granularity, scheme) combination's
+    min-max start, runs round 1 for the calib.ROUND1_ARMS of lowest start
+    and the later rounds for the calib.FINAL_ARMS lowest after round 1;
+    tests/oracles.py searches the grid of every feasible combination, so
+    the minimum is over all of them."""
     space = SearchSpace(alpha=0.3, beta=1.3, candidates=6, iterations=8)
     for seed in (3, 11, 42, 101):
         graph, unit, cache = _toy_unit_setup(seed=seed)

@@ -782,7 +782,8 @@ class TestSearchPin:
     def test_overflow_full_w6_search_matches_recorded_result(self):
         # the qconfig recorded before candidate scoring re-ran only a site's
         # cone; the evaluation count of every unit and the trace length
-        # re-recorded when unchanged scans began to be skipped
+        # re-recorded when the combinations began to be searched by
+        # successive halving
         graph, calib, _, _ = build_fixture("overflow-bridge")
         graph = with_mode(graph, "full")
         rows = []
@@ -793,67 +794,69 @@ class TestSearchPin:
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "f64e03f1b225426e43da18e526975b97f8b7bd1fc5f2f88c820cb9195cc67e69")
         assert {d.label: d.evals for d in decisions} == {
-            "layer0": 101, "layer1": 37, "bridge0": 140, "layer6": 37,
-            "layer7": 701, "layer9": 37, "layer10": 85, "layer12": 69,
-            "layer15": 76}
-        assert len(rows) == 1283
+            "layer0": 74, "layer1": 32, "bridge0": 119, "layer6": 32,
+            "layer7": 450, "layer9": 32, "layer10": 56, "layer12": 56,
+            "layer15": 73}
+        assert len(rows) == 891
 
 
 # (fixture, mode) -> (qconfig sha256, evaluations per unit, trace rows) of
 # calibrate at W8 with SearchSpace(candidates=4, iterations=2); the sha256s
 # recorded before every layer kind ran as a step list, the evaluation counts
-# and trace rows re-recorded when unchanged scans began to be skipped
+# and trace rows re-recorded when the combinations began to be searched by
+# successive halving (a count includes the re-runs that resume a combination,
+# which write no trace row)
 _W8_PINS = {
     ("overflow-bridge", "partial"): (
         "d7e1247b8796504bd1a10b9bc37e671247328d4b492010f9d57ce297733beafe",
-        {"layer0": 37, "bridge0": 52, "layer7": 107, "layer10": 37,
-         "layer12": 37, "layer15": 32},
-        302),
+        {"layer0": 32, "bridge0": 55, "layer7": 107, "layer10": 32,
+         "layer12": 32, "layer15": 36},
+        278),
     ("overflow-bridge", "full"): (
         "715c3a576ac004c9d9c8e015f7ac1d0c14cf22a81f7135e0a6ddea7bf72d8b60",
-        {"layer0": 41, "layer1": 21, "bridge0": 52, "layer6": 21, "layer7": 131,
-         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 32},
-        393),
+        {"layer0": 32, "layer1": 20, "bridge0": 55, "layer6": 20, "layer7": 131,
+         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 36},
+        353),
     ("tiny-mvit-bn", "partial"): (
         "cd4d10cf233edc5dc5d42b3f94fb88e1a21475f39fe260cf50e85db783709483",
-        {"layer0": 41, "bridge0": 77, "layer7": 257, "layer10": 37,
-         "layer12": 37, "layer15": 28},
-        477),
+        {"layer0": 36, "bridge0": 56, "layer7": 166, "layer10": 32,
+         "layer12": 32, "layer15": 31},
+        333),
     ("tiny-mvit-bn", "full"): (
         "7c845a4cdb1cb401a24a389d3676f26a88349cd7dbb6feb4a89a971b0a9c35e7",
-        {"layer0": 37, "layer1": 21, "bridge0": 77, "layer6": 21, "layer7": 353,
-         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
-        632),
+        {"layer0": 32, "layer1": 20, "bridge0": 56, "layer6": 20, "layer7": 230,
+         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 31},
+        444),
     ("tiny-mvit-gn", "partial"): (
         "8a7e3d5c8db1a354df93f94963f908bd860eb55b1c5b6227b73edd85e1441543",
-        {"layer0": 45, "bridge0": 77, "layer7": 185, "layer10": 37,
-         "layer12": 37, "layer15": 32},
-        413),
+        {"layer0": 32, "bridge0": 56, "layer7": 149, "layer10": 32,
+         "layer12": 32, "layer15": 36},
+        317),
     ("tiny-mvit-gn", "full"): (
         "4339aae474d799684ef9964d1e50c5d1686f9f85ab7300ff260e7b1c89f71d58",
-        {"layer0": 49, "layer1": 21, "bridge0": 85, "layer6": 21, "layer7": 189,
-         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 32},
-        492),
+        {"layer0": 37, "layer1": 20, "bridge0": 61, "layer6": 20, "layer7": 145,
+         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 36},
+        372),
     ("tiny-mvit-ln", "partial"): (
         "7803c647c0214143368e6d6acb18242f62c3e77d6a9bf86eced0777b61801c3e",
-        {"layer0": 41, "bridge0": 89, "layer7": 217, "layer10": 37,
-         "layer12": 37, "layer15": 36},
-        457),
+        {"layer0": 32, "bridge0": 56, "layer7": 156, "layer10": 32,
+         "layer12": 32, "layer15": 35},
+        325),
     ("tiny-mvit-ln", "full"): (
         "4bf9dc6fcf6c363cc87296fb5bfb94d40e556f3a4389f57b42391c594d6b0a29",
-        {"layer0": 41, "layer1": 21, "bridge0": 89, "layer6": 21, "layer7": 257,
-         "layer9": 16, "layer10": 37, "layer12": 37, "layer15": 36},
-        555),
+        {"layer0": 32, "layer1": 20, "bridge0": 56, "layer6": 20, "layer7": 174,
+         "layer9": 19, "layer10": 32, "layer12": 32, "layer15": 35},
+        391),
     ("wide-mvit-ln", "partial"): (
         "283c7089080d7e377db54ede804018ca23915e61afa60458d327e5322063a319",
-        {"layer0": 37, "bridge0": 64, "layer7": 189, "layer10": 37,
-         "layer12": 37, "layer15": 28},
-        392),
+        {"layer0": 32, "bridge0": 68, "layer7": 128, "layer10": 32,
+         "layer12": 32, "layer15": 31},
+        304),
     ("wide-mvit-ln", "full"): (
         "536adf2f4d1bd99c6859a78ed40b22999120d3d81297c82325c6c285afdd3263",
-        {"layer0": 37, "layer1": 21, "bridge0": 64, "layer6": 21, "layer7": 257,
-         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
-        523),
+        {"layer0": 32, "layer1": 20, "bridge0": 68, "layer6": 20, "layer7": 174,
+         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 31},
+        399),
 }
 
 
@@ -877,7 +880,10 @@ class TestSearchPinAllFixtures:
 # sha256 of the trace rows written "unit,granularity,scheme,candidate,
 # objective.hex()" one a line) of calibrate with SearchSpace(candidates=4,
 # iterations=2): the ablation chain below the full search, whose combinations
-# carry the "default" scheme label, and the cosine metric
+# carry the "default" scheme label, and the cosine metric. The chain searches
+# at most 2 combinations, which no cut drops; the cosine counts and trace
+# sha256s were re-recorded when the combinations began to be searched by
+# successive halving
 _OPTION_PINS = {
     ("overflow-bridge", "full", 6, "scale-only"): (
         "8a6bd8a3f9b6ddbd3da25ba98846648e08d237fa600f9c0dff0f0a200755eab2",
@@ -891,9 +897,9 @@ _OPTION_PINS = {
         "20b62c69044c4209200e293e0d41b6c18355ed55891e2c26cb8d144ad245b23c"),
     ("overflow-bridge", "full", 6, "cosine"): (
         "65daa29ff58dabb30ef031646730f47d31969a186f8493ede673be7c7b8fd6d2",
-        {"layer0": 53, "layer1": 21, "bridge0": 68, "layer6": 21, "layer7": 337,
-         "layer9": 21, "layer10": 37, "layer12": 37, "layer15": 28},
-        "24ebe623c6aca5999b28cec60c1d1cecb1b1662e0c89987e986ff3c7e10d8e55"),
+        {"layer0": 42, "layer1": 20, "bridge0": 67, "layer6": 20, "layer7": 210,
+         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 31},
+        "4b963ba219fdc6f77f4b960c2e05d18a4c9bd6595b955539966bd0cb06e6df1c"),
     ("tiny-mvit-bn", "partial", 8, "scale-only"): (
         "ef9dc920148360a2771af9dad368c079b339f7de1f0847ea49634c78d299cdb4",
         {"layer0": 10, "bridge0": 22, "layer7": 66, "layer10": 10,
@@ -906,9 +912,9 @@ _OPTION_PINS = {
         "f2358cdf3651059e4b9289bfd06338e24b758af7bd493cb00fdcedf0b34fb73d"),
     ("tiny-mvit-bn", "partial", 8, "cosine"): (
         "7d22dfa3e5e2b83ff529de1f5dfa1fccbdb810435ecdd8e0b4e4fddea97346c9",
-        {"layer0": 37, "bridge0": 81, "layer7": 257, "layer10": 37,
-         "layer12": 37, "layer15": 28},
-        "d36b5bd004bcf8d6ec1e807e92f2662d2a8b8918f4550dae839d89263f1c35a2"),
+        {"layer0": 32, "bridge0": 61, "layer7": 166, "layer10": 32,
+         "layer12": 32, "layer15": 31},
+        "309aae576746b2fa846044113bc9e13775854a55d9bc554ad495c2653b27111a"),
 }
 
 _PIN_OPTIONS = {
@@ -934,3 +940,61 @@ class TestSearchPinOptions:
         text = "\n".join(f"{u},{g},{s},{ci},{obj.hex()}"
                          for u, g, s, ci, obj in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == trace_sha
+
+
+def _search_result(name, mode, bits, space):
+    graph, calib, _, _ = build_fixture(name)
+    graph = with_mode(graph, mode)
+    qcfg, decisions = calibrate(graph, calib, space, CalibOptions(), bits=bits)
+    doc = json.dumps(qconfig_to_doc(qcfg, bits, mode), sort_keys=True)
+    return (hashlib.sha256(doc.encode()).hexdigest(),
+            {d.label: d.objective for d in decisions})
+
+
+class TestSuccessiveHalving:
+    """The full search runs round 1 for the C.ROUND1_ARMS combinations of
+    lowest min-max start and the later rounds for the C.FINAL_ARMS lowest
+    after round 1; with both cuts keeping every combination it is the
+    unpruned search, every combination run in full."""
+
+    @pytest.mark.parametrize("name,mode,bits", [
+        (name, mode, bits) for name in sorted(FIXTURES)
+        for mode in ("partial", "full") for bits in (6, 8)])
+    def test_equals_the_unpruned_search(self, name, mode, bits, monkeypatch):
+        space = SearchSpace(candidates=4, iterations=2)
+        pruned = _search_result(name, mode, bits, space)
+        monkeypatch.setattr(C, "ROUND1_ARMS", 4)
+        monkeypatch.setattr(C, "FINAL_ARMS", 4)
+        assert pruned == _search_result(name, mode, bits, space)
+
+    def test_keeps_a_winner_with_the_third_best_start(self, monkeypatch):
+        # tiny-mvit-gn full W6: bridge0's winner, per-channel symmetric, has
+        # only the 3rd-lowest start, so keeping the 2 best starts loses it
+        graph, calib, _, _ = build_fixture("tiny-mvit-gn")
+        graph = with_mode(graph, "full")
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache, bits=6)
+        bridge = next(u for u in units if u.label == "bridge0")
+        space = SearchSpace(candidates=32, iterations=2)
+
+        def search(*cuts):  # the shipped cuts, or (round 1, final) counts
+            if cuts:
+                monkeypatch.setattr(C, "ROUND1_ARMS", cuts[0])
+                monkeypatch.setattr(C, "FINAL_ARMS", cuts[1])
+            rows = []
+            d = search_unit(graph, bridge, cache, space, CalibOptions(), bits=6,
+                            trace=rows)
+            return d, [(r[1], r[2]) for r in sorted(
+                rows[1:], key=lambda r: r[4]) if r[3] == -1]
+
+        d, starts = search()
+        assert (d.granularity, d.scheme) == ("per_channel", "symmetric")
+        assert starts.index(("per_channel", "symmetric")) == 2
+        unpruned, _ = search(4, 4)
+        assert (unpruned.granularity, unpruned.scheme, unpruned.objective) == \
+            (d.granularity, d.scheme, d.objective)
+        two_best_starts, _ = search(2, 2)
+        assert two_best_starts.objective > d.objective
+        assert (two_best_starts.granularity, two_best_starts.scheme) != \
+            ("per_channel", "symmetric")

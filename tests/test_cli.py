@@ -205,6 +205,7 @@ class TestEvaluateCommand:
         ("scale", 1e300, "finite as float32"),
         ("objective", "abc", "field 'objective' has the wrong type"),
         ("objective", [0.5], "field 'objective' has the wrong type"),
+        ("scales", 0.1, "unknown field 'scales'"),
     ])
     def test_malformed_qconfig_entry_fails_cleanly(self, runner, tmp_path,
                                                    field, value, message):
@@ -289,10 +290,18 @@ class TestEvaluateCommand:
          "bridge annotation 0: field 'layer_ids'"),
         (None, "bridge_blocks", [{"label": 5, "layer_ids": [3, 4]}],
          "bridge annotation 0: field 'label'"),
+        (0, "attrs", {"strides": 2, "padding": 1, "groups": 1},
+         "layer 0: unknown attribute 'strides'"),
+        (1, "input", [0], "layer 1: unknown field 'input'"),
+        (None, "bridge_block", [], "unknown field 'bridge_block'"),
+        (None, "bridge_blocks", [{"layer_ids": [3, 4], "lable": "b"}],
+         "bridge annotation 0: unknown field 'lable'"),
     ], ids=["not-object", "no-layers", "no-input-shape", "no-id", "bad-inputs",
             "bad-weights", "no-inputs", "nul-in-blob-path", "bridge-not-object",
             "bridge-bad-ids",
-            "bridge-ids-string", "bridge-ids-floats", "bridge-label-number"])
+            "bridge-ids-string", "bridge-ids-floats", "bridge-label-number",
+            "misspelled-attribute", "misspelled-layer-field",
+            "misspelled-field", "misspelled-annotation-field"])
     def test_malformed_manifest_fails_cleanly(self, runner, tmp_path, layer,
                                               field, value, message):
         # field None wraps the whole document in a list; value None deletes

@@ -327,16 +327,19 @@ class TestSites:
         assert sites == {s.key for s in with_mode(graph, "full").quant_sites}
         assert sites >= {s.key for s in graph.quant_sites}
 
-    def test_layer_norm_channel_axis_does_not_move_its_site(self):
-        # layer_norm always normalizes over the last axis, so a channel_axis
-        # attribute in a manifest must not move its full-mode input site
+    def test_layer_norm_refuses_the_channel_axis_it_does_not_read(self):
+        # layer_norm always normalizes over the last axis, where its
+        # full-mode input site sits; a channel_axis attribute in a manifest
+        # is refused, not dropped unread
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
+        assert [(s.name, s.channel_axis) for s in
+                with_mode(graph, "full").sites_by_layer[6]] == [("input", -1)]
         layers = [LayerSpec(l.id, l.kind, {**l.attrs, "channel_axis": 1}
                             if l.kind == "layer_norm" else l.attrs,
                             l.inputs, l.weights) for l in graph.layers]
-        full = Graph(layers=layers, input_shape=graph.input_shape, mode="full")
-        assert [(s.name, s.channel_axis) for s in full.sites_by_layer[6]] == \
-            [("input", -1)]
+        with pytest.raises(GraphError,
+                           match="layer 6: unknown attribute 'channel_axis'"):
+            Graph(layers=layers, input_shape=graph.input_shape, mode="full")
 
     def test_probs_site_pins_per_layer(self):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
@@ -449,6 +452,13 @@ class TestManifest:
             load_manifest(str(path))
         assert str(e.value) == (f"{path}: layer 0 (tokens_to_nchw): missing "
                                 f"attribute '{missing}'")
+
+    def test_misspelled_attribute_refused(self):
+        w = t(np.ones((2, 3, 3, 3), F32))
+        with pytest.raises(GraphError,
+                           match="^layer 0: unknown attribute 'strides'$"):
+            Graph(layers=[LayerSpec(0, "conv2d", {"strides": 2, "padding": 1},
+                                    [-1], {"w": w})], input_shape=(3, 8, 8))
 
     def test_unknown_kind_in_manifest_rejected(self, tmp_path):
         graph, _, _, _ = build_fixture("tiny-mvit-ln")

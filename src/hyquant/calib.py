@@ -18,7 +18,7 @@ every other value is reused from the unit's current parameters. The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,8 +95,8 @@ class CalibCache:
 @dataclass
 class UnitDecision:
     """Chosen parameters for every site of one unit plus the winning
-    objective; evals counts the unit's evaluations, the re-runs that resume
-    a combination's search included."""
+    objective; evals counts the unit's evaluations: each arm's start, every
+    candidate scored, and the re-runs that resume a combination's search."""
 
     label: str
     output_id: int
@@ -379,7 +379,7 @@ ROUND1_ARMS = 3
 FINAL_ARMS = 2
 
 
-@dataclass
+@dataclass(eq=False)
 class _Arm:
     """One (granularity, scheme) combination's search so far: its params and
     their objective, scale candidates, adoptions and scan marks."""
@@ -397,52 +397,34 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                 trace: list | None = None) -> UnitDecision:
     """Pick scale / granularity / scheme for every site of one unit.
 
-    For each enabled (granularity, scheme) combination, weight-site scales and
-    then activation-site scales are alternately optimized; the min-max default
-    always stays available as the fallback candidate, so the result never
-    scores worse than the default. Past FINAL_ARMS feasible combinations, the
-    rounds go by successive halving (ROUND1_ARMS, FINAL_ARMS); otherwise each
-    combination runs every round before the next starts. Ties resolve to
-    per-layer over per-channel, symmetric over asymmetric, then the smallest
-    scale, via the fixed enumeration order.
+    The arms are the min-max default and, with scale search on, each enabled
+    (granularity, scheme) combination whose fits clamp no zero-point. Every
+    unit runs three rungs: every arm scores its min-max start; the
+    ROUND1_ARMS combinations of lowest objective run alternation round 1
+    (weight-site scales, then activation-site scales); the FINAL_ARMS lowest
+    after it run the remaining rounds. The default is never scanned and
+    stays a candidate, so the result never scores worse than it. Each rung
+    advances first the arm whose params are the evaluator's state; the
+    others re-run the unit to resume, and evals counts those re-runs. Ties
+    resolve to the default, then per-layer over per-channel, symmetric over
+    asymmetric, then the smallest scale, via the fixed enumeration order.
     """
     sites = [s for lid in unit.layer_ids for s in graph.sites_by_layer[lid]]
     if not sites:
         raise CalibError(f"unit {unit.label} has no quant sites to search")
     evaluator = _UnitEvaluator(graph, unit, cache, options.metric)
-    default_params = {s.key: _fit(s, cache, bits, _DEFAULT) for s in sites}
     # an all-zero unit has nothing to scale: it keeps min-max, flagged
     fallback = options.scale_search and not any(
         np.any(_site_fp_value(s, cache)) for s in sites)
-    scans = options.scale_search and not fallback
-    default_obj = evaluator.run(default_params, keep=scans)
-    if trace is not None:
-        trace.append((unit.label, "per_layer", "default", -1, default_obj))
-
-    decision = UnitDecision(label=unit.label, output_id=unit.output_id,
-                            params=default_params, granularity="per_layer",
-                            scheme="default", objective=default_obj,
-                            fallback=fallback)
-    if not scans:
-        decision.evals = evaluator.evals
-        return decision
-
-    arms = []
-    for combo in _combos(options):
+    arms = [_Arm(_DEFAULT, {s.key: _fit(s, cache, bits, _DEFAULT) for s in sites})]
+    for combo in _combos(options) if options.scale_search and not fallback else ():
         params = {s.key: _fit(s, cache, bits, combo) for s in sites}
         # zero-point overflow: the grid cannot represent real zero, so this
         # combination is not a valid quantizer for the unit
         if not any(p.any_clamped for p in params.values()):
             arms.append(_Arm(combo, params))
+    default, searched = arms[0], arms[1:]
     scan_order = sorted(sites, key=lambda s: s.kind != "weight")
-    live = None  # the arm whose params are the evaluator's state
-
-    def start(arm: _Arm) -> None:
-        nonlocal live
-        arm.objective, live = evaluator.run(arm.params), arm
-        if trace is not None:
-            trace.append((unit.label, arm.combo[0], arm.combo[3], -1,
-                          arm.objective))
 
     def advance(arm: _Arm, rounds: int) -> None:
         nonlocal live
@@ -483,32 +465,27 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                     arm.adoptions += 1
                 arm.scanned_at[site.key] = arm.adoptions
 
-    def lowest(k: int) -> list[_Arm]:
-        """The k arms of lowest objective, earlier first on a tie, in
-        preference order; no dropped arm can rank above a kept one, as a
-        round never raises an objective."""
-        ranked = sorted(range(len(arms)), key=lambda i: arms[i].objective)
-        return [arms[i] for i in sorted(ranked[:k])]
-
-    if len(arms) <= min(ROUND1_ARMS, FINAL_ARMS):  # no cut drops an arm
-        for arm in arms:
-            start(arm)
-            advance(arm, space.iterations)
-    else:
-        for arm in arms:
-            start(arm)
-        for arm in lowest(ROUND1_ARMS):
-            advance(arm, 1)
-        for arm in lowest(FINAL_ARMS):
-            advance(arm, space.iterations - 1)
-    # strictly lower only: ties keep the default or the earlier combination
     for arm in arms:
-        if arm.objective < decision.objective:
-            decision = replace(decision, params=arm.params,
-                               granularity=arm.combo[0], scheme=arm.combo[3],
-                               objective=arm.objective)
-    decision.evals = evaluator.evals
-    return decision
+        # the default is never scanned, so its run keeps no state
+        arm.objective = evaluator.run(arm.params, keep=arm is not default)
+        if trace is not None:
+            trace.append((unit.label, arm.combo[0], arm.combo[3], -1,
+                          arm.objective))
+    live = searched[-1] if searched else None  # whose params are the state
+    for k, rounds in ((ROUND1_ARMS, 1), (FINAL_ARMS, space.iterations - 1)):
+        # the k combinations of lowest objective, earlier first on a tie; no
+        # dropped one can rank above a kept one, as a round never raises an
+        # objective
+        kept = sorted(searched, key=lambda a: a.objective)[:k]
+        for arm in sorted((a for a in searched if a in kept),
+                          key=lambda a: a is not live):
+            advance(arm, rounds)
+    # the first lowest wins a tie: the default, then the earlier combination
+    best = min(arms, key=lambda a: a.objective)
+    return UnitDecision(label=unit.label, output_id=unit.output_id,
+                        params=best.params, granularity=best.combo[0],
+                        scheme=best.combo[3], objective=best.objective,
+                        fallback=fallback, evals=evaluator.evals)
 
 
 def calibrate(graph: Graph, calib_batch: Tensor, space: SearchSpace | None = None,

@@ -88,25 +88,28 @@ _ENTRY_FIELDS = {
 
 
 def load_qconfig(path: str):
-    """(qcfg, bits, mode) of a qconfig; a malformed one raises one QuantError
+    """(qcfg, bits, mode, objectives) of a qconfig, objectives holding the
+    sites whose entry records one; a malformed one raises one QuantError
     naming the file and, where there is one, the entry and field."""
     doc = read_fields(read_json(path, QuantError), _QCONFIG_FIELDS, QuantError, path)
-    qcfg = {}
+    qcfg, objectives = {}, {}
     for entry in doc["sites"]:
         where = f"{path}: entry {entry.get('layer', '?')}:{entry.get('site', '?')}"
         fields = read_fields(entry, _ENTRY_FIELDS, QuantError, where)
         if fields["bits"] != doc["bits"]:
             raise QuantError(f"{where}: field 'bits' is {fields['bits']} but "
                              f"the document's bits is {doc['bits']}")
-        del fields["objective"]
+        objective = fields.pop("objective")
         key = (fields.pop("layer"), fields.pop("site"))
         if key in qcfg:
             raise QuantError(f"{where}: a second entry for the same site")
+        if objective is not None:
+            objectives[key] = objective
         try:
             qcfg[key] = QuantParams(**fields)
         except (QuantError, OverflowError) as e:  # OverflowError: int32 zero_point
             raise QuantError(f"{where}: {e}") from None
-    return qcfg, doc["bits"], doc["mode"]
+    return qcfg, doc["bits"], doc["mode"], objectives
 
 
 def with_mode(graph: Graph, mode: str) -> Graph:
@@ -343,7 +346,7 @@ def evaluate(model, fixture, eval_path, labels_path, qconfig_path, seed, out):
     """Report FP vs quantized top-1, agreement and logit MSE."""
     _check_source(model, fixture, seed,
                   {"--eval": eval_path, "--labels": labels_path})
-    qcfg, _, mode = load_qconfig(qconfig_path)
+    qcfg, _, mode, _ = load_qconfig(qconfig_path)
     graph, _, eval_x, labels = _load_source(model, fixture, seed, mode,
                                             eval_path=eval_path,
                                             labels_path=labels_path)

@@ -102,6 +102,17 @@ class QuantParams:
         object.__setattr__(self, "q_bounds32", (_F32(q_min), _F32(q_max)))
         object.__setattr__(self, "zero_point32", self.zero_point.astype(_F32))
 
+    def __eq__(self, other) -> bool:
+        """Value equality, arrays compared whole (the generated __eq__
+        compares them elementwise, which raises for per-channel params)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.bits, self.scheme, self.granularity, self.channel_axis)
+                == (other.bits, other.scheme, other.granularity,
+                    other.channel_axis)
+                and all(np.array_equal(getattr(self, n), getattr(other, n))
+                        for n in ("scale", "zero_point", "zero_point_raw")))
+
     @property
     def any_clamped(self) -> bool:
         """True when clamping altered a stored integer zero-point."""

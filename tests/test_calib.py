@@ -783,7 +783,8 @@ class TestSearchPin:
         # the qconfig recorded before candidate scoring re-ran only a site's
         # cone; the evaluation count of every unit and the trace length
         # re-recorded when the combinations began to be searched by
-        # successive halving
+        # successive halving, and the counts again when each rung began
+        # with the arm that holds the evaluator's state
         graph, calib, _, _ = build_fixture("overflow-bridge")
         graph = with_mode(graph, "full")
         rows = []
@@ -794,9 +795,9 @@ class TestSearchPin:
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "f64e03f1b225426e43da18e526975b97f8b7bd1fc5f2f88c820cb9195cc67e69")
         assert {d.label: d.evals for d in decisions} == {
-            "layer0": 74, "layer1": 32, "bridge0": 119, "layer6": 32,
-            "layer7": 450, "layer9": 32, "layer10": 56, "layer12": 56,
-            "layer15": 73}
+            "layer0": 72, "layer1": 31, "bridge0": 119, "layer6": 31,
+            "layer7": 448, "layer9": 31, "layer10": 55, "layer12": 55,
+            "layer15": 71}
         assert len(rows) == 891
 
 
@@ -805,57 +806,58 @@ class TestSearchPin:
 # recorded before every layer kind ran as a step list, the evaluation counts
 # and trace rows re-recorded when the combinations began to be searched by
 # successive halving (a count includes the re-runs that resume a combination,
-# which write no trace row)
+# which write no trace row), and the counts again when each rung began with
+# the arm that holds the evaluator's state
 _W8_PINS = {
     ("overflow-bridge", "partial"): (
         "d7e1247b8796504bd1a10b9bc37e671247328d4b492010f9d57ce297733beafe",
-        {"layer0": 32, "bridge0": 55, "layer7": 107, "layer10": 32,
-         "layer12": 32, "layer15": 36},
+        {"layer0": 31, "bridge0": 54, "layer7": 109, "layer10": 31,
+         "layer12": 31, "layer15": 34},
         278),
     ("overflow-bridge", "full"): (
         "715c3a576ac004c9d9c8e015f7ac1d0c14cf22a81f7135e0a6ddea7bf72d8b60",
-        {"layer0": 32, "layer1": 20, "bridge0": 55, "layer6": 20, "layer7": 131,
-         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 36},
+        {"layer0": 31, "layer1": 19, "bridge0": 54, "layer6": 19, "layer7": 133,
+         "layer9": 19, "layer10": 31, "layer12": 31, "layer15": 34},
         353),
     ("tiny-mvit-bn", "partial"): (
         "cd4d10cf233edc5dc5d42b3f94fb88e1a21475f39fe260cf50e85db783709483",
-        {"layer0": 36, "bridge0": 56, "layer7": 166, "layer10": 32,
-         "layer12": 32, "layer15": 31},
+        {"layer0": 36, "bridge0": 55, "layer7": 164, "layer10": 31,
+         "layer12": 31, "layer15": 30},
         333),
     ("tiny-mvit-bn", "full"): (
         "7c845a4cdb1cb401a24a389d3676f26a88349cd7dbb6feb4a89a971b0a9c35e7",
-        {"layer0": 32, "layer1": 20, "bridge0": 56, "layer6": 20, "layer7": 230,
-         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 31},
+        {"layer0": 31, "layer1": 19, "bridge0": 55, "layer6": 19, "layer7": 228,
+         "layer9": 19, "layer10": 31, "layer12": 31, "layer15": 30},
         444),
     ("tiny-mvit-gn", "partial"): (
         "8a7e3d5c8db1a354df93f94963f908bd860eb55b1c5b6227b73edd85e1441543",
-        {"layer0": 32, "bridge0": 56, "layer7": 149, "layer10": 32,
-         "layer12": 32, "layer15": 36},
+        {"layer0": 31, "bridge0": 55, "layer7": 148, "layer10": 31,
+         "layer12": 31, "layer15": 34},
         317),
     ("tiny-mvit-gn", "full"): (
         "4339aae474d799684ef9964d1e50c5d1686f9f85ab7300ff260e7b1c89f71d58",
-        {"layer0": 37, "layer1": 20, "bridge0": 61, "layer6": 20, "layer7": 145,
-         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 36},
+        {"layer0": 35, "layer1": 19, "bridge0": 59, "layer6": 19, "layer7": 144,
+         "layer9": 19, "layer10": 31, "layer12": 31, "layer15": 34},
         372),
     ("tiny-mvit-ln", "partial"): (
         "7803c647c0214143368e6d6acb18242f62c3e77d6a9bf86eced0777b61801c3e",
-        {"layer0": 32, "bridge0": 56, "layer7": 156, "layer10": 32,
-         "layer12": 32, "layer15": 35},
+        {"layer0": 31, "bridge0": 55, "layer7": 156, "layer10": 31,
+         "layer12": 31, "layer15": 35},
         325),
     ("tiny-mvit-ln", "full"): (
         "4bf9dc6fcf6c363cc87296fb5bfb94d40e556f3a4389f57b42391c594d6b0a29",
-        {"layer0": 32, "layer1": 20, "bridge0": 56, "layer6": 20, "layer7": 174,
-         "layer9": 19, "layer10": 32, "layer12": 32, "layer15": 35},
+        {"layer0": 31, "layer1": 19, "bridge0": 55, "layer6": 19, "layer7": 172,
+         "layer9": 18, "layer10": 31, "layer12": 31, "layer15": 35},
         391),
     ("wide-mvit-ln", "partial"): (
         "283c7089080d7e377db54ede804018ca23915e61afa60458d327e5322063a319",
-        {"layer0": 32, "bridge0": 68, "layer7": 128, "layer10": 32,
-         "layer12": 32, "layer15": 31},
+        {"layer0": 31, "bridge0": 66, "layer7": 127, "layer10": 31,
+         "layer12": 31, "layer15": 30},
         304),
     ("wide-mvit-ln", "full"): (
         "536adf2f4d1bd99c6859a78ed40b22999120d3d81297c82325c6c285afdd3263",
-        {"layer0": 32, "layer1": 20, "bridge0": 68, "layer6": 20, "layer7": 174,
-         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 31},
+        {"layer0": 31, "layer1": 19, "bridge0": 66, "layer6": 19, "layer7": 172,
+         "layer9": 19, "layer10": 31, "layer12": 31, "layer15": 30},
         399),
 }
 
@@ -883,7 +885,9 @@ class TestSearchPinAllFixtures:
 # carry the "default" scheme label, and the cosine metric. The chain searches
 # at most 2 combinations, which no cut drops; the cosine counts and trace
 # sha256s were re-recorded when the combinations began to be searched by
-# successive halving
+# successive halving, and the no-scheme and cosine ones again when each rung
+# began with the arm that holds the evaluator's state (the same rows, in
+# another order)
 _OPTION_PINS = {
     ("overflow-bridge", "full", 6, "scale-only"): (
         "8a6bd8a3f9b6ddbd3da25ba98846648e08d237fa600f9c0dff0f0a200755eab2",
@@ -892,14 +896,14 @@ _OPTION_PINS = {
         "8395d01e902044f64c4b9d0d3e71a2330174634d4298a4b8a6630a0ac41b940f"),
     ("overflow-bridge", "full", 6, "no-scheme"): (
         "a4f7203adbe275175f8920d45f6dddcb629bac8b8d55ce171a38f7b3a7117570",
-        {"layer0": 27, "layer1": 11, "bridge0": 30, "layer6": 11, "layer7": 95,
-         "layer9": 11, "layer10": 19, "layer12": 19, "layer15": 14},
-        "20b62c69044c4209200e293e0d41b6c18355ed55891e2c26cb8d144ad245b23c"),
+        {"layer0": 29, "layer1": 12, "bridge0": 30, "layer6": 12, "layer7": 97,
+         "layer9": 12, "layer10": 20, "layer12": 20, "layer15": 14},
+        "29e5e26c84f93d2f8376ea970bc090f8d3375fac6b25b1cd100807d6d10db950"),
     ("overflow-bridge", "full", 6, "cosine"): (
         "65daa29ff58dabb30ef031646730f47d31969a186f8493ede673be7c7b8fd6d2",
-        {"layer0": 42, "layer1": 20, "bridge0": 67, "layer6": 20, "layer7": 210,
-         "layer9": 20, "layer10": 32, "layer12": 32, "layer15": 31},
-        "4b963ba219fdc6f77f4b960c2e05d18a4c9bd6595b955539966bd0cb06e6df1c"),
+        {"layer0": 40, "layer1": 19, "bridge0": 67, "layer6": 19, "layer7": 208,
+         "layer9": 19, "layer10": 31, "layer12": 31, "layer15": 30},
+        "80bac72af2a0dc6a5da0c717a879679c385fb5caebfca2cf6a019204382e071e"),
     ("tiny-mvit-bn", "partial", 8, "scale-only"): (
         "ef9dc920148360a2771af9dad368c079b339f7de1f0847ea49634c78d299cdb4",
         {"layer0": 10, "bridge0": 22, "layer7": 66, "layer10": 10,
@@ -907,14 +911,14 @@ _OPTION_PINS = {
         "00aac75d3bbe5f8e90d6693d35ff440e80bdcea40f26fa30df207ed90cf80548"),
     ("tiny-mvit-bn", "partial", 8, "no-scheme"): (
         "cc700cba16c6c01218522b0d6c77d4ed2401185134d448d21c431bfdef726b44",
-        {"layer0": 19, "bridge0": 39, "layer7": 139, "layer10": 19,
-         "layer12": 19, "layer15": 10},
-        "f2358cdf3651059e4b9289bfd06338e24b758af7bd493cb00fdcedf0b34fb73d"),
+        {"layer0": 20, "bridge0": 40, "layer7": 141, "layer10": 20,
+         "layer12": 20, "layer15": 10},
+        "f4ccfa35dc87d2a114f8798820d345becce3cffa96a77233ea13e439827b262b"),
     ("tiny-mvit-bn", "partial", 8, "cosine"): (
         "7d22dfa3e5e2b83ff529de1f5dfa1fccbdb810435ecdd8e0b4e4fddea97346c9",
-        {"layer0": 32, "bridge0": 61, "layer7": 166, "layer10": 32,
-         "layer12": 32, "layer15": 31},
-        "309aae576746b2fa846044113bc9e13775854a55d9bc554ad495c2653b27111a"),
+        {"layer0": 31, "bridge0": 59, "layer7": 164, "layer10": 31,
+         "layer12": 31, "layer15": 30},
+        "696df40c3dc3832a7af92f6067be8365ff7a0e1851d983087564894d016ba939"),
 }
 
 _PIN_OPTIONS = {
@@ -998,3 +1002,50 @@ class TestSuccessiveHalving:
         assert two_best_starts.objective > d.objective
         assert (two_best_starts.granularity, two_best_starts.scheme) != \
             ("per_channel", "symmetric")
+
+    def test_no_rung_reruns_the_arm_that_holds_the_state(self, monkeypatch):
+        # overflow-bridge full W6 at SearchSpace(32, 2), the search perfbench's
+        # calib-overflow-full runs; round 1 scans every site of every arm it
+        # runs, so the round-1 rung ends after that many trace rows
+        graph, calib, _, _ = build_fixture("overflow-bridge")
+        graph = with_mode(graph, "full")
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache, bits=6)
+        space = SearchSpace(candidates=32, iterations=2)
+        events = []  # the trace rows, with ("run", params id) among them
+        run = C._UnitEvaluator.run
+
+        def spy(self, params, keep=True):
+            events.append(("run", id(params)))
+            return run(self, params, keep)
+
+        monkeypatch.setattr(C._UnitEvaluator, "run", spy)
+        runs, resumed_live = {}, []
+        for unit in units:
+            events.clear()
+            search_unit(graph, unit, cache, space, CalibOptions(), bits=6,
+                        trace=events)
+            runs[unit.label] = sum(e[0] == "run" for e in events)
+            starts = [i for i, e in enumerate(events) if e[0] != "run"
+                      and e[3] == -1]
+            live = events[starts[-1] - 1][1]  # the last start's params
+            sites = sum(len(graph.sites_by_layer[lid]) for lid in unit.layer_ids)
+            round1_rows = sites * space.candidates * min(C.ROUND1_ARMS,
+                                                         len(starts) - 1)
+            rung_live, rows = live, 0
+            for e in events[starts[-1] + 1:]:
+                if e[0] == "run":
+                    if e[1] == rung_live:
+                        resumed_live.append(unit.label)
+                    live = e[1]
+                    continue
+                rows += 1
+                if rows == round1_rows:  # the last rung starts
+                    rung_live = live
+        assert resumed_live == []
+        # one start per arm plus the resumes: 64 runs, where running each
+        # rung in preference order took 78
+        assert runs == {
+            "layer0": 8, "layer1": 7, "bridge0": 7, "layer6": 7, "layer7": 8,
+            "layer9": 7, "layer10": 7, "layer12": 7, "layer15": 6}

@@ -69,7 +69,7 @@ class TestQuantizeCommand:
         out = tmp_path / "q.json"
         result = run_quantize(runner, out)
         assert result.exit_code == 0, result.output
-        qcfg, bits, mode = load_qconfig(str(out))
+        qcfg, bits, mode, objectives = load_qconfig(str(out))
         graph, _, _, _ = build_fixture("tiny-mvit-ln")
         assert set(qcfg) == {s.key for s in graph.quant_sites}
         assert bits == 8 and mode == "partial"
@@ -77,10 +77,9 @@ class TestQuantizeCommand:
         assert doc["format"] == "hyquant-qconfig/1"
         assert all("objective" in e and "zero_point_raw" in e
                    for e in doc["sites"])
-        # everything but the objectives is read back as written
-        entries = [{k: v for k, v in e.items() if k != "objective"}
-                   for e in doc["sites"]]
-        assert qconfig_to_doc(qcfg, bits, mode)["sites"] == entries
+        # everything, the objectives included, is read back as written
+        assert qconfig_to_doc(qcfg, bits, mode, objectives)["sites"] == \
+            doc["sites"]
 
     def test_default_settings_run_under_60s(self, runner, tmp_path):
         out = tmp_path / "q.json"
@@ -778,7 +777,7 @@ class TestDocuments:
                             CalibOptions(), bits=8)
         path = tmp_path / "q.json"
         save_qconfig(str(path), qcfg, 8, "partial")
-        back, bits, mode = load_qconfig(str(path))
+        back, bits, mode, _ = load_qconfig(str(path))
         assert qconfig_to_doc(back, bits, mode) == qconfig_to_doc(qcfg, 8, "partial")
 
     def test_bad_format_rejected(self, tmp_path):

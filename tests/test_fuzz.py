@@ -9,12 +9,16 @@ replaced. `report` reads no qconfig, so it gets the manifest and the
 calibration and validation blob mutations; `quantize` gets the manifest
 mutations, with a one-candidate, one-round search to keep each case short.
 Whatever the input, the CLI exits 0, 1 or 2; a failure prints exactly one
-`error:` line and no traceback, and no exception escapes.
+`error:` line and no traceback, and no exception escapes. A mutated manifest
+or qconfig that loads saves every name it holds, and saving what is loaded
+back gives the same bytes.
 """
 
 import copy
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -22,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyquant.bridge import _ANNOTATION_FIELDS
-from hyquant.cli import _ENTRY_FIELDS, _QCONFIG_FIELDS, main, save_qconfig
+from hyquant.cli import (_ENTRY_FIELDS, _ERRORS, _QCONFIG_FIELDS, load_qconfig,
+                         main, save_qconfig)
 from hyquant.graph import (_LAYER_ATTRS, _LAYER_FIELDS, _MANIFEST_FIELDS,
-                           forward_fp, load_manifest)
+                           forward_fp, load_manifest, save_manifest)
 from hyquant.quant import fit_minmax
 from hyquant.tensor import Tensor, load_tensor
 from hyquant.zoo import export_fixture
@@ -267,3 +272,62 @@ def test_mutated_manifests_fail_cleanly_in_quantize(artifacts, data):
     manifest, _ = data.draw(mutated_documents(
         manifest, qconfig, targets=("manifest", "layer", "attrs", "bridge")))
     assert_clean(run_quantize(paths, manifest))
+
+
+def _names(doc) -> set:
+    """(where, name) for every name of a loaded manifest or qconfig document:
+    its own, each layer's (by id) and its attributes' and weights', each
+    bridge annotation's (by index) and each site entry's (by layer and site)."""
+    names = {((), name) for name in doc}
+    for layer in doc.get("layers", []):
+        names |= {(("layer", layer["id"]), name) for name in layer}
+        for part in ("attrs", "weights"):
+            names |= {(("layer", layer["id"], part), name)
+                      for name in layer.get(part, {})}
+    for i, annotation in enumerate(doc.get("bridge_blocks", [])):
+        names |= {(("bridge", i), name) for name in annotation}
+    for entry in doc.get("sites", []):
+        names |= {(("site", entry["layer"], entry["site"]), name)
+                  for name in entry}
+    return names
+
+
+def _save_manifest(graph, folder):
+    save_manifest(graph, os.path.join(folder, "model.json"))
+    return os.path.join(folder, "model.json")
+
+
+def _save_qconfig(loaded, folder):
+    qcfg, bits, mode, objectives = loaded
+    save_qconfig(os.path.join(folder, "q.json"), qcfg, bits, mode, objectives)
+    return os.path.join(folder, "q.json")
+
+
+def _tree(folder) -> dict:
+    """{path under folder: bytes} of every file below it."""
+    return {str(p.relative_to(folder)): p.read_bytes()
+            for p in Path(folder).rglob("*") if p.is_file()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_loaded_document_saves_every_name_and_reloads_to_the_same_bytes(
+        artifacts, data):
+    out, _, manifest, qconfig = artifacts
+    manifest, qconfig = data.draw(mutated_documents(manifest, qconfig))
+    for doc, load, save in ((manifest, load_manifest, _save_manifest),
+                            (qconfig, load_qconfig, _save_qconfig)):
+        path = os.path.join(out, "fuzz_document.json")  # beside the blobs
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        try:
+            loaded = load(path)
+        except _ERRORS:
+            continue  # refused with one error line (the tests above)
+        with tempfile.TemporaryDirectory(dir=out) as first, \
+                tempfile.TemporaryDirectory(dir=out) as second:
+            saved = save(loaded, first)
+            save(load(saved), second)
+            assert _tree(first) == _tree(second)
+            with open(saved) as f:
+                assert _names(doc) <= _names(json.load(f))

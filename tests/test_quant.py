@@ -530,3 +530,29 @@ class TestQuantParamsValidation:
             QuantParams(bits=8, scheme="symmetric", granularity="per_channel",
                         channel_axis=None, scale=np.asarray([0.1], F32),
                         zero_point=np.asarray([0]), zero_point_raw=np.asarray([0.0]))
+
+
+class TestQuantParamsEquality:
+    @staticmethod
+    def per_channel(scale=(0.1, 0.2), zp=(3, -2), raw=(3.25, -2.5)):
+        return QuantParams(bits=8, scheme="asymmetric", granularity="per_channel",
+                           channel_axis=0, scale=np.asarray(scale, F32),
+                           zero_point=np.asarray(zp), zero_point_raw=np.asarray(raw))
+
+    def test_equal_per_channel_params_compare_equal(self):
+        a, b = self.per_channel(), self.per_channel()
+        assert a == b and not a != b
+        assert {"site": a} == {"site": b}
+
+    def test_a_differing_scale_compares_unequal(self):
+        a, b = self.per_channel(), self.per_channel(scale=(0.1, 0.3))
+        assert a != b and not a == b
+        assert a != self.per_channel(raw=(3.25, -2.25))
+
+    def test_per_layer_params_compare_by_value(self):
+        x = t(np.linspace(-1.0, 3.0, 64))
+        a = fit_minmax(x, 8, "asymmetric", "per_layer")
+        assert a == fit_minmax(x, 8, "asymmetric", "per_layer")
+        assert a != fit_minmax(x, 8, "symmetric", "per_layer")
+        assert a != fit_minmax(x, 6, "asymmetric", "per_layer")
+        assert a != params_for_scale(a, np.asarray(0.5))

@@ -411,10 +411,7 @@ def batch_norm_folded(x: Tensor, scale_w: Tensor, shift: Tensor,
 def gelu(t: Tensor, tape: Tape | None = None) -> Tensor:
     """Exact (erf-based) GELU."""
     xa = t.data
-    phi = np.multiply(xa, _INV_SQRT2)  # one buffer, the same float32 steps
-    _erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    phi = _F32(0.5) * (1.0 + _erf(xa * _INV_SQRT2))
     out = xa * phi
 
     def grad(g):

@@ -327,16 +327,18 @@ class _UnitEvaluator:
             g64 = grad.astype(np.float64).ravel()
             self._g2 = g64 * g64
         self._state: dict = {}
+        self.owner: dict | None = None  # the params whose state is held
         self.evals = 0
 
     def run(self, params: dict, keep: bool = True) -> float:
-        """Objective of params from a full re-run; params become the state.
-        keep=False drops each value after its last use and leaves no state,
-        for a run that no score_site follows."""
+        """Objective of params from a full re-run; params become the state
+        and its owner. keep=False drops each value after its last use and
+        leaves no state (owner None), for a run that no score_site follows."""
         self.evals += 1
         vals = run_steps(self.steps, dict(self._base), site_hook(params),
                          keep=keep)
         self._state = vals if keep else {}
+        self.owner = params if keep else None
         return self._score(vals[self._out])
 
     def score_site(self, params: dict, site: Site) -> float:
@@ -382,14 +384,14 @@ FINAL_ARMS = 2
 @dataclass(eq=False)
 class _Arm:
     """One (granularity, scheme) combination's search so far: its params and
-    their objective, scale candidates, adoptions and scan marks."""
+    their objective, scale candidates, and settled, the number of scans in a
+    row that left their site at its argmin."""
 
     combo: tuple[str, str, str, str]
     params: dict
     objective: float = float("inf")
     candidates: dict | None = None
-    adoptions: int = 0
-    scanned_at: dict = field(default_factory=dict)
+    settled: int = 0
 
 
 def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
@@ -402,12 +404,14 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
     unit runs three rungs: every arm scores its min-max start; the
     ROUND1_ARMS combinations of lowest objective run alternation round 1
     (weight-site scales, then activation-site scales); the FINAL_ARMS lowest
-    after it run the remaining rounds. The default is never scanned and
-    stays a candidate, so the result never scores worse than it. Each rung
-    advances first the arm whose params are the evaluator's state; the
-    others re-run the unit to resume, and evals counts those re-runs. Ties
-    resolve to the default, then per-layer over per-channel, symmetric over
-    asymmetric, then the smallest scale, via the fixed enumeration order.
+    after it run the remaining rounds. A combination's search stops at a
+    fixed point, once its last len(sites) scans each left their site at its
+    argmin. The default is never scanned and stays a candidate, so the
+    result never scores worse than it. Each rung advances first the arm
+    whose params the evaluator holds (its owner); the others re-run the unit
+    to resume, and evals counts those re-runs. Ties resolve to the default,
+    then per-layer over per-channel, symmetric over asymmetric, then the
+    smallest scale, via the fixed enumeration order.
     """
     sites = [s for lid in unit.layer_ids for s in graph.sites_by_layer[lid]]
     if not sites:
@@ -425,32 +429,38 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
             arms.append(_Arm(combo, params))
     default, searched = arms[0], arms[1:]
     scan_order = sorted(sites, key=lambda s: s.kind != "weight")
-
-    def advance(arm: _Arm, rounds: int) -> None:
-        nonlocal live
-        if not rounds or all(arm.scanned_at.get(s.key) == arm.adoptions
-                             for s in sites):
-            return  # no scan would run (see below)
-        if live is not arm:  # resume: run() rebuilds its state bit for bit
-            evaluator.run(arm.params)
-            live = arm
-        g, _, _, s_label = arm.combo
-        params = arm.params
-        # candidates keep the fit's zero-point, so one list serves every round
-        if arm.candidates is None:
-            arm.candidates = {s.key: [params_for_scale(params[s.key], c) for c in
-                                      generate_candidates(
-                                          _site_fp_value(s, cache), bits, space,
-                                          params[s.key].granularity,
-                                          s.channel_axis)] for s in sites}
-        # A scan scores fixed candidates against the other sites' params, so
-        # while no site adopts a scale it repeats its last result: the same
-        # argmin, and obj < objective false. It is skipped while the count of
-        # adoptions in this combination is what it was after that scan.
-        for _ in range(rounds):
-            for site in scan_order:
-                if arm.scanned_at.get(site.key) == arm.adoptions:
-                    continue
+    for arm in arms:
+        # the default is never scanned, so its run keeps no state
+        arm.objective = evaluator.run(arm.params, keep=arm is not default)
+        if trace is not None:
+            trace.append((unit.label, arm.combo[0], arm.combo[3], -1,
+                          arm.objective))
+    for k, rounds in ((ROUND1_ARMS, 1), (FINAL_ARMS, space.iterations - 1)):
+        # the k combinations of lowest objective, earlier first on a tie; no
+        # dropped one can rank above a kept one, as a round never raises an
+        # objective
+        kept = sorted(searched, key=lambda a: a.objective)[:k]
+        for arm in sorted((a for a in searched if a in kept),
+                          key=lambda a: a.params is not evaluator.owner):
+            g, _, _, s_label = arm.combo
+            params = arm.params
+            for site in scan_order * rounds:
+                # A scan scores fixed candidates against the other sites'
+                # params, so once the last len(sites) scans, one per site,
+                # each left its site at its argmin, every further scan would
+                # repeat its last result: the combination is at a fixed point.
+                if arm.settled >= len(sites):
+                    break
+                if evaluator.owner is not params:  # resume, bit for bit
+                    evaluator.run(params)
+                # candidates keep the fit's zero-point, so one list serves
+                # every round
+                if arm.candidates is None:
+                    arm.candidates = {s.key: [
+                        params_for_scale(params[s.key], c) for c in
+                        generate_candidates(_site_fp_value(s, cache), bits,
+                                            space, params[s.key].granularity,
+                                            s.channel_axis)] for s in sites}
                 cands = arm.candidates[site.key]
                 objs = [evaluator.score_site({**params, site.key: p}, site)
                         for p in cands]
@@ -462,24 +472,9 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                     params[site.key] = cands[best]
                     evaluator.adopt(params, site)
                     arm.objective = objs[best]
-                    arm.adoptions += 1
-                arm.scanned_at[site.key] = arm.adoptions
-
-    for arm in arms:
-        # the default is never scanned, so its run keeps no state
-        arm.objective = evaluator.run(arm.params, keep=arm is not default)
-        if trace is not None:
-            trace.append((unit.label, arm.combo[0], arm.combo[3], -1,
-                          arm.objective))
-    live = searched[-1] if searched else None  # whose params are the state
-    for k, rounds in ((ROUND1_ARMS, 1), (FINAL_ARMS, space.iterations - 1)):
-        # the k combinations of lowest objective, earlier first on a tie; no
-        # dropped one can rank above a kept one, as a round never raises an
-        # objective
-        kept = sorted(searched, key=lambda a: a.objective)[:k]
-        for arm in sorted((a for a in searched if a in kept),
-                          key=lambda a: a is not live):
-            advance(arm, rounds)
+                    arm.settled = 1
+                else:
+                    arm.settled += 1
     # the first lowest wins a tie: the default, then the earlier combination
     best = min(arms, key=lambda a: a.objective)
     return UnitDecision(label=unit.label, output_id=unit.output_id,

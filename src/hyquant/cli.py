@@ -16,7 +16,8 @@ import sys
 import click
 import numpy as np
 
-from .calib import CalibError, CalibOptions, SearchSpace, calibrate, run_chunked
+from .calib import (METRICS, CalibError, CalibOptions, SearchSpace, calibrate,
+                    run_chunked)
 from .graph import (Graph, GraphError, _is_int, _list_of, _one_of, forward_fp,
                     forward_quant, load_manifest, read_fields, read_json)
 from .quant import (GRANULARITIES, SCHEMES, QuantError, QuantParams,
@@ -280,18 +281,23 @@ def main():
 @click.option("--bits", type=click.Choice(["8", "6"]), default="8", show_default=True)
 @click.option("--mode", type=click.Choice(["partial", "full"]), default=None,
               help="override the model's declared quantization mode")
-@click.option("--scheme-search/--no-scheme-search", default=True,
-              show_default=True, help="also search symmetric vs asymmetric")
-@click.option("--granularity-search/--no-granularity-search", default=True,
-              show_default=True, help="also search per-layer vs per-channel")
-@click.option("--scale-search/--no-scale-search", default=True,
-              show_default=True, help="search scale candidates")
-@click.option("--metric", type=click.Choice(["hessian", "cosine"]),
-              default="hessian", show_default=True)
-@click.option("--alpha", type=float, default=0.0, show_default=True)
-@click.option("--beta", type=float, default=1.2, show_default=True)
-@click.option("--candidates", type=int, default=100, show_default=True)
-@click.option("--iterations", type=int, default=3, show_default=True)
+@click.option("--scheme-search/--no-scheme-search",
+              default=CalibOptions.scheme_search, show_default=True,
+              help="also search symmetric vs asymmetric")
+@click.option("--granularity-search/--no-granularity-search",
+              default=CalibOptions.granularity_search, show_default=True,
+              help="also search per-layer vs per-channel")
+@click.option("--scale-search/--no-scale-search",
+              default=CalibOptions.scale_search, show_default=True,
+              help="search scale candidates")
+@click.option("--metric", type=click.Choice(METRICS),
+              default=CalibOptions.metric, show_default=True)
+@click.option("--alpha", type=float, default=SearchSpace.alpha, show_default=True)
+@click.option("--beta", type=float, default=SearchSpace.beta, show_default=True)
+@click.option("--candidates", type=int, default=SearchSpace.candidates,
+              show_default=True)
+@click.option("--iterations", type=int, default=SearchSpace.iterations,
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="fixture seed override")
 @click.option("--out", type=click.Path(), required=True, help="qconfig output path")

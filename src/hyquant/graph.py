@@ -187,7 +187,7 @@ def read_json(path: str, error: type):
     try:
         with open(path, "rb") as f:
             return json.load(f)
-    except ValueError as e:  # a syntax error, or bytes that are not text
+    except (ValueError, RecursionError) as e:  # bad syntax or text; deep nesting
         raise error(f"{path}: not valid JSON: {e}") from None
 
 

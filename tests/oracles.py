@@ -152,6 +152,42 @@ def brute_force_search_minimum(graph, unit, cache, space, options, bits):
     return best
 
 
+def plain_coordinate_descent(graph, unit, cache, space, options, bits):
+    """(objective, params) of the alternating scale search with no skip, no
+    cone and no pruning: every feasible combination runs space.iterations
+    full rounds (weight sites, then activation sites), scoring each
+    candidate by a full re-run and adopting the first lowest on a strict
+    improvement. The result is the first lowest of the min-max default and
+    the combinations."""
+    from hyquant import calib as C
+    from hyquant.quant import params_for_scale
+
+    ev = C._UnitEvaluator(graph, unit, cache, options.metric)
+    sites = [s for lid in unit.layer_ids for s in graph.sites_by_layer[lid]]
+    scan_order = sorted(sites, key=lambda s: s.kind != "weight")
+    init = {s.key: C._fit(s, cache, bits, C._DEFAULT) for s in sites}
+    best = (ev.run(init), init)
+    for combo in C._combos(options):
+        params = {s.key: C._fit(s, cache, bits, combo) for s in sites}
+        if any(p.any_clamped for p in params.values()):
+            continue
+        obj = ev.run(params)
+        for _ in range(space.iterations):
+            for s in scan_order:
+                cands = [params_for_scale(params[s.key], c) for c in
+                         C.generate_candidates(C._site_fp_value(s, cache), bits,
+                                               space, params[s.key].granularity,
+                                               s.channel_axis)]
+                objs = [ev.run({**params, s.key: p}) for p in cands]
+                i = int(np.argmin(objs))
+                if objs[i] < obj:
+                    params = {**params, s.key: cands[i]}
+                    obj = objs[i]
+        if obj < best[0]:
+            best = (obj, params)
+    return best
+
+
 def fd_gradient(build, x0: np.ndarray, h: float = 1e-3) -> np.ndarray:
     """Central finite differences of a scalar loss over every element of x0.
 

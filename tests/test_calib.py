@@ -21,7 +21,7 @@ from hyquant.graph import (GRAPH_INPUT, Graph, LayerSpec, forward_fp,
 from hyquant.quant import fit_minmax, params_for_scale
 from hyquant.tensor import Tensor, cross_entropy
 from hyquant.zoo import FIXTURES, build_fixture
-from oracles import dense_objective_oracle
+from oracles import dense_objective_oracle, plain_coordinate_descent
 
 F32 = np.float32
 
@@ -970,6 +970,28 @@ class TestSuccessiveHalving:
         monkeypatch.setattr(C, "ROUND1_ARMS", 4)
         monkeypatch.setattr(C, "FINAL_ARMS", 4)
         assert pruned == _search_result(name, mode, bits, space)
+
+    @pytest.mark.parametrize("name,mode,bits", [
+        ("overflow-bridge", "full", 6), ("tiny-mvit-bn", "partial", 8)])
+    def test_unpruned_search_equals_plain_coordinate_descent(
+            self, name, mode, bits, monkeypatch):
+        # the fixed-point stop (settled) and the cone scores leave every
+        # combination's search as a full-rerun descent that never skips
+        monkeypatch.setattr(C, "ROUND1_ARMS", 4)
+        monkeypatch.setattr(C, "FINAL_ARMS", 4)
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache, bits=bits)
+        space, options = SearchSpace(candidates=4, iterations=3), CalibOptions()
+        for unit in units:
+            d = search_unit(graph, unit, cache, space, options, bits=bits)
+            obj, params = plain_coordinate_descent(graph, unit, cache, space,
+                                                   options, bits)
+            assert d.objective.hex() == obj.hex(), unit.label
+            assert qconfig_to_doc(d.params, bits, mode) == \
+                qconfig_to_doc(params, bits, mode), unit.label
 
     def test_keeps_a_winner_with_the_third_best_start(self, monkeypatch):
         # tiny-mvit-gn full W6: bridge0's winner, per-channel symmetric, has

@@ -89,6 +89,13 @@ class TestQuantizeCommand:
         elapsed = time.monotonic() - start
         assert result.exit_code == 0, result.output
         assert elapsed < 60.0
+        # ROADMAP's baseline fingerprint of the default-space search: the
+        # CLI's defaults are the library's
+        qcfg, bits, mode, _ = load_qconfig(str(out))
+        doc = json.dumps(qconfig_to_doc(qcfg, bits, mode), sort_keys=True)
+        assert (bits, mode) == (8, "partial")
+        assert hashlib.sha256(doc.encode()).hexdigest() == \
+            "1ec590191eec11a7dc3d1553750515805c2ab905c467517c238341bc11b63628"
 
     def test_flag_chain_violation_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "q.json"
@@ -476,11 +483,16 @@ class TestEvaluateCommand:
         errors = error_lines(result.output)
         assert len(errors) == 1 and "(N, classes) logits" in errors[0]
 
-    @pytest.mark.parametrize("command", ["quantize", "evaluate"])
-    def test_non_json_document_names_the_file(self, runner, tmp_path, command):
+    @pytest.mark.parametrize("command,text", [
+        (command, text) for text in ('{"format": ', "[" * 100_000)
+        for command in ("quantize", "evaluate")],
+        ids=["quantize", "evaluate", "quantize-nested-too-deep",
+             "evaluate-nested-too-deep"])
+    def test_non_json_document_names_the_file(self, runner, tmp_path, command,
+                                              text):
         paths = export_fixture("tiny-mvit-ln", str(tmp_path))
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": ')
+        bad.write_text(text)
         if command == "quantize":  # the manifest is not JSON
             args = ["quantize", "--model", str(bad), "--calib", paths["calib"],
                     "--out", str(tmp_path / "q.json")]

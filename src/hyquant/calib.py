@@ -2,7 +2,9 @@
 
 Pass 1 runs the model in full precision over the calibration batch and caches
 every reconstruction unit's output, the unit members' external inputs, the
-full-precision values at every quant site, and the final logits. Pass 2 runs
+final logits and, for every quant site, its extremes stand-in: the
+per-channel min and max of its full-precision value, all that the min-max
+fits and the scale candidates read of it (site_extremes). Pass 2 runs
 the default-quantized model (min-max fits), takes cross-entropy against the
 full-precision argmax labels, and backpropagates to cache each unit's output
 gradient. Pass 1 is one whole-batch forward; pass 2, like evaluation, runs
@@ -83,7 +85,9 @@ class CalibOptions:
 
 @dataclass
 class CalibCache:
-    """Write-once store filled by the two calibration passes."""
+    """Write-once store filled by the two calibration passes. site_values
+    holds each quant site's extremes stand-in (site_extremes), not its
+    full-precision value."""
 
     unit_outputs: dict[int, np.ndarray] = field(default_factory=dict)
     unit_inputs: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
@@ -114,8 +118,8 @@ def objective(delta_o, grad) -> float:
     g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
     if d.shape != g.shape:
         raise CalibError(f"objective shapes disagree: {d.shape} vs {g.shape}")
-    g64 = g.astype(np.float64).ravel()
-    return _g2_weighted(g64 * g64, d.astype(np.float64).ravel())
+    return _g2_weighted(np.multiply(g, g, dtype=np.float64).ravel(),
+                        d.astype(np.float64).ravel())
 
 
 def _g2_weighted(g2: np.ndarray, d: np.ndarray) -> float:
@@ -171,12 +175,12 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 
 # Samples per chunk of pass 2 and of evaluation. Pass 1 holds no tape and is
 # one forward: at 2,048 samples of wide-mvit-ln it peaks at 98.4 MiB traced
-# (99.0 in chunks), under pass 2's 147.6. No step of a forward mixes samples
-# (batch norm is folded), so a chunk's values are its rows of the whole
-# batch's, byte for byte, as long as each matrix product runs the same
-# kernel: OpenBLAS picks its sgemm kernel by row count, and with 256 or 128
-# rows wide-mvit-ln's head product (N, 32)·(32, 4) changes in the last bit.
-# So a remainder is never a chunk of its own.
+# (99.0 in chunks), under calibrate's 125.4 with all search off. No step of
+# a forward mixes samples (batch norm is folded), so a chunk's values are
+# its rows of the whole batch's, byte for byte, as long as each matrix
+# product runs the same kernel: OpenBLAS picks its sgemm kernel by row
+# count, and with 256 or 128 rows wide-mvit-ln's head product (N, 32)·(32, 4)
+# changes in the last bit. So a remainder is never a chunk of its own.
 PASS_CHUNK = 512
 
 
@@ -204,10 +208,26 @@ def run_chunked(batch: Tensor, run) -> dict:
     return out
 
 
+def site_extremes(v: np.ndarray, channel_axis: int) -> np.ndarray:
+    """v's extremes stand-in: v's dtype, shape 1 on every axis but C on the
+    channel axis a and 2 on axis b (0, or 1 when a is 0), row 0 of b holding
+    the per-channel min and row 1 the max. Min and max are exact and
+    max|x| = max(|min|, |max|), so channel_ranges of it equals that of v bit
+    for bit, per layer and per channel along a, and np.any agrees. An array
+    of fewer than 2 axes is kept, as it has no axis b."""
+    if v.ndim < 2:
+        return v
+    a = channel_axis % v.ndim
+    rest = tuple(i for i in range(v.ndim) if i != a)
+    return np.concatenate((v.min(axis=rest, keepdims=True),
+                           v.max(axis=rest, keepdims=True)), axis=int(a == 0))
+
+
 def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     """Forward the whole calibration batch in full precision; cache unit
-    outputs, member inputs, per-site values and the final logits as the
-    forward's own arrays, so keys that hold one value share one array."""
+    outputs, member inputs and the final logits as the forward's own arrays,
+    so keys that hold one value share one array, and each site's extremes
+    stand-in (site_extremes)."""
     if calib_batch.ndim == 0:
         raise CalibError("calibration batch is a scalar; it needs a sample axis")
     if calib_batch.size == 0:
@@ -219,6 +239,9 @@ def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     logits, outs = forward_fp(graph, calib_batch, capture=cache.site_values,
                               watch=set(inputs).union(*inputs.values()))
     cache.logits_fp = logits.data
+    for site in graph.quant_sites:
+        cache.site_values[site.key] = site_extremes(
+            cache.site_values[site.key], site.channel_axis)
     for uid, pids in inputs.items():
         cache.unit_outputs[uid] = outs[uid].data
         cache.unit_inputs[uid] = {pid: outs[pid].data for pid in pids}
@@ -324,8 +347,7 @@ class _UnitEvaluator:
         self.o_fp = cache.unit_outputs[unit.output_id]
         self.metric = metric
         if metric == "hessian":
-            g64 = grad.astype(np.float64).ravel()
-            self._g2 = g64 * g64
+            self._g2 = np.multiply(grad, grad, dtype=np.float64).ravel()
         self._state: dict = {}
         self.owner: dict | None = None  # the params whose state is held
         self.evals = 0

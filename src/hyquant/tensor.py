@@ -259,7 +259,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     else:
         idx, padded = _im2col_index(H, W, kh, kw, sh, sw, ph, pw)
         cols = np.take(xa.reshape(N * C, H * W), idx, axis=1)
-        cols[:, padded] = 0
+        taps = cols.reshape(N * C, kh, kw, Ho, Wo)
+        for region in padded:
+            taps[region] = 0
     wg = wa.reshape(groups, O // groups, Cg * kh * kw)
     out = np.matmul(wg[None], cols.reshape(N, groups, Cg * kh * kw, Ho * Wo))
     del cols
@@ -288,20 +290,39 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
 
 @functools.cache
 def _im2col_index(H: int, W: int, kh: int, kw: int, sh: int, sw: int,
-                  ph: int, pw: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gather index, padded columns) of im2col over a row of H*W pixels, in
+                  ph: int, pw: int) -> tuple[np.ndarray, tuple]:
+    """(gather index, padded regions) of im2col over a row of H*W pixels, in
     the column order (kh, kw, Ho, Wo): tap (i, j) of output pixel (y, x)
     reads pixel (sh*y + i - ph, sw*x + j - pw). A tap that falls in the
-    padding reads pixel 0 and is then zeroed, so no padded copy is made."""
+    padding reads the nearest edge pixel and is then zeroed, so no padded
+    copy is made. The padded regions index the (N*C, kh, kw, Ho, Wo) view of
+    the columns: the output rows that tap row i reads from the padding are
+    a prefix and a suffix of range(Ho), and the same holds for tap column j
+    and range(Wo), so each region is one slice."""
     Ho = (H + 2 * ph - kh) // sh + 1
     Wo = (W + 2 * pw - kw) // sw + 1
     r = (np.arange(kh)[:, None] + sh * np.arange(Ho)[None, :] - ph)[:, None, :, None]
     c = (np.arange(kw)[:, None] + sw * np.arange(Wo)[None, :] - pw)[None, :, None, :]
-    inside = ((r >= 0) & (r < H) & (c >= 0) & (c < W)).reshape(-1)
-    idx = np.where(inside, (r * W + c).reshape(-1), 0).astype(np.intp)
-    padded = np.flatnonzero(~inside)
-    idx.flags.writeable = padded.flags.writeable = False  # shared by every call
+    idx = (np.clip(r, 0, H - 1) * W + np.clip(c, 0, W - 1)).reshape(-1).astype(np.intp)
+    idx.flags.writeable = False  # shared by every call
+    a = slice(None)
+    padded = tuple([(a, i, a, s) for i, s in _padded_slices(kh, ph, sh, H, Ho)]
+                   + [(a, a, j, a, s) for j, s in _padded_slices(kw, pw, sw, W, Wo)])
     return idx, padded
+
+
+def _padded_slices(k: int, pad: int, stride: int, size: int, out: int):
+    """(tap, slice of range(out)) for the non-empty prefix and suffix of
+    outputs o that tap reads from the padding: those not in
+    0 <= stride*o + tap - pad < size."""
+    for tap in range(k):
+        off = tap - pad
+        lo = min(out, max(0, -(off // stride)))
+        hi = min(out, max(lo, (size - 1 - off) // stride + 1))
+        if lo:
+            yield tap, slice(0, lo)
+        if hi < out:
+            yield tap, slice(hi, out)
 
 
 # ---------------------------------------------------------------------------

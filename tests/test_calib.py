@@ -18,7 +18,7 @@ from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
 from hyquant.cli import qconfig_to_doc, with_mode
 from hyquant.graph import (GRAPH_INPUT, Graph, LayerSpec, forward_fp,
                            forward_quant, run_layer, site_hook)
-from hyquant.quant import fit_minmax, params_for_scale
+from hyquant.quant import channel_ranges, fit_minmax, params_for_scale
 from hyquant.tensor import Tensor, cross_entropy
 from hyquant.zoo import FIXTURES, build_fixture
 from oracles import dense_objective_oracle, plain_coordinate_descent
@@ -190,6 +190,56 @@ class TestPass1:
         g = linear_graph([np.eye(4, dtype=F32)], 4)
         with pytest.raises(CalibError, match="sample axis"):
             pass1_cache_fp(g, Tensor(np.float32(1.0)), fixture_units(g))
+
+
+class TestSiteExtremes:
+    """Pass 1 caches each site's extremes stand-in in place of its value:
+    whatever calibration reads of a site reads the same from it."""
+
+    @pytest.mark.parametrize("shape, axis", [
+        ((5, 3), -1), ((5, 3), 0), ((2, 3, 4, 5), 1), ((2, 3, 4, 5), 0),
+        ((2, 3, 4, 5), -1), ((6, 1, 4), 1), ((1, 7), 0)])
+    def test_channel_ranges_keep_their_bytes(self, shape, axis):
+        rng = np.random.default_rng(len(shape) * 10 + axis)
+        v = rng.normal(0, 3, shape).astype(F32)
+        v[rng.random(shape) < 0.2] = 0.0
+        v[rng.random(shape) < 0.2] = -0.0
+        got = C.site_extremes(v, axis)
+        a = axis % v.ndim
+        want_shape = [1] * v.ndim
+        want_shape[a], want_shape[int(a == 0)] = v.shape[a], 2
+        assert (got.shape, got.dtype) == (tuple(want_shape), v.dtype)
+        for ca in (None, axis):
+            for x, y in zip(channel_ranges(got, ca), channel_ranges(v, ca)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_a_vector_is_kept(self):
+        v = np.arange(4, dtype=F32)
+        assert C.site_extremes(v, 0) is v
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_stand_in_fits_like_the_full_value(self, name, mode):
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        cache = pass1_cache_fp(graph, calib, fixture_units(graph))
+        full = {}
+        forward_fp(graph, calib, capture=full)
+        space = SearchSpace(candidates=7)
+        for s in graph.quant_sites:
+            v, ext = full[s.key], cache.site_values[s.key]
+            assert ext.size <= 2 * v.shape[s.channel_axis], s
+            assert bool(np.any(ext)) == bool(np.any(v)), s
+            for gran in ("per_layer", "per_channel"):
+                for bits in (6, 8):
+                    for scheme in ("symmetric", "asymmetric"):
+                        assert fit_minmax(Tensor._wrap(ext), bits, scheme,
+                                          gran, s.channel_axis) == fit_minmax(
+                            Tensor._wrap(v), bits, scheme, gran,
+                            s.channel_axis), (s, gran, bits, scheme)
+                got = generate_candidates(ext, 8, space, gran, s.channel_axis)
+                want = generate_candidates(v, 8, space, gran, s.channel_axis)
+                assert got.tobytes() == want.tobytes(), (s, gran)
 
 
 class TestPass2:
@@ -567,8 +617,10 @@ class TestCalibrate:
     # watched unit and only searched units were cached, against 88.7 MiB
     # before. At 2,048 samples, four chunks, the peak is 148.9 MiB (bridge0's
     # search; pass 2 holds 147.6), against 254.4 MiB when pass 2 ran the
-    # whole batch on one tape. numpy reports its allocations to tracemalloc,
-    # so the figures do not vary by run.
+    # whole batch on one tape. Since pass 1 keeps each site's extremes
+    # stand-in, not its tensor, the peaks are 58.2 and 125.4 MiB (63.7 and
+    # 147.4 before). numpy reports its allocations to tracemalloc, so the
+    # figures do not vary by run.
     @pytest.mark.parametrize("count, bound_mib", [(512, 65), (2048, 155)])
     def test_peak_traced_memory_of_the_passes(self, count, bound_mib):
         spec = replace(FIXTURES["wide-mvit-ln"], calib_count=count)
@@ -587,7 +639,7 @@ class TestCalibrate:
 
     # Pass 1 is one whole-batch forward, which holds no tape: 98.4 MiB at
     # 2,048 samples (99.0 MiB when it ran in 512-sample chunks). The bound
-    # stays below pass 2's 147.6 MiB, so pass 1 becoming the peak shows here.
+    # stays below calibrate's 125.4 MiB, so pass 1 becoming the peak shows here.
     def test_peak_traced_memory_of_pass1(self):
         spec = replace(FIXTURES["wide-mvit-ln"], calib_count=2048)
         graph, calib, _, _ = build_fixture(spec)

@@ -110,6 +110,11 @@ class TestConv2d:
         ((2, 4, 6, 6), (4, 1, 2, 2), 2, 0, 4),
         ((3, 3, 16, 16), (16, 3, 3, 3), 2, 1, 1),
         ((3, 16, 8, 8), (16, 1, 3, 3), 2, 1, 16),
+        # padding >= stride, so more than one output row and column of a
+        # tap falls in the padding, and padding past the kernel's reach, so
+        # some taps of the edge rows lie wholly in it
+        ((4, 2, 7, 5), (4, 2, 3, 3), 2, 2, 1),
+        ((2, 3, 5, 4), (3, 1, 2, 2), (2, 1), (3, 2), 3),
     ]
 
     @pytest.mark.parametrize("case", range(len(SLICE_CASES)))

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
-from .graph import (Graph, Site, forward_fp, forward_quant, run_steps,
-                    site_cone, site_hook)
+from .graph import Graph, Plan, Site, forward_fp, forward_quant
 from .quant import QuantParams, channel_ranges, fit_minmax, params_for_scale
 from .tensor import Tape, Tensor, backward, cross_entropy
 
@@ -238,6 +237,9 @@ def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
     cache = CalibCache()
     logits, outs = forward_fp(graph, calib_batch, capture=cache.site_values,
                               watch=set(inputs).union(*inputs.values()))
+    if logits.ndim != 2:  # pass 2's labels are the argmax over classes
+        raise CalibError(f"model output {logits.shape} is not (N, classes) "
+                         f"logits")
     cache.logits_fp = logits.data
     for site in graph.quant_sites:
         cache.site_values[site.key] = site_extremes(
@@ -317,13 +319,13 @@ class _UnitEvaluator:
     """Re-runs one unit's layers on cached FP inputs and scores the output.
 
     The unit is the concatenation of its members' steps (LayerSpec.steps),
-    run on a base map of its cached inputs and its members' values. run()
-    runs them all and keeps every value as the state of its params.
+    compiled once into a Plan on its cached inputs and its members' values.
+    run() runs them all and keeps every value as the state of its params.
     score_site() scores params that differ from that state's only at one
-    site by re-running just that site's cone across the members (site_cone):
+    site by re-running just that site's cone across the members (Plan.cone):
     the step quantizing it and every step reading a changed value. Every
     other value, quantized operands included, is the state's, so the result
-    is bitwise run()'s.
+    is bitwise run()'s, and both are bitwise a forward_quant's.
     """
 
     def __init__(self, graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
@@ -336,45 +338,45 @@ class _UnitEvaluator:
             raise CalibError(f"unit {unit.label}: no pass 2 gradient cached; "
                              f"run pass2_cache_gradients first")
         members = [graph.layer(lid) for lid in unit.layer_ids]
-        self.steps = tuple(step for layer in members for step in layer.steps)
-        self._cones = {s.key: site_cone(self.steps, s.key) for layer in members
-                       for s in graph.sites_by_layer[layer.id]}
-        self._base = {(pid, "out"): Tensor._wrap(arr)
-                      for pid, arr in cache.unit_inputs[unit.output_id].items()}
+        base = {(pid, "out"): arr
+                for pid, arr in cache.unit_inputs[unit.output_id].items()}
         for layer in members:
-            self._base.update(layer.values)
-        self._out = (unit.output_id, "out")
+            base.update(layer.values)
+        self._plan = Plan(tuple(step for layer in members for step in layer.steps),
+                          base, (unit.output_id, "out"))
+        self._cones = {s.key: self._plan.cone(s.key) for layer in members
+                       for s in graph.sites_by_layer[layer.id]}
         self.o_fp = cache.unit_outputs[unit.output_id]
         self.metric = metric
         if metric == "hessian":
             self._g2 = np.multiply(grad, grad, dtype=np.float64).ravel()
-        self._state: dict = {}
+        self._state: list = []
         self.owner: dict | None = None  # the params whose state is held
         self.evals = 0
 
     def run(self, params: dict, keep: bool = True) -> float:
         """Objective of params from a full re-run; params become the state
-        and its owner. keep=False drops each value after its last use and
+        and its owner. keep=False frees each value after its last use and
         leaves no state (owner None), for a run that no score_site follows."""
         self.evals += 1
-        vals = run_steps(self.steps, dict(self._base), site_hook(params),
-                         keep=keep)
-        self._state = vals if keep else {}
+        plan = self._plan
+        vals = plan.run(plan.keep if keep else plan.full, params)
+        self._state = vals if keep else []
         self.owner = params if keep else None
-        return self._score(vals[self._out])
+        return self._score(vals[plan.out])
 
     def score_site(self, params: dict, site: Site) -> float:
         """run(params)'s objective, re-running only the cone of site."""
         self.evals += 1
-        return self._score(run_steps(self._cones[site.key], dict(self._state),
-                                     site_hook(params))[self._out])
+        plan = self._plan
+        return self._score(plan.run(self._cones[site.key], params,
+                                    list(self._state))[plan.out])
 
     def adopt(self, params: dict, site: Site) -> None:
         """Make params, changed from the state's at site only, the state."""
-        run_steps(self._cones[site.key], self._state, site_hook(params))
+        self._plan.run(self._cones[site.key], params, self._state)
 
-    def _score(self, out: Tensor) -> float:
-        o_hat = out.data
+    def _score(self, o_hat: np.ndarray) -> float:
         if self.metric == "cosine":
             return cosine_distance(o_hat, self.o_fp)
         # float32 -> float64 is exact, so this is o_hat64 - o_fp64 in one pass
@@ -478,11 +480,11 @@ def search_unit(graph: Graph, unit: ReconstructionUnit, cache: CalibCache,
                 # candidates keep the fit's zero-point, so one list serves
                 # every round
                 if arm.candidates is None:
-                    arm.candidates = {s.key: [
-                        params_for_scale(params[s.key], c) for c in
-                        generate_candidates(_site_fp_value(s, cache), bits,
-                                            space, params[s.key].granularity,
-                                            s.channel_axis)] for s in sites}
+                    arm.candidates = {s.key: params_for_scale(
+                        params[s.key], generate_candidates(
+                            _site_fp_value(s, cache), bits, space,
+                            params[s.key].granularity, s.channel_axis))
+                        for s in sites}
                 cands = arm.candidates[site.key]
                 objs = [evaluator.score_site({**params, site.key: p}, site)
                         for p in cands]

@@ -3,7 +3,9 @@
 A Graph is an ordered DAG of LayerSpec entries (ids topologically ordered,
 single output). Every layer kind is a step list run by one loop, shared by
 the full-precision and the fake-quant paths: a site absent from the qconfig
-runs in full precision, so an empty qconfig is bitwise forward_fp. Sites are
+runs in full precision, so an empty qconfig is bitwise forward_fp. The
+search re-runs a unit's steps as a Plan, compiled once onto the ndarray
+kernels that the Tensor ops call, with the same bits. Sites are
 a layer's weights and input activations, plus the operands of attention's
 two matrix products; softmax/norm inputs are sites only in "full" mode.
 """
@@ -11,6 +13,7 @@ two matrix products; softmax/norm inputs are sites only in "full" mode.
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import math
 import os
@@ -22,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .quant import quantize_dequantize
+from .quant import broadcast_ready, fake_quant, quantize_dequantize
 from .tensor import Tape, Tensor
 
 ACTIVATION_FNS = ("gelu", "silu", "relu")
@@ -309,14 +312,16 @@ def site_hook(qcfg: dict, tape: Tape | None = None, capture: dict | None = None)
 
 
 # Every layer kind is an ordered list of steps (LAYER_STEPS). A step computes
-# out = op(*ins, tape) from named values or, when op is None, passes its one
-# input through the site hook under its site name; such a step is the one
-# declaration of that quant site (sites_for_layer). A kind's steps read its
-# weights by name, its attrs as "attrs" and its inputs as "x" and "y"; its
-# last step writes "out". LayerSpec.steps names these values by layer, so the
-# steps of any run of layers concatenate into one list, and one loop
-# (run_steps) runs forwards, calibration passes, a unit's re-run and a site's
-# cone across the unit (site_cone) alike.
+# out = op(ops, *ins) from named values, ops being the tensor ops it calls
+# by name, or, when op is None, passes its one input through the site hook
+# under its site name; such a step is the one declaration of that quant site
+# (sites_for_layer). A kind's steps read its weights by name, its attrs as
+# "attrs" and its inputs as "x" and "y"; its last step writes "out".
+# LayerSpec.steps names these values by layer, so the steps of any run of
+# layers concatenate into one list. One loop (run_steps) runs them on
+# Tensors with the Tensor ops, for the forwards and the calibration passes;
+# a Plan compiles them once onto the ndarray kernels that those ops call
+# (T.KERNELS), for a unit's re-runs in the search.
 
 
 class Step(NamedTuple):  # names are keys (layer id, name) in LayerSpec.steps
@@ -345,66 +350,81 @@ def _step_list(*steps: Step) -> tuple[Step, ...]:
                  for i, step in enumerate(steps))
 
 
-# Ops look T.<name> up when they run, so a tracer that rebinds the tensor
-# functions sees every call.
+class _TapedOps:
+    """The Tensor ops with one forward's tape bound: ops.<name>(...) is
+    T.<name>(..., tape=tape), looked up in T at each call, so a tracer that
+    rebinds the tensor functions sees every call of the forwards and the
+    calibration passes (not the search's, which runs on T.KERNELS)."""
+
+    __slots__ = ("tape",)
+
+    def __init__(self, tape: Tape | None):
+        self.tape = tape
+
+    def __getattr__(self, name: str):
+        return functools.partial(getattr(T, name), tape=self.tape)
+
+
+# The ops below call the tensor ops through ops (_TapedOps or T.KERNELS), so
+# each is written once for both and runs the same kernels in the same order.
 def _tensor_op(name: str):
-    """An op whose last input is the layer's attrs: T.<name>(*ts, **attrs)."""
-    def op(*ins):
-        *tensors, attrs, tape = ins
-        return getattr(T, name)(*tensors, tape=tape, **attrs)
+    """An op whose last input is the layer's attrs: ops.<name>(*ts, **attrs)."""
+    def op(ops, *ins):
+        *tensors, attrs = ins
+        return getattr(ops, name)(*tensors, **attrs)
     return op
 
 
-def _depthwise_conv(x, w, b, attrs, tape) -> Tensor:
-    return T.conv2d(x, w, b, groups=w.shape[0], tape=tape, **attrs)
+def _depthwise_conv(ops, x, w, b, attrs):
+    return ops.conv2d(x, w, b, groups=w.shape[0], **attrs)
 
 
-def _project(x: Tensor, w: Tensor, b: Tensor | None, tape) -> Tensor:
-    out = T.matmul(x, w, tape, transpose_b=True)
-    return T.add(out, b, tape) if b is not None else out
+def _project(ops, x, w, b):
+    out = ops.matmul(x, w, transpose_b=True)
+    return ops.add(out, b) if b is not None else out
 
 
-def _activation(x, attrs, tape) -> Tensor:
-    return getattr(T, attrs["fn"])(x, tape)
+def _activation(ops, x, attrs):
+    return getattr(ops, attrs["fn"])(x)
 
 
-def _reshape(x: Tensor, attrs: dict, tape) -> Tensor:
+def _reshape(ops, x, attrs: dict):
     op = attrs["op"]
     if op == "nchw_to_tokens":
         n, c, h, w = x.shape
-        moved = T.transpose(x, (0, 2, 3, 1), tape)
-        return T.reshape(moved, (n, h * w, c), tape)
+        moved = ops.transpose(x, (0, 2, 3, 1))
+        return ops.reshape(moved, (n, h * w, c))
     if op == "tokens_to_nchw":
         n, t, e = x.shape
         h, w = attrs["h"], attrs["w"]
         if h * w != t:
             raise GraphError(f"tokens_to_nchw: {h}x{w} != token count {t}")
-        grid = T.reshape(x, (n, h, w, e), tape)
-        return T.transpose(grid, (0, 3, 1, 2), tape)
+        grid = ops.reshape(x, (n, h, w, e))
+        return ops.transpose(grid, (0, 3, 1, 2))
     n = x.shape[0]
-    return T.reshape(x, (n, int(np.prod(x.shape[1:]))), tape)
+    return ops.reshape(x, (n, int(np.prod(x.shape[1:]))))
 
 
-def _pool(x, attrs, tape) -> Tensor:
-    return T.mean(x, (1,) if attrs["op"] == "mean_tokens" else (2, 3), tape)
+def _pool(ops, x, attrs):
+    return ops.mean(x, (1,) if attrs["op"] == "mean_tokens" else (2, 3))
 
 
-def _split_heads(x: Tensor, attrs: dict, tape) -> Tensor:
+def _split_heads(ops, x, attrs: dict):
     n, t, e = x.shape
     heads = attrs["heads"]
-    x = T.reshape(x, (n, t, heads, e // heads), tape)
-    return T.transpose(x, (0, 2, 1, 3), tape)
+    x = ops.reshape(x, (n, t, heads, e // heads))
+    return ops.transpose(x, (0, 2, 1, 3))
 
 
-def _scores(qh: Tensor, kh: Tensor, tape) -> Tensor:
-    return T.scale(T.matmul(qh, kh, tape, transpose_b=True),
-                   1.0 / math.sqrt(qh.shape[-1]), tape)
+def _scores(ops, qh, kh):
+    return ops.scale(ops.matmul(qh, kh, transpose_b=True),
+                     1.0 / math.sqrt(qh.shape[-1]))
 
 
-def _merge_heads(probs: Tensor, vh: Tensor, tape) -> Tensor:
-    ctx = T.transpose(T.matmul(probs, vh, tape), (0, 2, 1, 3), tape)
+def _merge_heads(ops, probs, vh):
+    ctx = ops.transpose(ops.matmul(probs, vh), (0, 2, 1, 3))
     n, t, heads, dk = ctx.shape
-    return T.reshape(ctx, (n, t, heads * dk), tape)
+    return ops.reshape(ctx, (n, t, heads * dk))
 
 
 # (N, T, E) projections "q", "k", "v" and attrs holding "heads" -> "ctx"
@@ -417,7 +437,7 @@ ATTENTION_STEPS = _step_list(
     Step("vh", _split_heads, ("vs", "attrs")),
     Step("scores", _scores, ("qh", "kh")),
     _quant("scores_q", "scores", "softmax_in", per_channel=False, full_only=True),
-    Step("probs", lambda s, tape: T.softmax(s, -1, tape), ("scores_q",)),
+    Step("probs", lambda ops, s: ops.softmax(s, -1), ("scores_q",)),
     _quant("probs_q", "probs", "attn_probs", per_channel=False),
     Step("ctx", _merge_heads, ("probs_q", "vh")),
 )
@@ -471,47 +491,116 @@ LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
 LAYER_KINDS = tuple(LAYER_STEPS)
 
 
-def run_steps(steps, vals: dict, site, tape: Tape | None = None,
-              keep: bool = True) -> dict:
-    """Run steps in order on vals, a {name: value} map (a name it lacks reads
-    as None, an absent bias); each step's output is added under its name and
-    the map is returned. A site step's value is site(step.site, its input).
-
-    keep=False drops each value after its last use (Step.drop), so a forward
-    holds no more intermediates at once than the layer itself requires.
+def run_steps(steps, vals: dict, site, tape: Tape | None = None) -> dict:
+    """Run steps in order on vals, a {name: value} map of Tensors (a name it
+    lacks reads as None, an absent bias), with the Tensor ops on tape; each
+    step's output is added under its name, each value is dropped after its
+    last use (Step.drop), so a forward holds no more intermediates at once
+    than the layer itself requires, and the map is returned. A site step's
+    value is site(step.site, its input).
     """
+    ops = _TapedOps(tape)
     for out, op, ins, name, drop, _, _, _, _ in steps:
         if op is None:
             vals[out] = site(name, vals[ins[0]])
         else:
-            vals[out] = op(*[vals.get(n) for n in ins], tape)
-        if not keep:
-            for n in drop:
-                vals.pop(n, None)
+            vals[out] = op(ops, *[vals.get(n) for n in ins])
+        for n in drop:
+            vals.pop(n, None)
     return vals
 
 
-def site_cone(steps, site: tuple[int, str]) -> tuple[Step, ...]:
-    """The steps to re-run when only site's params change: the step that
-    quantizes site plus every step that reads a changed value, in list
-    order."""
-    dirty, cone = set(), []
-    for step in steps:
-        if step.site == site or dirty.intersection(step.ins):
-            dirty.add(step.out)
-            cone.append(step)
-    return tuple(cone)
+class Plan:
+    """steps compiled once onto ndarray kernels, for runs that differ only
+    in their quantizer params, with run_steps' bits and no Tensor, tape or
+    site hook.
+
+    base holds the values the steps read that no step writes (an absent
+    name reads as None). Each value gets a slot in a run's list, and each
+    step becomes (output slot, kernel, input slots, site key, slots to free
+    after it). An op step's kernel is its op on T.KERNELS; a site step's
+    fake-quantizes by the run's params for the site, if any, with each
+    params object's broadcast_ready scale and zero-point made once. full
+    frees each value after its last use, the output at slot out excepted;
+    keep frees none, so that its values can be the state that cone(site)
+    re-runs from.
+    """
+
+    def __init__(self, steps, base: dict, out):
+        written = {step.out for step in steps}
+        slot: dict = {}
+        self.values: list = []  # a run's start: base's values, None per output
+        for key in (n for step in steps for n in (*step.ins, step.out)):
+            if key not in slot:
+                slot[key] = len(self.values)
+                value = None if key in written else base.get(key)
+                self.values.append(value.data if isinstance(value, Tensor)
+                                   else value)
+        self.out = slot[out]
+        # the step that last reads each step output, or writes it if none
+        last = {slot[n]: i for i, step in enumerate(steps)
+                for n in (step.out, *step.ins) if n in written}
+        frees: list[list[int]] = [[] for _ in steps]
+        for s, i in last.items():
+            if s != self.out:
+                frees[i].append(s)
+        compiled = [(slot[step.out],
+                     self._site() if step.op is None
+                     else functools.partial(step.op, T.KERNELS),
+                     tuple(slot[n] for n in step.ins), step.site)
+                    for step in steps]
+        self.full = tuple((*c, tuple(f)) for c, f in zip(compiled, frees))
+        self.keep = tuple((*c, ()) for c in compiled)
+
+    @staticmethod
+    def _site():
+        ready: dict = {}  # id(params) -> (params, so its id stays its own, sc, zp)
+
+        def site(x: np.ndarray, p) -> np.ndarray:
+            if p is None:
+                return x
+            r = ready.get(id(p))
+            if r is None:
+                r = ready[id(p)] = (p, *broadcast_ready(p, x.shape))
+            return fake_quant(x, r[1], r[2], p.q_bounds32)[0]
+
+        return site
+
+    def cone(self, site: tuple[int, str]) -> tuple:
+        """The steps of keep to re-run when only site's params change: the
+        step that quantizes site and every step that reads a changed value,
+        in order."""
+        dirty, cone = set(), []
+        for step in self.keep:
+            if step[3] == site or dirty.intersection(step[2]):
+                dirty.add(step[0])
+                cone.append(step)
+        return tuple(cone)
+
+    def run(self, program, params: dict, vals: list | None = None) -> list:
+        """Run program (full, keep or a cone) on vals, a fresh start when
+        None, with params, {site key: QuantParams}; returns vals."""
+        vals = list(self.values) if vals is None else vals
+        with np.errstate(over="ignore"):  # for fake_quant's x / sc
+            for out, fn, ins, key, free in program:
+                if key is None:
+                    vals[out] = fn(*[vals[i] for i in ins])
+                else:
+                    vals[out] = fn(vals[ins[0]], params.get(key))
+                for i in free:
+                    vals[i] = None
+        return vals
 
 
 def run_layer(layer: LayerSpec, vals: dict, site,
               tape: Tape | None = None) -> Tensor:
     """Execute one layer: add its values to vals, the forward's {key: value}
-    map holding its inputs, and run its steps with keep=False and site as
-    the site hook. Returns its output, left in vals under (layer id, "out").
+    map holding its inputs, and run its steps with site as the site hook.
+    Returns its output, left in vals under (layer id, "out").
     """
     vals.update(layer.values)
     try:
-        run_steps(layer.steps, vals, site, tape, keep=False)
+        run_steps(layer.steps, vals, site, tape)
         return vals[(layer.id, "out")]
     except Exception as e:
         raise GraphExecutionError(f"layer {layer.id} ({layer.kind}): {e}") from e
@@ -611,7 +700,8 @@ def save_manifest(graph: Graph, manifest_path: str) -> None:
 _MANIFEST_FIELDS = {
     "format": (lambda v: v == MANIFEST_FORMAT, repr(MANIFEST_FORMAT)),
     "layers": (_list_of(lambda v: isinstance(v, dict)), "a list of layer objects"),
-    "input_shape": (_list_of(_POSITIVE[0]), "a list of positive integers"),
+    "input_shape": (lambda v: _list_of(_POSITIVE[0])(v) and len(v) > 0,
+                    "a non-empty list of positive integers"),
     "output": (lambda v: v is None or _is_int(v), "a layer id", None),
     "mode": (*_one_of("partial", "full"), "partial"),
     "bridge_blocks": (lambda v: isinstance(v, list), "a list", []),

@@ -17,7 +17,6 @@ All functions are pure over immutable inputs and freely parallel.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +91,7 @@ class QuantParams:
         if len(set(shapes)) > 1 or len(shapes[0]) != rank:
             raise QuantError(f"{self.granularity} params need scale and both "
                              f"zero-points of one shape of rank {rank}, got {shapes}")
-        _set_scale(self, self.scale)
+        object.__setattr__(self, "scale", _f32_scale(self.scale))
         if self.scheme == "symmetric" and np.any(self.zero_point != 0):
             raise QuantError("symmetric scheme requires zero_point == 0")
         if np.any(self.zero_point < q_min) or np.any(self.zero_point > q_max):
@@ -120,15 +119,14 @@ class QuantParams:
         return bool(np.any((rounded < self.q_min) | (rounded > self.q_max)))
 
 
-def _set_scale(p: QuantParams, scale) -> None:
-    """Give p a float32 scale, refused unless strictly positive and finite."""
+def _f32_scale(scale) -> np.ndarray:
+    """scale as float32, refused unless strictly positive and finite."""
     with np.errstate(over="ignore"):  # too large for float32: inf, refused below
         scale = np.asarray(scale, dtype=_F32)
-    # array methods, not np.all/np.any: a search builds thousands of params
     if not ((scale > 0) & np.isfinite(scale)).all():
         raise QuantError("scale must be strictly positive (floor degenerate "
                          "ranges) and finite as float32")
-    object.__setattr__(p, "scale", scale)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -195,67 +193,87 @@ def fit_minmax(t: Tensor, bits: int, scheme: str, granularity: str,
                        zero_point_raw=raw)
 
 
-def params_for_scale(base: QuantParams, scale) -> QuantParams:
-    """Candidate-search params: the base fit's zero-point with a new scale.
+def params_for_scale(base: QuantParams, scales) -> list[QuantParams]:
+    """Candidate-search params, one per row of scales ((n,) per layer, (n, C)
+    per channel): the base fit's zero-point with that row as its scale.
 
     The search optimizes only the scale (plus granularity and scheme); the
     zero-point always stays the min-max fit's, so scanning scales rescales the
-    represented range without inventing new clamping.
+    represented range without inventing new clamping. The rows are floored,
+    cast and checked together.
     """
-    sc = floor_scale(scale)
-    if sc.shape != base.scale.shape:
+    sc = floor_scale(scales)
+    if sc.ndim == 0 or sc.shape[1:] != base.scale.shape:
+        raise QuantError(f"candidate scales of shape {sc.shape} are not rows "
+                         f"of the base's scale shape {base.scale.shape}")
+    sc = _f32_scale(sc)
+    out = []
+    for i in range(sc.shape[0]):
+        # every other field was checked when base was built
+        p = object.__new__(QuantParams)
+        vars(p).update(vars(base), scale=sc[i, ...])
+        out.append(p)
+    return out
+
+
+def broadcast_ready(p: QuantParams, shape: tuple[int, ...]):
+    """(scale, zero-point) of p in float32, shaped to broadcast against an
+    input of shape. Per channel along axis 0 they are (C, 1, ...); along any
+    other axis they are tiled over the non-sample axes, shape[1:], so that
+    an elementwise op runs one contiguous loop per sample instead of one
+    per channel run."""
+    if p.granularity != "per_channel":
+        return p.scale, p.zero_point32
+    ndim = len(shape)
+    if not -ndim <= p.channel_axis < ndim:
+        raise QuantError(f"channel_axis {p.channel_axis} is out of range "
+                         f"for a tensor of shape {shape}")
+    ax = p.channel_axis % ndim
+    if shape[ax] != p.scale.size:
         raise QuantError(
-            f"candidate scale shape {sc.shape} does not match base {base.scale.shape}")
-    # every other field was checked when base was built
-    p = copy.copy(base)
-    _set_scale(p, sc)
-    return p
+            f"per_channel params carry {p.scale.size} channels but tensor "
+            f"has {shape[ax]} along axis {ax}")
+    bshape = [1] * ndim
+    bshape[ax] = p.scale.size
+    if ax == 0:
+        return p.scale.reshape(bshape), p.zero_point32.reshape(bshape)
+    return tuple(np.ascontiguousarray(np.broadcast_to(
+        v.reshape(bshape[1:]), shape[1:])) for v in (p.scale, p.zero_point32))
 
 
-def _broadcast_param(v: np.ndarray, ndim: int, channel_axis: int | None) -> np.ndarray:
-    if v.ndim == 0 or channel_axis is None:
-        return v
-    shape = [1] * ndim
-    shape[channel_axis % ndim] = v.shape[0]
-    return v.reshape(shape)
+def fake_quant(xa: np.ndarray, sc, zp, bounds, keep_mask: bool = False):
+    """The fake-quantization kernel: (clip(rint(x / sc + zp)) - zp) * sc in
+    float32, with sc and zp from broadcast_ready and bounds p.q_bounds32.
+    Returns (values, mask), mask the unclipped codes' in-grid test when
+    keep_mask is set and None otherwise.
+
+    Each step is one float32 ufunc over the whole tensor, and rint rounds
+    half to even. x / sc can overflow float32 to inf, which clips to a
+    bound, so callers run it under np.errstate(over="ignore")."""
+    q_min, q_max = bounds
+    c = np.divide(xa, sc, out=np.empty(xa.shape, _F32))
+    c += zp
+    np.rint(c, out=c)
+    mask = (c >= q_min) & (c <= q_max) if keep_mask else None
+    # the method, not np.clip's slower wrapper; c is never NaN, and a -0.0
+    # code at q_max == 0 (bits 1) stays -0.0
+    c.clip(q_min, q_max, out=c)
+    c -= zp
+    c *= sc
+    return c, mask
 
 
 def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> Tensor:
-    """Fake quantization: (clip(rint(x / sc + zp)) - zp) * sc in float32.
+    """Fake quantization of t by p (fake_quant), recorded on tape.
 
-    Each step is one float32 ufunc over the whole tensor, and rint rounds
-    half to even. Backward is a clip-aware straight-through estimator: the
-    gradient passes where the unclipped code lies in [q_min, q_max] (a bool
-    mask taken before clipping; g * mask gives the bits of g times a float32
-    0/1 mask).
+    Backward is a clip-aware straight-through estimator: the gradient passes
+    where the unclipped code lies in [q_min, q_max] (a bool mask taken
+    before clipping; g * mask gives the bits of g times a float32 0/1 mask).
     """
-    xa = t.data
-    if p.granularity == "per_channel":
-        if not -xa.ndim <= p.channel_axis < xa.ndim:
-            raise QuantError(f"channel_axis {p.channel_axis} is out of range "
-                             f"for a tensor of shape {xa.shape}")
-        ax = p.channel_axis % xa.ndim
-        if xa.shape[ax] != p.scale.size:
-            raise QuantError(
-                f"per_channel params carry {p.scale.size} channels but tensor "
-                f"has {xa.shape[ax]} along axis {ax}")
-    sc = _broadcast_param(p.scale, xa.ndim, p.channel_axis)
-    zp = _broadcast_param(p.zero_point32, xa.ndim, p.channel_axis)
-    q_min, q_max = p.q_bounds32
+    sc, zp = broadcast_ready(p, t.data.shape)
     taped = tape is not None and t.node is not None
-    # x / sc can overflow float32 to inf, which clips to a bound
     with np.errstate(over="ignore"):
-        c = np.divide(xa, sc, out=np.empty(xa.shape, _F32))
-        c += zp
-        np.rint(c, out=c)
-        mask = (c >= q_min) & (c <= q_max) if taped else None
-        # np.clip without its wrapper (c is never NaN). Bound first: on a tie
-        # numpy returns the second operand, so a -0.0 code at q_max == 0
-        # (bits 1) stays -0.0, as under np.clip
-        np.maximum(q_min, c, out=c)
-        np.minimum(q_max, c, out=c)
-        c -= zp
-        c *= sc
+        c, mask = fake_quant(t.data, sc, zp, p.q_bounds32, taped)
     if not taped:
         return Tensor._wrap(c)
     parent = t.node

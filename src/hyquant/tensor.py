@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -189,20 +190,38 @@ def _pair(v) -> tuple[int, int]:
 # arithmetic
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
-        out = a.data + b.data
+        return a + b
     except ValueError as e:
         raise ShapeMismatchError(f"add {a.shape} + {b.shape}: {e}") from e
-    return _record(tape, out, [
+
+
+def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    return _record(tape, _add(a.data, b.data), [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
     ])
 
 
+def _scale(x: np.ndarray, c: float) -> np.ndarray:
+    return x * _F32(c)
+
+
 def scale(t: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     c32 = _F32(c)
-    return _record(tape, t.data * c32, [(t, lambda g: g * c32)])
+    return _record(tape, _scale(t.data, c), [(t, lambda g: g * c32)])
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, transpose_b: bool = False) -> np.ndarray:
+    if A.ndim < 2 or B.ndim < 2:
+        raise ShapeMismatchError(f"matmul needs rank>=2 operands, got {A.shape} x {B.shape}")
+    Bm = np.swapaxes(B, -1, -2) if transpose_b else B
+    if A.shape[-1] != Bm.shape[-2]:
+        raise ShapeMismatchError(
+            f"matmul inner dimensions disagree: {A.shape} x {B.shape}"
+            f"{' (transposed)' if transpose_b else ''}")
+    return np.matmul(A, Bm)
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
@@ -210,14 +229,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
     """Matrix product, batched over leading axes; optional transpose of b's
     trailing two axes. Registers a tape node when recording."""
     A, B = a.data, b.data
-    if A.ndim < 2 or B.ndim < 2:
-        raise ShapeMismatchError(f"matmul needs rank>=2 operands, got {a.shape} x {b.shape}")
+    out = _matmul(A, B, transpose_b)
     Bm = np.swapaxes(B, -1, -2) if transpose_b else B
-    if A.shape[-1] != Bm.shape[-2]:
-        raise ShapeMismatchError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-            f"{' (transposed)' if transpose_b else ''}")
-    out = np.matmul(A, Bm)
 
     def grad_a(g):
         return _unbroadcast(np.matmul(g, np.swapaxes(Bm, -1, -2)), A.shape)
@@ -229,15 +242,10 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
     return _record(tape, out, [(a, grad_a), (b, grad_b)])
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
-           padding=0, groups: int = 1, tape: Tape | None = None) -> Tensor:
-    """2-D cross-correlation over NCHW input with OIHW kernels.
-
-    groups == C with O == C gives a depthwise convolution.
-    """
-    xa, wa = x.data, w.data
+def _conv2d(xa: np.ndarray, wa: np.ndarray, bias: np.ndarray | None = None,
+            stride=1, padding=0, groups: int = 1) -> np.ndarray:
     if xa.ndim != 4 or wa.ndim != 4:
-        raise ShapeMismatchError(f"conv2d expects 4-D input/kernel, got {x.shape} / {w.shape}")
+        raise ShapeMismatchError(f"conv2d expects 4-D input/kernel, got {xa.shape} / {wa.shape}")
     N, C, H, W = xa.shape
     O, Cg, kh, kw = wa.shape
     sh, sw = _pair(stride)
@@ -252,7 +260,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     Wo = (W + 2 * pw - kw) // sw + 1
     if Ho <= 0 or Wo <= 0:
         raise ShapeMismatchError(
-            f"conv2d output dims must be positive, got {Ho}x{Wo} from input {x.shape}")
+            f"conv2d output dims must be positive, got {Ho}x{Wo} from input {xa.shape}")
 
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):  # columns = the input
         cols = np.ascontiguousarray(xa)
@@ -267,9 +275,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     del cols
     out = out.reshape(N, O, Ho, Wo)
     if bias is not None:
-        if bias.data.shape != (O,):
+        if bias.shape != (O,):
             raise ShapeMismatchError(f"conv2d bias shape {bias.shape} != ({O},)")
-        out += bias.data.reshape(1, O, 1, 1)
+        out += bias.reshape(1, O, 1, 1)
+    return out
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
+           padding=0, groups: int = 1, tape: Tape | None = None) -> Tensor:
+    """2-D cross-correlation over NCHW input with OIHW kernels.
+
+    groups == C with O == C gives a depthwise convolution.
+    """
+    out = _conv2d(x.data, w.data, None if bias is None else bias.data,
+                  stride, padding, groups)
+    N, C, H, W = x.shape
+    O, Cg, kh, kw = w.shape
+    Ho, Wo = out.shape[2:]
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
+    wg = w.data.reshape(groups, O // groups, Cg * kh * kw)
 
     def grad_x(g):
         gg = g.reshape(N, groups, O // groups, Ho * Wo)
@@ -348,12 +373,15 @@ def _max_keepdims(xa: np.ndarray, axis: int) -> np.ndarray:
     return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(xa, ax, 0)))[..., None]
 
 
-def softmax(t: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
-    xa = t.data
+def _softmax(xa: np.ndarray, axis: int = -1) -> np.ndarray:
     if not -xa.ndim <= axis < xa.ndim:
-        raise ShapeMismatchError(f"softmax axis {axis} invalid for shape {t.shape}")
+        raise ShapeMismatchError(f"softmax axis {axis} invalid for shape {xa.shape}")
     e = np.exp(xa - _max_keepdims(xa, axis))
-    y = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax(t: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
+    y = _softmax(t.data, axis)
 
     def grad(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
@@ -361,14 +389,15 @@ def softmax(t: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
     return _record(tape, y, [(t, grad)])
 
 
-def _norm_core(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
-               channel_axis: int, eps: float, tape: Tape | None, op: str) -> Tensor:
-    xa = x.data
+def _norm_core(xa: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int,
+               channel_axis: int, eps: float, op: str):
+    """(output, xhat, 1/std, gamma broadcast), the last three for the
+    backward rule, xhat and 1/std shaped (lead, groups, m)."""
     ca = channel_axis % xa.ndim
     C = xa.shape[ca]
     if groups < 1 or C % groups != 0:
         raise ShapeMismatchError(f"{op}: groups={groups} must divide channels {C}")
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
+    if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeMismatchError(
             f"{op}: affine params must have shape ({C},), got {gamma.shape}/{beta.shape}")
     lead = int(np.prod(xa.shape[:ca])) if ca else 1
@@ -382,23 +411,39 @@ def _norm_core(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     xhat = (xv - mu) * inv
     bshape = [1] * xa.ndim
     bshape[ca] = C
-    ga = gamma.data.reshape(bshape)
-    be = beta.data.reshape(bshape)
-    out = (xhat.reshape(xa.shape) * ga + be).astype(_F32, copy=False)
+    ga = gamma.reshape(bshape)
+    be = beta.reshape(bshape)
+    return (xhat.reshape(xa.shape) * ga + be).astype(_F32, copy=False), xhat, inv, ga
+
+
+def _norm_op(x: Tensor, parts, tape: Tape | None) -> Tensor:
+    """The norm of x from _norm_core's parts, with its backward rule."""
+    out, xhat, inv, ga = parts
+    shape = out.shape  # the rule holds xhat, not the output
 
     def grad_x(g):
-        dxhat = (g * ga).reshape(lead, groups, m)
+        dxhat = (g * ga).reshape(xhat.shape)
         t1 = dxhat.mean(axis=-1, keepdims=True)
         t2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (dxhat - t1 - xhat * t2)).reshape(xa.shape)
+        return (inv * (dxhat - t1 - xhat * t2)).reshape(shape)
 
     return _record(tape, out, [(x, grad_x)])
+
+
+def _layer_norm(xa: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                eps: float = 1e-5):
+    return _norm_core(xa, gamma, beta, 1, xa.ndim - 1, eps, "layer_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                tape: Tape | None = None) -> Tensor:
     """Normalize over the last axis: zero mean, unit variance, then affine."""
-    return _norm_core(x, gamma, beta, 1, x.ndim - 1, eps, tape, "layer_norm")
+    return _norm_op(x, _layer_norm(x.data, gamma.data, beta.data, eps), tape)
+
+
+def _group_norm(xa: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                groups: int, eps: float = 1e-5, channel_axis: int = 1):
+    return _norm_core(xa, gamma, beta, groups, channel_axis, eps, "group_norm")
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
@@ -409,79 +454,108 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     groups=1 with channel_axis on the channel dim reduces to a layer norm over
     channel+trailing dims.
     """
-    return _norm_core(x, gamma, beta, groups, channel_axis, eps, tape, "group_norm")
+    return _norm_op(x, _group_norm(x.data, gamma.data, beta.data, groups, eps,
+                                   channel_axis), tape)
 
 
-def batch_norm_folded(x: Tensor, scale_w: Tensor, shift: Tensor,
-                      channel_axis: int = 1, tape: Tape | None = None) -> Tensor:
-    """Inference-mode batch norm: per-channel affine with folded statistics."""
-    xa = x.data
+def _batch_norm_folded(xa: np.ndarray, scale_w: np.ndarray, shift: np.ndarray,
+                       channel_axis: int = 1):
+    """(output, scale broadcast), the scale for the backward rule."""
     ca = channel_axis % xa.ndim
     C = xa.shape[ca]
-    if scale_w.data.shape != (C,) or shift.data.shape != (C,):
+    if scale_w.shape != (C,) or shift.shape != (C,):
         raise ShapeMismatchError(
             f"batch_norm_folded params must have shape ({C},), "
             f"got {scale_w.shape}/{shift.shape}")
     bshape = [1] * xa.ndim
     bshape[ca] = C
-    sa = scale_w.data.reshape(bshape)
-    ta = shift.data.reshape(bshape)
-    return _record(tape, xa * sa + ta, [(x, lambda g: g * sa)])
+    sa = scale_w.reshape(bshape)
+    return xa * sa + shift.reshape(bshape), sa
+
+
+def batch_norm_folded(x: Tensor, scale_w: Tensor, shift: Tensor,
+                      channel_axis: int = 1, tape: Tape | None = None) -> Tensor:
+    """Inference-mode batch norm: per-channel affine with folded statistics."""
+    out, sa = _batch_norm_folded(x.data, scale_w.data, shift.data, channel_axis)
+    return _record(tape, out, [(x, lambda g: g * sa)])
+
+
+def _gelu(xa: np.ndarray):
+    """(output, phi), phi for the backward rule."""
+    phi = _F32(0.5) * (1.0 + _erf(xa * _INV_SQRT2))
+    return (xa * phi).astype(_F32, copy=False), phi
 
 
 def gelu(t: Tensor, tape: Tape | None = None) -> Tensor:
     """Exact (erf-based) GELU."""
     xa = t.data
-    phi = _F32(0.5) * (1.0 + _erf(xa * _INV_SQRT2))
-    out = xa * phi
+    out, phi = _gelu(xa)
 
     def grad(g):
         pdf = np.exp(_F32(-0.5) * xa * xa) * _INV_SQRT2PI
         return g * (phi + xa * pdf)
 
-    return _record(tape, out.astype(_F32, copy=False), [(t, grad)])
+    return _record(tape, out, [(t, grad)])
+
+
+def _silu(xa: np.ndarray):
+    """(output, sigmoid), the sigmoid for the backward rule."""
+    with np.errstate(over="ignore"):  # exp(-x) -> inf below about -88: sig 0
+        sig = 1.0 / (1.0 + np.exp(-xa))
+    return (xa * sig).astype(_F32, copy=False), sig
 
 
 def silu(t: Tensor, tape: Tape | None = None) -> Tensor:
     xa = t.data
-    with np.errstate(over="ignore"):  # exp(-x) -> inf below about -88: sig 0
-        sig = 1.0 / (1.0 + np.exp(-xa))
-    out = xa * sig
+    out, sig = _silu(xa)
 
     def grad(g):
         return g * (sig * (1.0 + xa * (1.0 - sig)))
 
-    return _record(tape, out.astype(_F32, copy=False), [(t, grad)])
+    return _record(tape, out, [(t, grad)])
+
+
+def _relu(xa: np.ndarray) -> np.ndarray:
+    return np.maximum(xa, _F32(0))
 
 
 def relu(t: Tensor, tape: Tape | None = None) -> Tensor:
     xa = t.data
-    out = np.maximum(xa, _F32(0))
-    return _record(tape, out, [(t, lambda g: g * (xa > 0))])
+    return _record(tape, _relu(xa), [(t, lambda g: g * (xa > 0))])
 
 
 # ---------------------------------------------------------------------------
 # shape manipulation and reductions
 
 
+def _reshape(xa: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        return xa.reshape(shape)
+    except ValueError as e:
+        raise ShapeMismatchError(f"reshape {xa.shape} -> {shape}: {e}") from e
+
+
 def reshape(t: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tensor:
     src = t.data.shape
-    try:
-        out = t.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeMismatchError(f"reshape {src} -> {shape}: {e}") from e
-    return _record(tape, out, [(t, lambda g: g.reshape(src))])
+    return _record(tape, _reshape(t.data, shape), [(t, lambda g: g.reshape(src))])
+
+
+def _transpose(xa: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    return np.ascontiguousarray(np.transpose(xa, axes))
 
 
 def transpose(t: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
-    out = np.ascontiguousarray(np.transpose(t.data, axes))
-    return _record(tape, out, [(t, lambda g: np.ascontiguousarray(
+    return _record(tape, _transpose(t.data, axes), [(t, lambda g: np.ascontiguousarray(
         np.transpose(g, np.argsort(axes))))])
 
 
+def _mean(xa: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    return xa.mean(axis=tuple(a % xa.ndim for a in axes))
+
+
 def mean(t: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
+    out = _mean(t.data, axes)
     axes = tuple(a % t.ndim for a in axes)
-    out = t.data.mean(axis=axes)
     count = 1
     for a in axes:
         count *= t.shape[a]
@@ -493,6 +567,23 @@ def mean(t: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
         return np.broadcast_to(ge * inv_count, src).astype(_F32, copy=False)
 
     return _record(tape, out, [(t, grad)])
+
+
+def _output_only(kernel):
+    """kernel without the values it returns for a backward rule."""
+    return lambda *args, **kwargs: kernel(*args, **kwargs)[0]
+
+
+# The ops a graph step runs, as ndarray kernels: each takes an op's
+# arguments but the tape, with arrays for its tensors, and returns the
+# output array of the same arithmetic as the op, which calls it, but with no
+# Tensor, tape node or backward rule.
+KERNELS = SimpleNamespace(
+    add=_add, scale=_scale, matmul=_matmul, conv2d=_conv2d, softmax=_softmax,
+    layer_norm=_output_only(_layer_norm), group_norm=_output_only(_group_norm),
+    batch_norm_folded=_output_only(_batch_norm_folded),
+    gelu=_output_only(_gelu), silu=_output_only(_silu), relu=_relu,
+    reshape=_reshape, transpose=_transpose, mean=_mean)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray,

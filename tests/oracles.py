@@ -144,7 +144,7 @@ def brute_force_search_minimum(graph, unit, cache, space, options, bits):
                 C._site_fp_value(s, cache), bits, space,
                 init[s.key].granularity, s.channel_axis)
             choices = [init[s.key]]
-            choices += [params_for_scale(init[s.key], c) for c in cands]
+            choices += params_for_scale(init[s.key], cands)
             per_site.append(choices)
         for choice in itertools.product(*per_site):
             params = {s.key: p for s, p in zip(sites, choice)}
@@ -174,10 +174,9 @@ def plain_coordinate_descent(graph, unit, cache, space, options, bits):
         obj = ev.run(params)
         for _ in range(space.iterations):
             for s in scan_order:
-                cands = [params_for_scale(params[s.key], c) for c in
-                         C.generate_candidates(C._site_fp_value(s, cache), bits,
-                                               space, params[s.key].granularity,
-                                               s.channel_axis)]
+                cands = params_for_scale(params[s.key], C.generate_candidates(
+                    C._site_fp_value(s, cache), bits, space,
+                    params[s.key].granularity, s.channel_axis))
                 objs = [ev.run({**params, s.key: p}) for p in cands]
                 i = int(np.argmin(objs))
                 if objs[i] < obj:

@@ -786,7 +786,7 @@ class TestOneExecutor:
                             Tensor._wrap(cache.site_values[s.key]), 8, space,
                             params[s.key].granularity, s.channel_axis)
                         trial = {**params, s.key: params_for_scale(
-                            params[s.key], scales[(si + ci) % 2])}
+                            params[s.key], scales[(si + ci) % 2][None])[0]}
                         got = ev.score_site(trial, s)
                         assert got.hex() == ref.run(trial).hex(), (
                             metric, unit.label, combo, s.name)
@@ -795,6 +795,62 @@ class TestOneExecutor:
                         ev.adopt(params, s)
                     assert ev.run(params).hex() == ref.run(params).hex()
         assert checks > 0
+
+    @pytest.mark.parametrize("mode", ["partial", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_plan_equals_the_tensor_executor(self, name, mode):
+        # the evaluator's plan against run_steps: at W6 and W8 and every
+        # combination's fits (per-channel tiles included), run's unit output
+        # has the bytes of forward_quant on the unit's sites, and so does a
+        # cone re-run at one candidate scale per site
+        graph, calib, _, _ = build_fixture(name)
+        graph = with_mode(graph, mode)
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        space = SearchSpace(alpha=0.3, beta=1.2, candidates=5)
+        checks = 0
+        for bits in (6, 8):
+            for unit in units:
+                sites = [s for lid in unit.layer_ids
+                         for s in graph.sites_by_layer[lid]]
+                ev = C._UnitEvaluator(graph, unit, cache, "cosine")
+                plan = ev._plan
+
+                def check(params, vals):
+                    _, outs = forward_quant(graph, calib, params,
+                                            watch={unit.output_id})
+                    want = outs[unit.output_id].data
+                    got = vals[plan.out]
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (bits, unit.label)
+
+                for combo in (C._DEFAULT, *C._combos(CalibOptions())):
+                    params = {s.key: C._fit(s, cache, bits, combo) for s in sites}
+                    ev.run(params)
+                    check(params, ev._state)
+                    for i, s in enumerate(sites):
+                        trial = {**params, s.key: params_for_scale(
+                            params[s.key], generate_candidates(
+                                cache.site_values[s.key], bits, space,
+                                params[s.key].granularity,
+                                s.channel_axis))[i % space.candidates]}
+                        check(trial, plan.run(ev._cones[s.key], trial,
+                                              list(ev._state)))
+                        checks += 1
+        assert checks > 0
+
+    def test_full_run_frees_every_value_but_the_output(self):
+        # what a unit re-run with no score_site after it holds at its end
+        graph, calib, _, _ = build_fixture("tiny-mvit-ln")
+        graph = with_mode(graph, "full")
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        default = C.default_qconfig(graph, 8, cache)
+        for unit in units:
+            plan = C._UnitEvaluator(graph, unit, cache, "cosine")._plan
+            vals = plan.run(plan.full, default)
+            assert [s for s, *_ in plan.full if vals[s] is not None] == \
+                [plan.out], unit.label
 
     @pytest.mark.parametrize("label, site, calls", [
         ("layer0", (0, "weight"), 1),    # conv: the weight only
@@ -814,12 +870,16 @@ class TestOneExecutor:
                   for k, s in sites.items()}
         ev = C._UnitEvaluator(graph, unit, cache, "hessian")
         ev.run(params)
+        # counted at the plan's fake-quantization kernel, which every site
+        # step of a unit re-run calls
         seen = []
-        qdq = graph_module.quantize_dequantize
-        monkeypatch.setattr(graph_module, "quantize_dequantize",
-                            lambda *a: seen.append(a) or qdq(*a))
+        kernel = graph_module.fake_quant
+        monkeypatch.setattr(graph_module, "fake_quant",
+                            lambda *a: seen.append(a) or kernel(*a))
         ev.score_site(params, sites[site])
         assert len(seen) == calls
+        ev.run(params)
+        assert len(seen) == calls + len(sites)
 
     @pytest.mark.parametrize("mode", ["partial", "full"])
     @pytest.mark.parametrize("name", sorted(FIXTURES))

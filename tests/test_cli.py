@@ -19,7 +19,8 @@ import hyquant.cli as cli_module
 from hyquant.cli import (LabelError, evaluate_model, load_qconfig, main,
                          qconfig_to_doc, range_report, save_qconfig, with_mode,
                          write_report_csv)
-from hyquant.graph import GraphError, GraphExecutionError, forward_fp
+from hyquant.graph import (Graph, GraphError, GraphExecutionError, LayerSpec,
+                           forward_fp, save_manifest)
 from hyquant.quant import detect_zero_point_overflow
 from hyquant.tensor import BLOB_MAGIC, Tensor, load_tensor, save_tensor
 from hyquant.zoo import FIXTURES, build_fixture, export_fixture
@@ -333,6 +334,31 @@ class TestEvaluateCommand:
         errors = error_lines(result.output)
         assert len(errors) == 1
         assert message in errors[0] and paths["manifest"] in errors[0]
+
+    @pytest.mark.parametrize("input_shape, layers, message", [
+        ([], [LayerSpec(0, "softmax", inputs=[-1])], "field 'input_shape'"),
+        ([4], [LayerSpec(0, "linear", inputs=[-1], weights={
+            "w": Tensor(np.eye(3, 4))}),
+               LayerSpec(1, "pool", {"op": "mean_tokens"}, [0])],
+         "model output (8,) is not (N, classes) logits"),
+    ], ids=["empty-input-shape", "one-dim-logits"])
+    def test_model_without_class_logits_fails_cleanly(
+            self, runner, tmp_path, input_shape, layers, message):
+        # each printed a numpy AxisError traceback from pass 2's argmax
+        manifest = str(tmp_path / "m.json")
+        save_manifest(Graph(layers, tuple(input_shape)), manifest)
+        save_tensor(str(tmp_path / "c.hqt"), Tensor(
+            np.linspace(-1, 1, 8 * int(np.prod(input_shape))).reshape(
+                8, *input_shape)))
+        result = runner.invoke(main, [
+            "quantize", "--model", manifest, "--calib", str(tmp_path / "c.hqt"),
+            "--out", str(tmp_path / "q.json"), "--candidates", "1",
+            "--iterations", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1 and message in errors[0], result.output
 
     @pytest.mark.parametrize("command", ["quantize", "evaluate", "report"])
     @pytest.mark.parametrize("layer_ids, message", [

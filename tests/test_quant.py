@@ -440,20 +440,38 @@ class TestParamsForScale:
         rng = np.random.default_rng(3)
         x = rng.normal(0.5, 1, 128).astype(F32)
         base = fit_minmax(t(x), 8, "asymmetric", "per_layer")
-        p = params_for_scale(base, np.asarray(0.05))
+        p, = params_for_scale(base, np.asarray([0.05]))
         assert float(p.scale) == pytest.approx(0.05)
         assert int(p.zero_point) == int(base.zero_point)
         assert float(p.zero_point_raw) == float(base.zero_point_raw)
 
     def test_floors_zero_candidate(self):
         base = fit_minmax(t([-1.0, 1.0]), 8, "symmetric", "per_layer")
-        p = params_for_scale(base, np.asarray(0.0))
+        p, = params_for_scale(base, np.asarray([0.0]))
         assert float(p.scale) == pytest.approx(SCALE_FLOOR)
+
+    def test_rows_equal_params_built_one_by_one(self):
+        x = t(np.linspace(-1.0, 3.0, 24).reshape(4, 6))
+        base = fit_minmax(x, 6, "asymmetric", "per_channel", 0)
+        rows = np.linspace(0.0, 0.2, 12).reshape(3, 4)
+        got = params_for_scale(base, rows)
+        assert got == [QuantParams(
+            bits=6, scheme="asymmetric", granularity="per_channel",
+            channel_axis=0, scale=np.maximum(r, SCALE_FLOOR),
+            zero_point=base.zero_point, zero_point_raw=base.zero_point_raw)
+            for r in rows]
+        assert all(p.scale.dtype == F32 and p.scale.shape == (4,) for p in got)
+
+    def test_scale_too_large_for_float32_refused(self):
+        base = fit_minmax(t([-1.0, 1.0]), 8, "symmetric", "per_layer")
+        with pytest.raises(QuantError, match="finite as float32"):
+            params_for_scale(base, np.asarray([0.1, 1e300]))
 
     def test_shape_mismatch_rejected(self):
         base = fit_minmax(t([-1.0, 1.0]), 8, "symmetric", "per_layer")
-        with pytest.raises(QuantError):
-            params_for_scale(base, np.asarray([0.1, 0.2]))
+        for scales in (0.1, [[0.1, 0.2]]):  # not rows of a scalar scale
+            with pytest.raises(QuantError, match="rows"):
+                params_for_scale(base, np.asarray(scales))
 
 
 class TestOverflowDetection:
@@ -555,4 +573,4 @@ class TestQuantParamsEquality:
         assert a == fit_minmax(x, 8, "asymmetric", "per_layer")
         assert a != fit_minmax(x, 8, "symmetric", "per_layer")
         assert a != fit_minmax(x, 6, "asymmetric", "per_layer")
-        assert a != params_for_scale(a, np.asarray(0.5))
+        assert a != params_for_scale(a, np.asarray([0.5]))[0]

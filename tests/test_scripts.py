@@ -31,6 +31,14 @@ def test_script_runs_on_tiny_fixture(script, header):
                for line in result.stdout.splitlines())
 
 
+def test_default_fingerprint_check_passes_on_one_fixture():
+    result = run_script("default_fingerprints.py", "--check", "--fixtures",
+                        "tiny-mvit-ln", "--bits", "8")
+    assert result.returncode == 0, result.stderr
+    assert "| tiny-mvit-ln | 8 | 1ec590191eec | 9544 |" in result.stdout
+    assert result.stdout.rstrip().endswith("| equal |")
+
+
 # a bad flag is a usage error: exit 2 and one argparse error line, no traceback
 @pytest.mark.parametrize("script", ["run_ablation.py", "bitwidth_sweep.py"])
 @pytest.mark.parametrize("args, message", [

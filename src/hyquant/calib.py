@@ -117,21 +117,65 @@ def objective(delta_o, grad) -> float:
     g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
     if d.shape != g.shape:
         raise CalibError(f"objective shapes disagree: {d.shape} vs {g.shape}")
-    return _g2_weighted(np.multiply(g, g, dtype=np.float64).ravel(),
-                        d.astype(np.float64).ravel())
+    return _g2_weighted(d.ravel(), None, g.ravel())
 
 
-def _g2_weighted(g2: np.ndarray, d: np.ndarray) -> float:
-    """sum_i g2_i * d_i^2 over flat float64 arrays, overwriting d (the
-    caller's own temporary); the one place the objective's arithmetic lives,
-    so search scores equal objective().
+# Elements per leaf of _g2_weighted's tree: a leaf's float64 scratch is
+# 128 KiB, so it stays in cache between its passes.
+_LEAF = 1 << 14
 
-    Sums with numpy's pairwise add.reduce, never BLAS: a BLAS dot splits long
-    sums across its threads, and the rounding then depends on the thread
-    count."""
-    np.multiply(d, d, out=d)
-    d *= g2
-    return float(np.add.reduce(d))
+
+def _g2_weighted(o: np.ndarray, ref: np.ndarray | None, grad: np.ndarray,
+                 g2: np.ndarray | None = None) -> float:
+    """sum_i g_i^2 * (o_i - ref_i)^2 over flat arrays of one size in
+    float64, ref None reading as 0, g_i^2 read from g2 when given (float64
+    grad * grad) and computed from grad otherwise; the one place the
+    objective's arithmetic lives, so search scores equal objective().
+
+    The sum has the bits of numpy's pairwise add.reduce over the whole
+    product, never a BLAS dot, which splits long sums across its threads so
+    that the rounding depends on the thread count. But no product of the
+    output's size is made. numpy's pairwise_sum halves a contiguous vector
+    at n // 2 rounded down to a multiple of 8 until a piece has at most 128
+    elements, and add.reduce of a contiguous float64 vector is one
+    pairwise_sum call over it plus the identity 0.0, exact for a sum of
+    squares. So the vector is split the same way down to leaves of at most
+    _LEAF elements, each leaf's product is made in leaf-sized scratch and
+    add.reduced, and the leaves' sums are added back up the tree.
+    TestObjective.test_leaf_tree_sum_equals_add_reduce pins this against
+    numpy's own sum."""
+    d = np.empty(min(o.size, _LEAF))
+    w = np.empty_like(d) if g2 is None else None
+
+    def leaf(lo: int, hi: int):
+        # float32 -> float64 is exact, so this is o64 - ref64; casting in a
+        # copy first is faster than np.subtract(..., out=, dtype=)
+        dv = d[:hi - lo]
+        dv[...] = o[lo:hi]
+        if ref is not None:
+            dv -= ref[lo:hi]
+        dv *= dv
+        if g2 is None:
+            wv = w[:hi - lo]
+            wv[...] = grad[lo:hi]
+            wv *= wv
+            dv *= wv
+        else:
+            dv *= g2[lo:hi]
+        return np.add.reduce(dv)
+
+    return float(_pairwise(leaf, 0, o.size))
+
+
+def _pairwise(leaf, lo: int, n: int):
+    """The sum of [lo, lo + n) as numpy's pairwise_sum splits it, down to
+    leaf(lo, hi), the sum of a piece of at most _LEAF elements. Not a
+    closure of _g2_weighted: one that calls itself is a reference cycle,
+    which would keep the scratch until the garbage collector runs."""
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, n - half)
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,13 +257,22 @@ def site_extremes(v: np.ndarray, channel_axis: int) -> np.ndarray:
     the per-channel min and row 1 the max. Min and max are exact and
     max|x| = max(|min|, |max|), so channel_ranges of it equals that of v bit
     for bit, per layer and per channel along a, and np.any agrees. An array
-    of fewer than 2 axes is kept, as it has no axis b."""
+    of fewer than 2 axes is kept, as it has no axis b.
+
+    Unless it is the channel axis, the sample axis is reduced first: that is
+    one elementwise pass over the batch's rows, and leaves one sample's
+    worth for the other axes. Min and max do not depend on the order but
+    for the sign of a zero, which no fit reads (0 - (-0.0) is 0.0)."""
     if v.ndim < 2:
         return v
     a = channel_axis % v.ndim
-    rest = tuple(i for i in range(v.ndim) if i != a)
-    return np.concatenate((v.min(axis=rest, keepdims=True),
-                           v.max(axis=rest, keepdims=True)), axis=int(a == 0))
+    first = (0,) if a else ()
+    lo = hi = v
+    for axes in (first, tuple(i for i in range(v.ndim) if i not in (a, *first))):
+        if axes:
+            lo = np.minimum.reduce(lo, axis=axes, keepdims=True)
+            hi = np.maximum.reduce(hi, axis=axes, keepdims=True)
+    return np.concatenate((lo, hi), axis=int(a == 0))
 
 
 def pass1_cache_fp(graph: Graph, calib_batch: Tensor, units) -> CalibCache:
@@ -346,10 +399,12 @@ class _UnitEvaluator:
                           base, (unit.output_id, "out"))
         self._cones = {s.key: self._plan.cone(s.key) for layer in members
                        for s in graph.sites_by_layer[layer.id]}
-        self.o_fp = cache.unit_outputs[unit.output_id]
+        self.o_fp = cache.unit_outputs[unit.output_id].ravel()
         self.metric = metric
-        if metric == "hessian":
-            self._g2 = np.multiply(grad, grad, dtype=np.float64).ravel()
+        # the cache's gradient as it is; g^2 in float64 once a run keeps a
+        # state, for the many score_site calls that follow (_g2_weighted)
+        self._grad = None if grad is None else grad.ravel()
+        self._g2: np.ndarray | None = None
         self._state: list = []
         self.owner: dict | None = None  # the params whose state is held
         self.evals = 0
@@ -359,6 +414,8 @@ class _UnitEvaluator:
         and its owner. keep=False frees each value after its last use and
         leaves no state (owner None), for a run that no score_site follows."""
         self.evals += 1
+        if keep and self._g2 is None and self.metric == "hessian":
+            self._g2 = np.multiply(self._grad, self._grad, dtype=np.float64)
         plan = self._plan
         vals = plan.run(plan.keep if keep else plan.full, params)
         self._state = vals if keep else []
@@ -379,9 +436,7 @@ class _UnitEvaluator:
     def _score(self, o_hat: np.ndarray) -> float:
         if self.metric == "cosine":
             return cosine_distance(o_hat, self.o_fp)
-        # float32 -> float64 is exact, so this is o_hat64 - o_fp64 in one pass
-        return _g2_weighted(self._g2, np.subtract(
-            o_hat, self.o_fp, dtype=np.float64).ravel())
+        return _g2_weighted(o_hat.ravel(), self.o_fp, self._grad, self._g2)
 
 
 def _combos(options: CalibOptions) -> list[tuple[str, str, str, str]]:

@@ -520,7 +520,7 @@ class Plan:
     step becomes (output slot, kernel, input slots, site key, slots to free
     after it). An op step's kernel is its op on T.KERNELS; a site step's
     fake-quantizes by the run's params for the site, if any, with each
-    params object's broadcast_ready scale and zero-point made once. full
+    scale and zero-point array's broadcast_ready form made once. full
     frees each value after its last use, the output at slot out excepted;
     keep frees none, so that its values can be the state that cone(site)
     re-runs from.
@@ -554,15 +554,23 @@ class Plan:
 
     @staticmethod
     def _site():
-        ready: dict = {}  # id(params) -> (params, so its id stays its own, sc, zp)
+        # id(array) -> (array, so its id stays its own, its broadcast_ready
+        # form); a site's candidates share their base's zero-point array, so
+        # it is shaped once per site and each scale once per candidate
+        ready: dict = {}
+
+        def shaped(p, v: np.ndarray, shape) -> np.ndarray:
+            r = ready.get(id(v))
+            if r is None:
+                r = ready[id(v)] = (v, broadcast_ready(p, v, shape))
+            return r[1]
 
         def site(x: np.ndarray, p) -> np.ndarray:
             if p is None:
                 return x
-            r = ready.get(id(p))
-            if r is None:
-                r = ready[id(p)] = (p, *broadcast_ready(p, x.shape))
-            return fake_quant(x, r[1], r[2], p.q_bounds32)[0]
+            return fake_quant(x, shaped(p, p.scale, x.shape),
+                              shaped(p, p.zero_point32, x.shape),
+                              p.q_bounds32)[0]
 
         return site
 

@@ -216,29 +216,29 @@ def params_for_scale(base: QuantParams, scales) -> list[QuantParams]:
     return out
 
 
-def broadcast_ready(p: QuantParams, shape: tuple[int, ...]):
-    """(scale, zero-point) of p in float32, shaped to broadcast against an
-    input of shape. Per channel along axis 0 they are (C, 1, ...); along any
-    other axis they are tiled over the non-sample axes, shape[1:], so that
-    an elementwise op runs one contiguous loop per sample instead of one
-    per channel run."""
+def broadcast_ready(p: QuantParams, v: np.ndarray, shape: tuple[int, ...]):
+    """v, p's float32 scale or zero-point (p.scale, p.zero_point32), shaped
+    to broadcast against an input of shape. Per channel along axis 0 it is
+    (C, 1, ...); along any other axis it is tiled over the non-sample axes,
+    shape[1:], so that an elementwise op runs one contiguous loop per sample
+    instead of one per channel run."""
     if p.granularity != "per_channel":
-        return p.scale, p.zero_point32
+        return v
     ndim = len(shape)
     if not -ndim <= p.channel_axis < ndim:
         raise QuantError(f"channel_axis {p.channel_axis} is out of range "
                          f"for a tensor of shape {shape}")
     ax = p.channel_axis % ndim
-    if shape[ax] != p.scale.size:
+    if shape[ax] != v.size:
         raise QuantError(
-            f"per_channel params carry {p.scale.size} channels but tensor "
+            f"per_channel params carry {v.size} channels but tensor "
             f"has {shape[ax]} along axis {ax}")
     bshape = [1] * ndim
-    bshape[ax] = p.scale.size
+    bshape[ax] = v.size
     if ax == 0:
-        return p.scale.reshape(bshape), p.zero_point32.reshape(bshape)
-    return tuple(np.ascontiguousarray(np.broadcast_to(
-        v.reshape(bshape[1:]), shape[1:])) for v in (p.scale, p.zero_point32))
+        return v.reshape(bshape)
+    return np.ascontiguousarray(np.broadcast_to(v.reshape(bshape[1:]),
+                                                shape[1:]))
 
 
 def fake_quant(xa: np.ndarray, sc, zp, bounds, keep_mask: bool = False):
@@ -270,7 +270,8 @@ def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> 
     where the unclipped code lies in [q_min, q_max] (a bool mask taken
     before clipping; g * mask gives the bits of g times a float32 0/1 mask).
     """
-    sc, zp = broadcast_ready(p, t.data.shape)
+    sc, zp = (broadcast_ready(p, v, t.data.shape)
+              for v in (p.scale, p.zero_point32))
     taped = tape is not None and t.node is not None
     with np.errstate(over="ignore"):
         c, mask = fake_quant(t.data, sc, zp, p.q_bounds32, taped)

@@ -61,6 +61,34 @@ class TestObjective:
         want = dense_objective_oracle(d, g)
         assert objective(t(d), t(g)) == pytest.approx(want, abs=1e-6, rel=1e-9)
 
+    # every size to 300 (the pieces of numpy's pairwise_sum: < 8, an
+    # 8-unrolled block to 128, halves above), one leaf and two leaves at
+    # their edges, and a few trees of many leaves
+    @pytest.mark.parametrize("sizes", [range(1, 301), [
+        b + k for b in (2 ** 14, 2 ** 15) for k in (-9, -8, -7, -1, 0,
+                                                         1, 7, 8, 9)],
+        [3 * 2 ** 14 + 5, 100_003, 2 ** 20 + 12_345, 2 ** 21]])
+    def test_leaf_tree_sum_equals_add_reduce(self, sizes):
+        """_g2_weighted sums leaf by leaf, yet has the bits of one
+        np.add.reduce over the whole product, in every form it takes: g^2
+        kept or made per leaf, a difference or a value."""
+        rng = np.random.default_rng(len(sizes))
+        for n in sizes:
+            # magnitudes over 16 binades, so that the order of the sum shows
+            o = (rng.normal(0, 1, n) * 2.0 ** rng.integers(-8, 8, n)).astype(F32)
+            ref = rng.normal(0, 1, n).astype(F32)
+            same = rng.random(n) < 0.1  # exact zeros of the difference
+            ref[same] = o[same]
+            o[rng.random(n) < 0.1] = 0.0
+            g = rng.normal(0, 1, n).astype(F32)
+            g[rng.random(n) < 0.1] = 0.0
+            g2 = np.multiply(g, g, dtype=np.float64)
+            for r in (ref, None):
+                d64 = o.astype(np.float64) - (0.0 if r is None else r)
+                want = float(np.add.reduce(d64 * d64 * g2)).hex()
+                assert C._g2_weighted(o, r, g).hex() == want, (n, r is None)
+                assert C._g2_weighted(o, r, g, g2).hex() == want, (n, r is None)
+
 
 class TestCosine:
     def test_identical_tensors_give_zero(self):
@@ -304,6 +332,38 @@ class TestPass2:
         probs /= probs.sum(1, keepdims=True)
         onehot = np.eye(3, dtype=F32)[labels]
         np.testing.assert_allclose(got, probs - onehot, atol=1e-6)
+
+    def test_broadcast_add_gradient_is_the_sum_over_tokens(self):
+        # a manifest's add of (N, T, C) tokens and an (N, 1, C) row made by
+        # a conv to 1 x 1: pass 2 caches the conv's gradient as the tokens'
+        # gradients summed over T, and the mean over T gives each token
+        # (softmax - onehot) / T
+        rng = np.random.default_rng(13)
+        n, c, hw = 6, 3, 4
+        layers = [
+            LayerSpec(0, "conv2d", {}, [GRAPH_INPUT],
+                      {"w": t(rng.normal(0, 0.3, (c, c, hw, hw)))}),
+            LayerSpec(1, "reshape", {"op": "nchw_to_tokens"}, [0]),
+            LayerSpec(2, "reshape", {"op": "nchw_to_tokens"}, [GRAPH_INPUT]),
+            LayerSpec(3, "add", {}, [2, 1]),
+            LayerSpec(4, "pool", {"op": "mean_tokens"}, [3]),
+        ]
+        graph = Graph(layers=layers, input_shape=(c, hw, hw))
+        x = t(rng.normal(0, 1, (n, c, hw, hw)))
+        units = searched_units(graph)
+        assert [u.output_id for u in units] == [0]
+        cache = pass1_cache_fp(graph, x, units)
+        pass2_cache_gradients(graph, x, units, cache)
+        logits, _ = forward_quant(graph, x, C.default_qconfig(graph, 8, cache))
+        z = logits.data.astype(np.float64)
+        p = np.exp(z - z.max(1, keepdims=True))
+        p /= p.sum(1, keepdims=True)
+        p[np.arange(n), np.argmax(cache.logits_fp, 1)] -= 1
+        per_token = np.broadcast_to(p[:, None, :] / hw ** 2, (n, hw ** 2, c))
+        got = cache.unit_grads[0]
+        assert got.shape == (n, c, 1, 1)
+        np.testing.assert_allclose(got.reshape(n, c), per_token.sum(axis=1),
+                                   rtol=1e-5, atol=1e-7)
 
     def test_gradients_match_finite_differences_on_two_layer_toy(self, monkeypatch):
         # an empty default qconfig keeps the pass-2 path smooth for differencing
@@ -636,6 +696,61 @@ class TestCalibrate:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20, \
             f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+    # The search-off objectives of wide-mvit-ln at 2,048 samples, as
+    # float.hex(), recorded before the objective was summed leaf by leaf.
+    # Every unit output here but the head's spans many of _g2_weighted's
+    # leaves, which the option pins' 32-sample traces never do.
+    LARGE_BATCH_OBJECTIVES = {
+        "layer0": "0x1.a33d29374197fp-4",
+        "bridge0": "0x1.a54340208a3bcp+1",
+        "layer7": "0x1.7d9801896f6acp-5",
+        "layer10": "0x1.80460de2e1288p-4",
+        "layer12": "0x1.7107ef6c4b1f4p-3",
+        "layer15": "0x1.4ccea0e764470p+1",
+    }
+
+    @staticmethod
+    def large_batch():
+        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=2048)
+        graph, calib, _, _ = build_fixture(spec)
+        off = CalibOptions(scale_search=False, granularity_search=False,
+                           scheme_search=False)
+        return with_mode(graph, "partial"), calib, off
+
+    def test_large_batch_objectives_keep_their_bits(self):
+        graph, calib, off = self.large_batch()
+        _, decisions = calibrate(graph, calib, options=off)
+        assert {d.label: d.objective.hex() for d in decisions} \
+            == self.LARGE_BATCH_OBJECTIVES
+        _, outs = forward_fp(graph, Tensor(calib.data[:1]),
+                             watch=[d.output_id for d in decisions])
+        # every output but the head's spans 32 to 128 leaves of 2 ** 14
+        leaves = sorted(o.size * calib.shape[0] / 2 ** 14 for o in outs.values())
+        assert leaves[0] < 1 and leaves[1] >= 32, leaves
+
+    # With the search off, a unit is scored once, by the min-max default's
+    # run(keep=False): it never makes g^2 in float64, and each score sums in
+    # leaf-sized scratch. The worst unit, bridge0, then peaks 28.0 MiB above
+    # the cache (its values and output); with a whole-output float64 g^2 and
+    # difference, layer0 peaked at 43.5 MiB.
+    def test_search_off_unit_holds_no_output_sized_float64(self):
+        graph, calib, off = self.large_batch()
+        units = searched_units(graph)
+        cache = pass1_cache_fp(graph, calib, units)
+        pass2_cache_gradients(graph, calib, units, cache)
+        tracemalloc.start()
+        try:
+            peaks = {}
+            for unit in units:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                search_unit(graph, unit, cache, SearchSpace(), off)
+                peaks[unit.label] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) <= 32 * 2 ** 20, \
+            {k: f"{v / 2 ** 20:.1f} MiB" for k, v in peaks.items()}
 
     # Pass 1 is one whole-batch forward, which holds no tape: 98.4 MiB at
     # 2,048 samples (99.0 MiB when it ran in 512-sample chunks). The bound

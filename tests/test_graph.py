@@ -6,7 +6,8 @@ import pytest
 
 from hyquant.cli import with_mode
 from hyquant.graph import (ATTENTION_STEPS, GRAPH_INPUT, Graph, GraphError,
-                           GraphExecutionError, LayerSpec, SiteCoverageError,
+                           GraphExecutionError, LayerSpec, Plan,
+                           SiteCoverageError,
                            check_site_coverage, forward_fp, forward_quant,
                            load_manifest, run_layer, run_steps, save_manifest,
                            site_hook)
@@ -384,6 +385,47 @@ class TestLayerKindDispatch:
         x = np.random.default_rng(3).normal(0, 1, (2, 3, 4, 4)).astype(F32)
         y, _ = forward_fp(g, t(x))
         np.testing.assert_array_equal(y.data, x)
+
+    def test_flatten_between_conv_and_linear(self, tmp_path):
+        # conv -> flatten -> linear through both forwards, a compiled plan
+        # and a manifest round trip
+        rng = np.random.default_rng(4)
+        w, b = rng.normal(0, 0.2, (5, 32)), rng.normal(0, 0.1, 5)
+        layers = [
+            LayerSpec(0, "conv2d", {"padding": 1}, [GRAPH_INPUT],
+                      {"w": t(rng.normal(0, 0.5, (2, 3, 3, 3))),
+                       "b": t(rng.normal(0, 0.1, 2))}),
+            LayerSpec(1, "reshape", {"op": "flatten"}, [0]),
+            LayerSpec(2, "linear", {}, [1], {"w": t(w), "b": t(b)}),
+        ]
+        g = Graph(layers=layers, input_shape=(3, 4, 4))
+        x = t(rng.normal(0, 1, (6, 3, 4, 4)))
+        y, outs = forward_fp(g, x, watch={0, 1})
+        flat = outs[0].data.reshape(6, 32)
+        assert outs[1].data.tobytes() == flat.tobytes()
+        np.testing.assert_allclose(y.data, flat @ w.T.astype(F32) + b.astype(F32),
+                                   rtol=1e-5, atol=1e-6)
+        values = {}
+        forward_fp(g, x, capture=values)
+        qcfg = {s.key: fit_minmax(
+            values[s.key], 6, "symmetric" if s.kind == "weight" else "asymmetric",
+            "per_channel", s.channel_axis) for s in g.quant_sites}
+        y_q, _ = forward_quant(g, x, qcfg)
+        assert y_q.shape == (6, 5) and y_q.data.tobytes() != y.data.tobytes()
+        base = {(GRAPH_INPUT, "out"): x.data}
+        for layer in g.layers:
+            base.update(layer.values)
+        plan = Plan(tuple(st for layer in g.layers for st in layer.steps), base,
+                    (2, "out"))
+        assert plan.run(plan.full, qcfg)[plan.out].tobytes() == y_q.data.tobytes()
+        path = tmp_path / "model.json"
+        save_manifest(g, str(path))
+        back = load_manifest(str(path))
+        assert [(l.kind, l.attrs, l.inputs) for l in back.layers] == \
+            [(l.kind, l.attrs, l.inputs) for l in g.layers]
+        assert forward_fp(back, x)[0].data.tobytes() == y.data.tobytes()
+        assert forward_quant(back, x, qcfg)[0].data.tobytes() == \
+            y_q.data.tobytes()
 
 
 class TestFullQuantMode:

@@ -35,7 +35,8 @@ def test_default_fingerprint_check_passes_on_one_fixture():
     result = run_script("default_fingerprints.py", "--check", "--fixtures",
                         "tiny-mvit-ln", "--bits", "8")
     assert result.returncode == 0, result.stderr
-    assert "| tiny-mvit-ln | 8 | 1ec590191eec | 9544 |" in result.stdout
+    assert ("| tiny-mvit-ln | 8 | 1ec590191eec | 9544 | 0x1.f09b98ecbde7fp-8 |"
+            in result.stdout)
     assert result.stdout.rstrip().endswith("| equal |")
 
 

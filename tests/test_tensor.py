@@ -327,6 +327,24 @@ class TestBackward:
         grads = T.backward(t([1.0, 1.0]), tape)
         np.testing.assert_array_equal(grads[side.node].data, [0.0, 0.0])
 
+    def test_add_gradient_sums_over_the_broadcast_axes(self):
+        # (N, T, E) + (E,): the row's gradient is the loss gradient summed
+        # over the axes it lacks; (N, T, E) + (N, 1, E): over the axis it
+        # holds at length 1
+        rng = np.random.default_rng(12)
+        x = rng.normal(0, 1, (2, 3, 4)).astype(F32)
+        g = rng.normal(0, 1, (2, 3, 4)).astype(F32)
+        for shape, axes in (((4,), (0, 1)), ((2, 1, 4), (1,))):
+            tape = T.Tape()
+            xt, rt = tape.leaf(t(x)), tape.leaf(t(np.ones(shape)))
+            T.add(xt, rt, tape)
+            tape.watch(xt.node)
+            tape.watch(rt.node)
+            grads = T.backward(t(g), tape)
+            assert grads[xt.node].data.tobytes() == g.tobytes()
+            want = g.sum(axis=axes, keepdims=True).reshape(shape)
+            np.testing.assert_allclose(grads[rt.node].data, want, rtol=1e-6)
+
     def test_cross_entropy_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(11)
         logits = rng.normal(0, 2, (6, 4)).astype(F32)

@@ -26,8 +26,9 @@ import numpy as np
 
 from .bridge import ReconstructionUnit, resolve_bridge_blocks, units_for
 from .graph import Graph, Plan, Site, forward_fp, forward_quant
-from .quant import QuantParams, channel_ranges, fit_minmax, params_for_scale
-from .tensor import Tape, Tensor, backward, cross_entropy
+from .quant import (QuantParams, channel_ranges, fake_quant_site, fit_minmax,
+                    params_for_scale)
+from .tensor import KERNELS, Tape, Tensor, backward, cross_entropy
 
 _F32 = np.float32
 
@@ -169,9 +170,10 @@ def _g2_weighted(o: np.ndarray, ref: np.ndarray | None, grad: np.ndarray,
 
 def _pairwise(leaf, lo: int, n: int):
     """The sum of [lo, lo + n) as numpy's pairwise_sum splits it, down to
-    leaf(lo, hi), the sum of a piece of at most _LEAF elements. Not a
-    closure of _g2_weighted: one that calls itself is a reference cycle,
-    which would keep the scratch until the garbage collector runs."""
+    leaf(lo, hi), the sum of a piece of at most _LEAF elements (or an array
+    of such sums, added elementwise). Not a closure of its callers: one
+    that calls itself is a reference cycle, which would keep the scratch
+    until the garbage collector runs."""
     if n <= _LEAF:
         return leaf(lo, lo + n)
     half = n // 2 - n // 2 % 8
@@ -179,17 +181,24 @@ def _pairwise(leaf, lo: int, n: int):
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity of flattened tensors (the metric-ablation
-    variant), summed like _g2_weighted so no BLAS thread count shows."""
-    av = np.asarray(a, dtype=np.float64).ravel()
-    bv = np.asarray(b, dtype=np.float64).ravel()
-    na = np.sqrt(np.add.reduce(av * av))
-    nb = np.sqrt(np.add.reduce(bv * bv))
+    """1 - cosine similarity of flattened tensors in float64 (the
+    metric-ablation variant). a·a, b·b and a·b each have the bits of numpy's
+    pairwise add.reduce over the whole product, like _g2_weighted's sum, but
+    are summed leaf by leaf, so no array of the output's size is made."""
+    av, bv = np.ravel(a), np.ravel(b)
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        x, y = av[lo:hi].astype(np.float64), bv[lo:hi].astype(np.float64)
+        return np.array([np.add.reduce(x * x), np.add.reduce(y * y),
+                         np.add.reduce(x * y)])
+
+    aa, bb, ab = _pairwise(leaf, 0, av.size)
+    na, nb = np.sqrt(aa), np.sqrt(bb)
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:
         return 1.0
-    return float(1.0 - np.add.reduce(av * bv) / (na * nb))
+    return float(1.0 - ab / (na * nb))
 
 
 def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
@@ -372,8 +381,10 @@ class _UnitEvaluator:
     """Re-runs one unit's layers on cached FP inputs and scores the output.
 
     The unit is the concatenation of its members' steps (LayerSpec.steps),
-    compiled once into a Plan on its cached inputs and its members' values.
-    run() runs them all and keeps every value as the state of its params.
+    compiled once into a Plan, which runs on the ndarray kernels (KERNELS)
+    and one fake_quant_site from a start list of its cached inputs and its
+    members' values. run() runs them all and keeps every value as the state
+    of its params.
     score_site() scores params that differ from that state's only at one
     site by re-running just that site's cone across the members (Plan.cone):
     the step quantizing it and every step reading a changed value. Every
@@ -391,12 +402,15 @@ class _UnitEvaluator:
             raise CalibError(f"unit {unit.label}: no pass 2 gradient cached; "
                              f"run pass2_cache_gradients first")
         members = [graph.layer(lid) for lid in unit.layer_ids]
-        base = {(pid, "out"): arr
-                for pid, arr in cache.unit_inputs[unit.output_id].items()}
+        values = {(pid, "out"): arr
+                  for pid, arr in cache.unit_inputs[unit.output_id].items()}
         for layer in members:
-            base.update(layer.values)
+            values.update((key, v.data if isinstance(v, Tensor) else v)
+                          for key, v in layer.values.items())
         self._plan = Plan(tuple(step for layer in members for step in layer.steps),
-                          base, (unit.output_id, "out"))
+                          (unit.output_id, "out"))
+        self._start = self._plan.start(values)
+        self._site = fake_quant_site()
         self._cones = {s.key: self._plan.cone(s.key) for layer in members
                        for s in graph.sites_by_layer[layer.id]}
         self.o_fp = cache.unit_outputs[unit.output_id].ravel()
@@ -417,7 +431,8 @@ class _UnitEvaluator:
         if keep and self._g2 is None and self.metric == "hessian":
             self._g2 = np.multiply(self._grad, self._grad, dtype=np.float64)
         plan = self._plan
-        vals = plan.run(plan.keep if keep else plan.full, params)
+        vals = self._run(plan.keep if keep else plan.full, params,
+                         list(self._start))
         self._state = vals if keep else []
         self.owner = params if keep else None
         return self._score(vals[plan.out])
@@ -425,13 +440,17 @@ class _UnitEvaluator:
     def score_site(self, params: dict, site: Site) -> float:
         """run(params)'s objective, re-running only the cone of site."""
         self.evals += 1
-        plan = self._plan
-        return self._score(plan.run(self._cones[site.key], params,
-                                    list(self._state))[plan.out])
+        return self._score(self._run(self._cones[site.key], params,
+                                     list(self._state))[self._plan.out])
 
     def adopt(self, params: dict, site: Site) -> None:
         """Make params, changed from the state's at site only, the state."""
-        self._plan.run(self._cones[site.key], params, self._state)
+        self._run(self._cones[site.key], params, self._state)
+
+    def _run(self, program, params: dict, vals: list) -> list:
+        """The plan's program run on vals with params; returns vals."""
+        with np.errstate(over="ignore"):  # for fake_quant's x / sc
+            return self._plan.run(program, params, vals, KERNELS, self._site)
 
     def _score(self, o_hat: np.ndarray) -> float:
         if self.metric == "cosine":

@@ -1,12 +1,11 @@
 """Typed layer IR and executor for hybrid conv+attention models.
 
 A Graph is an ordered DAG of LayerSpec entries (ids topologically ordered,
-single output). Every layer kind is a step list run by one loop, shared by
-the full-precision and the fake-quant paths: a site absent from the qconfig
-runs in full precision, so an empty qconfig is bitwise forward_fp. The
-search re-runs a unit's steps as a Plan, compiled once onto the ndarray
-kernels that the Tensor ops call, with the same bits. Sites are
-a layer's weights and input activations, plus the operands of attention's
+single output). Every layer kind is a step list, compiled once into a Plan
+and run by one loop (Plan.run) for the full-precision and fake-quant
+forwards, on Tensors, and for the search, on arrays with the same bits: a
+site absent from the qconfig runs in full precision, so an empty qconfig is
+bitwise forward_fp. Sites are a layer's weights and input activations, plus the operands of attention's
 two matrix products; softmax/norm inputs are sites only in "full" mode.
 """
 
@@ -18,14 +17,16 @@ import json
 import math
 import os
 import reprlib
+from collections import ChainMap
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .quant import broadcast_ready, fake_quant, quantize_dequantize
+from .quant import quantize_dequantize
 from .tensor import Tape, Tensor
 
 ACTIVATION_FNS = ("gelu", "silu", "relu")
@@ -76,16 +77,20 @@ class LayerSpec:
     def steps(self) -> tuple[Step, ...]:
         """Its kind's steps (LAYER_STEPS) with every value named by key: the
         inputs x and y are (producer id, "out"), any other name and each site
-        are (layer id, name). A step drops only the layer's own values."""
+        are (layer id, name)."""
         ext = dict(zip(("x", "y"), ((pid, "out") for pid in self.inputs)))
 
         def key(name):
             return ext.get(name, (self.id, name))
-        return tuple(s._replace(
-            out=key(s.out), ins=tuple(map(key, s.ins)),
-            site=s.site and (self.id, s.site),
-            drop=tuple(key(n) for n in s.drop if n not in ext))
-            for s in LAYER_STEPS[self.kind])
+        return tuple(s._replace(out=key(s.out), ins=tuple(map(key, s.ins)),
+                                site=s.site and (self.id, s.site))
+                     for s in LAYER_STEPS[self.kind])
+
+    @cached_property
+    def plan(self) -> Plan:
+        """Its steps compiled once (Plan), with no values: a forward reads
+        its weights anew at each run, as they may be replaced."""
+        return Plan(self.steps, (self.id, "out"))
 
     @property
     def values(self) -> dict:
@@ -294,34 +299,44 @@ def sites_for_layer(layer: LayerSpec, mode: str) -> list[Site]:
 # execution
 
 
-def site_hook(qcfg: dict, tape: Tape | None = None, capture: dict | None = None):
-    """The one site hook: a callable(key, Tensor) that fake-quantizes the
-    tensor at site key, (layer_id, site_name), when qcfg holds params for it.
+def site_hook(tape: Tape | None = None, capture: dict | None = None):
+    """The forwards' site hook: a callable(key, Tensor, params) that
+    fake-quantizes the tensor at site key, (layer_id, site_name), by params
+    on tape, or passes it through when params is None.
 
     capture, when given, is filled with the full-precision value of every
     site tensor by its key.
     """
 
-    def site(key: tuple[int, str], x: Tensor) -> Tensor:
+    def site(key: tuple[int, str], x: Tensor, p) -> Tensor:
         if capture is not None:
             capture[key] = x.data
-        p = qcfg.get(key)
         return quantize_dequantize(x, p, tape) if p is not None else x
 
     return site
 
 
+def taped_ops(tape: Tape | None) -> SimpleNamespace:
+    """The ops of T.KERNELS as Tensor ops with one forward's tape bound,
+    ops.<name>(...) = T.<name>(..., tape=tape), each looked up in T now, so
+    a tracer that rebinds the tensor functions sees every call of the
+    forwards and the calibration passes (not the search's, on T.KERNELS)."""
+    return SimpleNamespace(**{name: functools.partial(getattr(T, name), tape=tape)
+                              for name in vars(T.KERNELS)})
+
+
 # Every layer kind is an ordered list of steps (LAYER_STEPS). A step computes
-# out = op(ops, *ins) from named values, ops being the tensor ops it calls
-# by name, or, when op is None, passes its one input through the site hook
-# under its site name; such a step is the one declaration of that quant site
-# (sites_for_layer). A kind's steps read its weights by name, its attrs as
-# "attrs" and its inputs as "x" and "y"; its last step writes "out".
-# LayerSpec.steps names these values by layer, so the steps of any run of
-# layers concatenate into one list. One loop (run_steps) runs them on
-# Tensors with the Tensor ops, for the forwards and the calibration passes;
-# a Plan compiles them once onto the ndarray kernels that those ops call
-# (T.KERNELS), for a unit's re-runs in the search.
+# out = op(ops, *ins) from named values, ops being the namespace of tensor
+# ops it calls by name, or, when op is None, passes its one input through
+# the site hook under its site name; such a step is the one declaration of
+# that quant site (sites_for_layer). A kind's steps read its weights by
+# name, its attrs as "attrs" and its inputs as "x" and "y"; its last step
+# writes "out". LayerSpec.steps names these values by layer, so the steps of
+# any run of layers concatenate into one list. A Plan compiles a list once
+# into slots, and Plan.run is the one loop that runs it: per layer in the
+# forwards and calibration passes, on Tensors with taped_ops and site_hook;
+# per unit in the search, on arrays with the kernels those ops call
+# (T.KERNELS) and quant.fake_quant_site.
 
 
 class Step(NamedTuple):  # names are keys (layer id, name) in LayerSpec.steps
@@ -329,7 +344,6 @@ class Step(NamedTuple):  # names are keys (layer id, name) in LayerSpec.steps
     op: Callable | None
     ins: tuple[str, ...]
     site: str | None = None
-    drop: tuple[str, ...] = ()  # the names this step is the last to read
     # the site's declaration: "weight" or "activation", its channel axis,
     # whether it may be per-channel, whether it is a site in "full" mode only
     kind: str = "activation"
@@ -343,29 +357,7 @@ def _quant(out: str, x: str, site: str, **decl) -> Step:
     return Step(out, None, (x,), site, **decl)
 
 
-def _step_list(*steps: Step) -> tuple[Step, ...]:
-    """steps with each one's drop names filled in, once per list."""
-    last = {n: i for i, step in enumerate(steps) for n in step.ins}
-    return tuple(step._replace(drop=tuple(n for n in step.ins if last[n] == i))
-                 for i, step in enumerate(steps))
-
-
-class _TapedOps:
-    """The Tensor ops with one forward's tape bound: ops.<name>(...) is
-    T.<name>(..., tape=tape), looked up in T at each call, so a tracer that
-    rebinds the tensor functions sees every call of the forwards and the
-    calibration passes (not the search's, which runs on T.KERNELS)."""
-
-    __slots__ = ("tape",)
-
-    def __init__(self, tape: Tape | None):
-        self.tape = tape
-
-    def __getattr__(self, name: str):
-        return functools.partial(getattr(T, name), tape=self.tape)
-
-
-# The ops below call the tensor ops through ops (_TapedOps or T.KERNELS), so
+# The ops below call the tensor ops through ops (taped_ops or T.KERNELS), so
 # each is written once for both and runs the same kernels in the same order.
 def _tensor_op(name: str):
     """An op whose last input is the layer's attrs: ops.<name>(*ts, **attrs)."""
@@ -428,7 +420,7 @@ def _merge_heads(ops, probs, vh):
 
 
 # (N, T, E) projections "q", "k", "v" and attrs holding "heads" -> "ctx"
-ATTENTION_STEPS = _step_list(
+ATTENTION_STEPS = (
     _quant("qs", "q", "attn_q"),
     Step("qh", _split_heads, ("qs", "attrs")),
     _quant("ks", "k", "attn_k"),
@@ -454,7 +446,7 @@ def _weight(out: str, w: str, site: str) -> Step:
 _WEIGHT = _weight("wq", "w", "weight")
 
 # by layer kind, in the order of LAYER_KINDS
-LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
+LAYER_STEPS = {kind: tuple(steps) for kind, steps in (
     ("conv2d", (_input(axis=1), _WEIGHT, Step("out", _tensor_op("conv2d"),
                                               ("xq", "wq", "b", "attrs")))),
     ("depthwise_conv2d", (_input(axis=1), _WEIGHT,
@@ -491,51 +483,23 @@ LAYER_STEPS = {kind: _step_list(*steps) for kind, steps in (
 LAYER_KINDS = tuple(LAYER_STEPS)
 
 
-def run_steps(steps, vals: dict, site, tape: Tape | None = None) -> dict:
-    """Run steps in order on vals, a {name: value} map of Tensors (a name it
-    lacks reads as None, an absent bias), with the Tensor ops on tape; each
-    step's output is added under its name, each value is dropped after its
-    last use (Step.drop), so a forward holds no more intermediates at once
-    than the layer itself requires, and the map is returned. A site step's
-    value is site(step.site, its input).
-    """
-    ops = _TapedOps(tape)
-    for out, op, ins, name, drop, _, _, _, _ in steps:
-        if op is None:
-            vals[out] = site(name, vals[ins[0]])
-        else:
-            vals[out] = op(ops, *[vals.get(n) for n in ins])
-        for n in drop:
-            vals.pop(n, None)
-    return vals
-
-
 class Plan:
-    """steps compiled once onto ndarray kernels, for runs that differ only
-    in their quantizer params, with run_steps' bits and no Tensor, tape or
-    site hook.
+    """steps compiled once into slots, with no values: each value the steps
+    read or write gets a slot in a run's list, and each step becomes
+    (output slot, op, input slots, site key, slots to free after it).
 
-    base holds the values the steps read that no step writes (an absent
-    name reads as None). Each value gets a slot in a run's list, and each
-    step becomes (output slot, kernel, input slots, site key, slots to free
-    after it). An op step's kernel is its op on T.KERNELS; a site step's
-    fake-quantizes by the run's params for the site, if any, with each
-    scale and zero-point array's broadcast_ready form made once. full
-    frees each value after its last use, the output at slot out excepted;
-    keep frees none, so that its values can be the state that cone(site)
-    re-runs from.
+    full frees each value after its last use, the output at slot out
+    excepted, so a run holds no more intermediates at once than the steps
+    require; keep frees none, so that its values can be the state that
+    cone(site) re-runs from.
     """
 
-    def __init__(self, steps, base: dict, out):
+    def __init__(self, steps, out):
         written = {step.out for step in steps}
         slot: dict = {}
-        self.values: list = []  # a run's start: base's values, None per output
         for key in (n for step in steps for n in (*step.ins, step.out)):
-            if key not in slot:
-                slot[key] = len(self.values)
-                value = None if key in written else base.get(key)
-                self.values.append(value.data if isinstance(value, Tensor)
-                                   else value)
+            slot.setdefault(key, len(slot))
+        self._reads = tuple(None if key in written else key for key in slot)
         self.out = slot[out]
         # the step that last reads each step output, or writes it if none
         last = {slot[n]: i for i, step in enumerate(steps)
@@ -544,35 +508,16 @@ class Plan:
         for s, i in last.items():
             if s != self.out:
                 frees[i].append(s)
-        compiled = [(slot[step.out],
-                     self._site() if step.op is None
-                     else functools.partial(step.op, T.KERNELS),
-                     tuple(slot[n] for n in step.ins), step.site)
-                    for step in steps]
+        compiled = [(slot[step.out], step.op, tuple(slot[n] for n in step.ins),
+                     step.site) for step in steps]
         self.full = tuple((*c, tuple(f)) for c, f in zip(compiled, frees))
         self.keep = tuple((*c, ()) for c in compiled)
 
-    @staticmethod
-    def _site():
-        # id(array) -> (array, so its id stays its own, its broadcast_ready
-        # form); a site's candidates share their base's zero-point array, so
-        # it is shaped once per site and each scale once per candidate
-        ready: dict = {}
-
-        def shaped(p, v: np.ndarray, shape) -> np.ndarray:
-            r = ready.get(id(v))
-            if r is None:
-                r = ready[id(v)] = (v, broadcast_ready(p, v, shape))
-            return r[1]
-
-        def site(x: np.ndarray, p) -> np.ndarray:
-            if p is None:
-                return x
-            return fake_quant(x, shaped(p, p.scale, x.shape),
-                              shaped(p, p.zero_point32, x.shape),
-                              p.q_bounds32)[0]
-
-        return site
+    def start(self, values) -> list:
+        """A run's start list: the values the steps read that no step writes,
+        from the mapping values (a key it lacks, an absent bias, is None),
+        and None for each output."""
+        return [None if key is None else values.get(key) for key in self._reads]
 
     def cone(self, site: tuple[int, str]) -> tuple:
         """The steps of keep to re-run when only site's params change: the
@@ -585,33 +530,33 @@ class Plan:
                 cone.append(step)
         return tuple(cone)
 
-    def run(self, program, params: dict, vals: list | None = None) -> list:
-        """Run program (full, keep or a cone) on vals, a fresh start when
-        None, with params, {site key: QuantParams}; returns vals."""
-        vals = list(self.values) if vals is None else vals
-        with np.errstate(over="ignore"):  # for fake_quant's x / sc
-            for out, fn, ins, key, free in program:
-                if key is None:
-                    vals[out] = fn(*[vals[i] for i in ins])
-                else:
-                    vals[out] = fn(vals[ins[0]], params.get(key))
-                for i in free:
-                    vals[i] = None
+    def run(self, program, params: dict, vals: list, ops, site) -> list:
+        """Run program (full, keep or a cone) on vals, a start list or a
+        kept state, and return it: an op step runs op(ops, *inputs), a site
+        step site(key, x, params.get(key)), params mapping site keys to
+        QuantParams."""
+        for out, op, ins, key, free in program:
+            if op is None:
+                vals[out] = site(key, vals[ins[0]], params.get(key))
+            else:
+                vals[out] = op(ops, *[vals[i] for i in ins])
+            for i in free:
+                vals[i] = None
         return vals
 
 
-def run_layer(layer: LayerSpec, vals: dict, site,
-              tape: Tape | None = None) -> Tensor:
-    """Execute one layer: add its values to vals, the forward's {key: value}
-    map holding its inputs, and run its steps with site as the site hook.
-    Returns its output, left in vals under (layer id, "out").
-    """
-    vals.update(layer.values)
+def run_layer(layer: LayerSpec, vals: dict, qcfg: dict, ops, site) -> Tensor:
+    """Execute one layer: run its plan on its values and its inputs from
+    vals, the forward's {key: value} map, with ops, site and qcfg's params.
+    Returns its output, added to vals under (layer id, "out")."""
+    plan = layer.plan
     try:
-        run_steps(layer.steps, vals, site, tape)
-        return vals[(layer.id, "out")]
+        out = plan.run(plan.full, qcfg, plan.start(ChainMap(vals, layer.values)),
+                       ops, site)[plan.out]
     except Exception as e:
         raise GraphExecutionError(f"layer {layer.id} ({layer.kind}): {e}") from e
+    vals[(layer.id, "out")] = out
+    return out
 
 
 def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
@@ -621,9 +566,9 @@ def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
             f"input shape {tuple(x.shape[1:])} does not match graph input "
             f"{graph.input_shape}")
     vals = {(GRAPH_INPUT, "out"): tape.leaf(x) if tape is not None else x}
-    site = site_hook(qcfg, tape, capture)
+    ops, site = taped_ops(tape), site_hook(tape, capture)
     for layer in graph.layers:
-        run_layer(layer, vals, site, tape)
+        run_layer(layer, vals, qcfg, ops, site)
     if capture is not None:  # site steps run in every mode; keep the mode's
         for key in set(capture) - {s.key for s in graph.quant_sites}:
             del capture[key]

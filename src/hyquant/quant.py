@@ -263,6 +263,31 @@ def fake_quant(xa: np.ndarray, sc, zp, bounds, keep_mask: bool = False):
     return c, mask
 
 
+def fake_quant_site():
+    """A site hook for runs on arrays, callable(key, x, params): x fake-
+    quantized by params (fake_quant) or, params None, x itself. Each scale
+    and zero-point array's broadcast_ready form is made once, so an array
+    must serve one site; a site's candidates share their fit's zero-point
+    array, so its per-channel tile is made once per site, and a scale's
+    once per candidate. Run it under np.errstate(over="ignore"), as
+    fake_quant needs."""
+    ready: dict = {}  # id(v) -> (v, so its id stays its own, its form)
+
+    def shaped(p: QuantParams, v: np.ndarray, shape) -> np.ndarray:
+        r = ready.get(id(v))
+        if r is None:
+            r = ready[id(v)] = (v, broadcast_ready(p, v, shape))
+        return r[1]
+
+    def site(key, x: np.ndarray, p: QuantParams | None) -> np.ndarray:
+        if p is None:
+            return x
+        return fake_quant(x, shaped(p, p.scale, x.shape),
+                          shaped(p, p.zero_point32, x.shape), p.q_bounds32)[0]
+
+    return site
+
+
 def quantize_dequantize(t: Tensor, p: QuantParams, tape: Tape | None = None) -> Tensor:
     """Fake quantization of t by p (fake_quant), recorded on tape.
 

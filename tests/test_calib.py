@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyquant.calib as C
-import hyquant.graph as graph_module
+import hyquant.quant as quant_module
 from hyquant.bridge import resolve_bridge_blocks, units_for
 from hyquant.calib import (CalibError, CalibOptions, SearchSpace, calibrate,
                            cosine_distance, generate_candidates, objective,
                            pass1_cache_fp, pass2_cache_gradients, search_unit)
 from hyquant.cli import qconfig_to_doc, with_mode
 from hyquant.graph import (GRAPH_INPUT, Graph, LayerSpec, forward_fp,
-                           forward_quant, run_layer, site_hook)
+                           forward_quant, run_layer, site_hook, taped_ops)
 from hyquant.quant import channel_ranges, fit_minmax, params_for_scale
 from hyquant.tensor import Tensor, cross_entropy
 from hyquant.zoo import FIXTURES, build_fixture
@@ -381,7 +381,7 @@ class TestPass2:
 
         def loss_from_unit0(o0):
             y = run_layer(layer1, {(0, "out"): Tensor._wrap(o0.astype(F32))},
-                          site_hook({}))
+                          {}, taped_ops(None), site_hook())
             return float(cross_entropy(y, labels).data)
 
         o0 = cache.unit_outputs[0].copy()
@@ -729,12 +729,9 @@ class TestCalibrate:
         leaves = sorted(o.size * calib.shape[0] / 2 ** 14 for o in outs.values())
         assert leaves[0] < 1 and leaves[1] >= 32, leaves
 
-    # With the search off, a unit is scored once, by the min-max default's
-    # run(keep=False): it never makes g^2 in float64, and each score sums in
-    # leaf-sized scratch. The worst unit, bridge0, then peaks 28.0 MiB above
-    # the cache (its values and output); with a whole-output float64 g^2 and
-    # difference, layer0 peaked at 43.5 MiB.
-    def test_search_off_unit_holds_no_output_sized_float64(self):
+    def search_off_peaks(self, metric):
+        """{unit label: traced peak of its search-off search_unit above the
+        cache}, on wide-mvit-ln at 2,048 samples."""
         graph, calib, off = self.large_batch()
         units = searched_units(graph)
         cache = pass1_cache_fp(graph, calib, units)
@@ -745,10 +742,28 @@ class TestCalibrate:
             for unit in units:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                search_unit(graph, unit, cache, SearchSpace(), off)
+                search_unit(graph, unit, cache, SearchSpace(),
+                            replace(off, metric=metric))
                 peaks[unit.label] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        return peaks
+
+    # With the search off, a unit is scored once, by the min-max default's
+    # run(keep=False): it never makes g^2 in float64, and each score sums in
+    # leaf-sized scratch. The worst unit, bridge0, then peaks 28.0 MiB above
+    # the cache (its values and output); with a whole-output float64 g^2 and
+    # difference, layer0 peaked at 43.5 MiB.
+    def test_search_off_unit_holds_no_output_sized_float64(self):
+        peaks = self.search_off_peaks("hessian")
+        assert max(peaks.values()) <= 32 * 2 ** 20, \
+            {k: f"{v / 2 ** 20:.1f} MiB" for k, v in peaks.items()}
+
+    # The cosine metric sums a·a, b·b and a·b over the same leaves; with
+    # float64 copies of both outputs and their products, layer0 and layer10
+    # each peaked 56.0 MiB above the cache.
+    def test_search_off_cosine_unit_holds_no_output_sized_float64(self):
+        peaks = self.search_off_peaks("cosine")
         assert max(peaks.values()) <= 32 * 2 ** 20, \
             {k: f"{v / 2 ** 20:.1f} MiB" for k, v in peaks.items()}
 
@@ -914,7 +929,7 @@ class TestOneExecutor:
     @pytest.mark.parametrize("mode", ["partial", "full"])
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_plan_equals_the_tensor_executor(self, name, mode):
-        # the evaluator's plan against run_steps: at W6 and W8 and every
+        # the evaluator's plan against the forwards': at W6 and W8 and every
         # combination's fits (per-channel tiles included), run's unit output
         # has the bytes of forward_quant on the unit's sites, and so does a
         # cone re-run at one candidate scale per site
@@ -949,8 +964,8 @@ class TestOneExecutor:
                                 cache.site_values[s.key], bits, space,
                                 params[s.key].granularity,
                                 s.channel_axis))[i % space.candidates]}
-                        check(trial, plan.run(ev._cones[s.key], trial,
-                                              list(ev._state)))
+                        check(trial, ev._run(ev._cones[s.key], trial,
+                                             list(ev._state)))
                         checks += 1
         assert checks > 0
 
@@ -962,8 +977,9 @@ class TestOneExecutor:
         cache = pass1_cache_fp(graph, calib, units)
         default = C.default_qconfig(graph, 8, cache)
         for unit in units:
-            plan = C._UnitEvaluator(graph, unit, cache, "cosine")._plan
-            vals = plan.run(plan.full, default)
+            ev = C._UnitEvaluator(graph, unit, cache, "cosine")
+            plan = ev._plan
+            vals = ev._run(plan.full, default, list(ev._start))
             assert [s for s, *_ in plan.full if vals[s] is not None] == \
                 [plan.out], unit.label
 
@@ -988,8 +1004,8 @@ class TestOneExecutor:
         # counted at the plan's fake-quantization kernel, which every site
         # step of a unit re-run calls
         seen = []
-        kernel = graph_module.fake_quant
-        monkeypatch.setattr(graph_module, "fake_quant",
+        kernel = quant_module.fake_quant
+        monkeypatch.setattr(quant_module, "fake_quant",
                             lambda *a: seen.append(a) or kernel(*a))
         ev.score_site(params, sites[site])
         assert len(seen) == calls

@@ -461,6 +461,42 @@ class TestEvaluateCommand:
         errors = error_lines(result.stderr)
         assert len(errors) == 1 and "sample axis" in errors[0]
 
+    # outside input that no other test feeds in: two blobs cut short, a
+    # depthwise kernel that is a grouped conv's, a norm without its shift,
+    # and a token-to-grid reshape whose grid does not hold the tokens
+    @pytest.mark.parametrize("blob, layer, edit, message", [
+        (BLOB_MAGIC + b"\x01\x00", None, None, "truncated header"),
+        (BLOB_MAGIC + struct.pack("<II", 2, 8), None, None, "truncated dims"),
+        (None, 0, {"kind": "depthwise_conv2d", "attrs": {"stride": 2}},
+         "depthwise kernel must have one input channel per group"),
+        (None, 6, {"weights": {"gamma": "blobs/l6_gamma.hqt"}},
+         "layer_norm needs weights ('gamma', 'beta')"),
+        (None, 14, {"kind": "reshape",
+                    "attrs": {"op": "tokens_to_nchw", "h": 2, "w": 3}},
+         "layer 14 (reshape): tokens_to_nchw: 2x3 != token count 16"),
+    ], ids=["blob-header", "blob-dims", "depthwise-groups", "norm-weight",
+            "tokens-grid"])
+    def test_refused_outside_input_fails_cleanly(self, runner, tmp_path, blob,
+                                                 layer, edit, message):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        if blob is not None:
+            (tmp_path / "blobs" / "l0_w.hqt").write_bytes(blob)
+        else:
+            with open(paths["manifest"]) as f:
+                doc = json.load(f)
+            doc["layers"][layer].update(edit)
+            with open(paths["manifest"], "w") as f:
+                json.dump(doc, f)
+        result = runner.invoke(main, [
+            "quantize", "--model", paths["manifest"], "--calib", paths["calib"],
+            "--out", str(tmp_path / "q.json"), "--candidates", "1",
+            "--iterations", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = error_lines(result.output)
+        assert len(errors) == 1 and message in errors[0], result.output
+
     @pytest.mark.parametrize("link", ["blobs-dir", "blob-file"])
     def test_symlinked_blob_leaving_the_dir_is_refused_unread(
             self, runner, tmp_path, link):

@@ -1,5 +1,6 @@
 """Smoke test: the experiment scripts run end to end on one small fixture."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -54,3 +55,26 @@ def test_script_refuses_a_bad_flag(script, args, message):
     assert result.stdout == "" and "Traceback" not in result.stderr
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0], result.stderr
+
+
+def test_never_run_lines_lists_what_a_run_skips(tmp_path):
+    # a run that calls grid_range with a valid width reaches its return but
+    # not its refusal
+    from hyquant import quant
+    test = tmp_path / "test_one.py"
+    test.write_text("from hyquant.quant import grid_range\n\n\n"
+                    "def test_width_8():\n"
+                    "    assert grid_range(8) == (-128, 127)\n")
+    result = run_script("never_run_lines.py", str(test), "-p",
+                        "no:cacheprovider")
+    assert result.returncode == 0, result.stderr
+    assert "1 passed" in result.stderr
+    *listed, count = result.stdout.splitlines()
+    missed, total = (int(w) for w in count.split()[0:3:2])
+    assert count.endswith("executable lines never run")
+    assert 0 < missed == len(listed) < total
+    source, first = inspect.getsourcelines(quant.grid_range)
+    at = {key: f"src/hyquant/quant.py:{first + i}:" for i, line in
+          enumerate(source) for key in ("raise", "return") if key in line}
+    assert any(line.startswith(at["raise"]) for line in listed)
+    assert not any(line.startswith(at["return"]) for line in listed)

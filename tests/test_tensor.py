@@ -419,13 +419,15 @@ class TestBackward:
 
 class TestAttentionHelpers:
     def test_matches_dense_oracle(self):
-        from hyquant.graph import ATTENTION_STEPS, run_steps
+        from hyquant.graph import ATTENTION_STEPS, Plan
         rng = np.random.default_rng(17)
         q = rng.normal(0, 1, (2, 6, 8)).astype(F32)
         k = rng.normal(0, 1, (2, 6, 8)).astype(F32)
         v = rng.normal(0, 1, (2, 6, 8)).astype(F32)
-        vals = {"q": t(q), "k": t(k), "v": t(v), "attrs": {"heads": 2}}
-        got = run_steps(ATTENTION_STEPS, vals, lambda name, x: x)["ctx"].data
+        plan = Plan(ATTENTION_STEPS, "ctx")
+        vals = plan.start({"q": q, "k": k, "v": v, "attrs": {"heads": 2}})
+        got = plan.run(plan.full, {}, vals, T.KERNELS,
+                       lambda key, x, p: x)[plan.out]
         np.testing.assert_allclose(got, attention_oracle(q, k, v, 2), atol=1e-5)
 
 

@@ -226,8 +226,8 @@ def generate_candidates(t, bits: int, space: SearchSpace, granularity: str,
 
 
 # Samples per chunk of pass 2 and of evaluation. Pass 1 holds no tape and is
-# one forward: at 2,048 samples of wide-mvit-ln it peaks at 98.4 MiB traced
-# (99.0 in chunks), under calibrate's 125.4 with all search off. No step of
+# one forward: at 2,048 samples of wide-mvit-ln it peaks at 90.4 MiB traced,
+# under calibrate's 119.3 with all search off. No step of
 # a forward mixes samples (batch norm is folded), so a chunk's values are
 # its rows of the whole batch's, byte for byte, as long as each matrix
 # product runs the same kernel: OpenBLAS picks its sgemm kernel by row
@@ -450,7 +450,7 @@ class _UnitEvaluator:
     def _run(self, program, params: dict, vals: list) -> list:
         """The plan's program run on vals with params; returns vals."""
         with np.errstate(over="ignore"):  # for fake_quant's x / sc
-            return self._plan.run(program, params, vals, KERNELS, self._site)
+            return Plan.run(program, params, vals, KERNELS, self._site)
 
     def _score(self, o_hat: np.ndarray) -> float:
         if self.metric == "cosine":

@@ -1,12 +1,12 @@
 """Typed layer IR and executor for hybrid conv+attention models.
 
 A Graph is an ordered DAG of LayerSpec entries (ids topologically ordered,
-single output). Every layer kind is a step list, compiled once into a Plan
-and run by one loop (Plan.run) for the full-precision and fake-quant
-forwards, on Tensors, and for the search, on arrays with the same bits: a
-site absent from the qconfig runs in full precision, so an empty qconfig is
-bitwise forward_fp. Sites are a layer's weights and input activations, plus the operands of attention's
-two matrix products; softmax/norm inputs are sites only in "full" mode.
+single output). Every layer kind is a step list. One loop (Plan.run) runs the
+graph's lists, compiled once into one Plan, for the forwards, on Tensors, and
+a unit's for the search, on arrays with the same bits. A site absent from the
+qconfig runs in full precision, so an empty qconfig is bitwise forward_fp.
+Sites are a layer's weights and input activations, plus the operands of
+attention's two matrix products; softmax/norm inputs only in "full" mode.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import math
 import os
 import reprlib
-from collections import ChainMap
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -86,12 +85,6 @@ class LayerSpec:
                                 site=s.site and (self.id, s.site))
                      for s in LAYER_STEPS[self.kind])
 
-    @cached_property
-    def plan(self) -> Plan:
-        """Its steps compiled once (Plan), with no values: a forward reads
-        its weights anew at each run, as they may be replaced."""
-        return Plan(self.steps, (self.id, "out"))
-
     @property
     def values(self) -> dict:
         """Its weights and attrs under the keys its steps read them by."""
@@ -141,6 +134,13 @@ class Graph:
             return self._by_id[layer_id]
         except KeyError:
             raise GraphError(f"no layer with id {layer_id}") from None
+
+    @cached_property
+    def plan(self) -> Plan:
+        """Every layer's steps compiled once (Plan), the logits its output, with
+        no values: a forward reads the weights anew, as they may be replaced."""
+        return Plan(tuple(step for layer in self.layers for step in layer.steps),
+                    (self.output_id, "out"))
 
     @cached_property
     def consumers(self) -> dict[int, tuple[int, ...]]:
@@ -333,10 +333,10 @@ def taped_ops(tape: Tape | None) -> SimpleNamespace:
 # name, its attrs as "attrs" and its inputs as "x" and "y"; its last step
 # writes "out". LayerSpec.steps names these values by layer, so the steps of
 # any run of layers concatenate into one list. A Plan compiles a list once
-# into slots, and Plan.run is the one loop that runs it: per layer in the
-# forwards and calibration passes, on Tensors with taped_ops and site_hook;
-# per unit in the search, on arrays with the kernels those ops call
-# (T.KERNELS) and quant.fake_quant_site.
+# into slots, and Plan.run is the one loop that runs it: the graph's
+# (Graph.plan) in the forwards and passes, a layer's slice per run_layer, on
+# Tensors with taped_ops and site_hook; a unit's in the search, on arrays
+# with the kernels those ops call (T.KERNELS) and quant.fake_quant_site.
 
 
 class Step(NamedTuple):  # names are keys (layer id, name) in LayerSpec.steps
@@ -485,29 +485,28 @@ LAYER_KINDS = tuple(LAYER_STEPS)
 
 class Plan:
     """steps compiled once into slots, with no values: each value the steps
-    read or write gets a slot in a run's list, and each step becomes
-    (output slot, op, input slots, site key, slots to free after it).
+    read or write gets a slot in a run's list (slot: key -> slot), and each
+    step becomes (output slot, op, input slots, site key, slots to free).
 
-    full frees each value after its last use, the output at slot out
-    excepted, so a run holds no more intermediates at once than the steps
-    require; keep frees none, so that its values can be the state that
-    cone(site) re-runs from.
+    full frees each value after the last step that reads it, the output at
+    slot out excepted, so a run holds no more intermediates at once than the
+    steps require; a value no step reads is never freed. keep frees none, so
+    that its values can be the state that cone(site) re-runs from.
     """
 
     def __init__(self, steps, out):
         written = {step.out for step in steps}
-        slot: dict = {}
+        slot = self.slot = {}
         for key in (n for step in steps for n in (*step.ins, step.out)):
             slot.setdefault(key, len(slot))
         self._reads = tuple(None if key in written else key for key in slot)
         self.out = slot[out]
-        # the step that last reads each step output, or writes it if none
+        # the step that last reads each step output but out
         last = {slot[n]: i for i, step in enumerate(steps)
-                for n in (step.out, *step.ins) if n in written}
+                for n in step.ins if n in written and n != out}
         frees: list[list[int]] = [[] for _ in steps]
         for s, i in last.items():
-            if s != self.out:
-                frees[i].append(s)
+            frees[i].append(s)
         compiled = [(slot[step.out], step.op, tuple(slot[n] for n in step.ins),
                      step.site) for step in steps]
         self.full = tuple((*c, tuple(f)) for c, f in zip(compiled, frees))
@@ -530,11 +529,12 @@ class Plan:
                 cone.append(step)
         return tuple(cone)
 
-    def run(self, program, params: dict, vals: list, ops, site) -> list:
-        """Run program (full, keep or a cone) on vals, a start list or a
-        kept state, and return it: an op step runs op(ops, *inputs), a site
-        step site(key, x, params.get(key)), params mapping site keys to
-        QuantParams."""
+    @staticmethod
+    def run(program, params: dict, vals: list, ops, site) -> list:
+        """Run program (a plan's full or keep, a slice of one, or a cone) on
+        vals, a start list or a kept state, and return it: an op step runs
+        op(ops, *inputs), a site step site(key, x, params.get(key)), params
+        mapping site keys to QuantParams."""
         for out, op, ins, key, free in program:
             if op is None:
                 vals[out] = site(key, vals[ins[0]], params.get(key))
@@ -545,18 +545,13 @@ class Plan:
         return vals
 
 
-def run_layer(layer: LayerSpec, vals: dict, qcfg: dict, ops, site) -> Tensor:
-    """Execute one layer: run its plan on its values and its inputs from
-    vals, the forward's {key: value} map, with ops, site and qcfg's params.
-    Returns its output, added to vals under (layer id, "out")."""
-    plan = layer.plan
+def run_layer(layer: LayerSpec, program, vals: list, qcfg: dict, ops, site):
+    """Execute one layer: run program, its slice of Graph.plan.full, on vals,
+    the forward's run list, with ops, site and qcfg's params."""
     try:
-        out = plan.run(plan.full, qcfg, plan.start(ChainMap(vals, layer.values)),
-                       ops, site)[plan.out]
+        Plan.run(program, qcfg, vals, ops, site)
     except Exception as e:
         raise GraphExecutionError(f"layer {layer.id} ({layer.kind}): {e}") from e
-    vals[(layer.id, "out")] = out
-    return out
 
 
 def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
@@ -565,26 +560,33 @@ def _forward(graph: Graph, x: Tensor, qcfg: dict, watch, tape: Tape | None,
         raise GraphExecutionError(
             f"input shape {tuple(x.shape[1:])} does not match graph input "
             f"{graph.input_shape}")
-    vals = {(GRAPH_INPUT, "out"): tape.leaf(x) if tape is not None else x}
+    x = tape.leaf(x) if tape is not None else x
+    values = {key: v for layer in graph.layers for key, v in layer.values.items()}
+    values[(GRAPH_INPUT, "out")] = x
+    plan, end = graph.plan, 0
+    vals = plan.start(values)
     ops, site = taped_ops(tape), site_hook(tape, capture)
+    outputs = {GRAPH_INPUT: x} if GRAPH_INPUT in watch else {}
     for layer in graph.layers:
-        run_layer(layer, vals, qcfg, ops, site)
+        begin, end = end, end + len(layer.steps)
+        run_layer(layer, plan.full[begin:end], vals, qcfg, ops, site)
+        if layer.id in watch:  # before a later reader frees it
+            outputs[layer.id] = vals[plan.slot[(layer.id, "out")]]
     if capture is not None:  # site steps run in every mode; keep the mode's
         for key in set(capture) - {s.key for s in graph.quant_sites}:
             del capture[key]
-    outputs = {lid: vals[(lid, "out")] for lid in watch if (lid, "out") in vals}
     if tape is not None:
         for out in outputs.values():
             if out.node is not None:
                 tape.watch(out.node)
-    return vals[(graph.output_id, "out")], outputs
+    return vals[plan.out], outputs
 
 
 def forward_fp(graph: Graph, x: Tensor, watch=(), capture: dict | None = None):
     """Full-precision forward; returns (logits, {id: output}) for the ids in
     watch (GRAPH_INPUT allowed). capture, when given, receives the value of
     every quant site of the graph's mode keyed by (layer_id, site_name)."""
-    return _forward(graph, x, {}, watch, None, capture)
+    return _forward(graph, x, {}, set(watch), None, capture)
 
 
 def forward_quant(graph: Graph, x: Tensor, qcfg: dict, watch=(),
@@ -595,7 +597,7 @@ def forward_quant(graph: Graph, x: Tensor, qcfg: dict, watch=(),
     if unknown:
         raise SiteCoverageError("qconfig names unknown sites, absent from the "
                                 f"model: {_fmt_keys(unknown)}")
-    return _forward(graph, x, qcfg, watch, tape, None)
+    return _forward(graph, x, qcfg, set(watch), tape, None)
 
 
 def _fmt_keys(keys) -> str:

@@ -99,6 +99,12 @@ class TestCosine:
         assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == \
             pytest.approx(1.0)
 
+    def test_zero_norms(self):
+        # two zero vectors are alike; a zero vector is unlike any other
+        z, x = np.zeros(3), np.array([1.0, -2.0, 0.5])
+        assert cosine_distance(z, z) == 0.0
+        assert cosine_distance(z, x) == 1.0 and cosine_distance(x, z) == 1.0
+
 
 class TestGenerateCandidates:
     def test_formula_example(self):
@@ -377,12 +383,14 @@ class TestPass2:
         monkeypatch.setattr(C, "default_qconfig", lambda *args: {})
         pass2_cache_gradients(g, batch, units, cache)
         labels = np.argmax(cache.logits_fp, axis=1)
-        layer1 = g.layer(1)
+        layer1, plan = g.layer(1), g.plan
+        program = plan.full[len(g.layer(0).steps):]  # layer 1's slice
 
         def loss_from_unit0(o0):
-            y = run_layer(layer1, {(0, "out"): Tensor._wrap(o0.astype(F32))},
-                          {}, taped_ops(None), site_hook())
-            return float(cross_entropy(y, labels).data)
+            vals = plan.start(layer1.values)
+            vals[plan.slot[(0, "out")]] = Tensor._wrap(o0.astype(F32))
+            run_layer(layer1, program, vals, {}, taped_ops(None), site_hook())
+            return float(cross_entropy(vals[plan.out], labels).data)
 
         o0 = cache.unit_outputs[0].copy()
         analytic = cache.unit_grads[0]
@@ -679,8 +687,9 @@ class TestCalibrate:
     # search; pass 2 holds 147.6), against 254.4 MiB when pass 2 ran the
     # whole batch on one tape. Since pass 1 keeps each site's extremes
     # stand-in, not its tensor, the peaks are 58.2 and 125.4 MiB (63.7 and
-    # 147.4 before). numpy reports its allocations to tracemalloc, so the
-    # figures do not vary by run.
+    # 147.4 before), and 52.1 and 119.3 MiB since a forward frees each
+    # layer's output after its last reader. numpy reports its allocations to
+    # tracemalloc, so the figures do not vary by run.
     @pytest.mark.parametrize("count, bound_mib", [(512, 65), (2048, 155)])
     def test_peak_traced_memory_of_the_passes(self, count, bound_mib):
         spec = replace(FIXTURES["wide-mvit-ln"], calib_count=count)
@@ -767,9 +776,11 @@ class TestCalibrate:
         assert max(peaks.values()) <= 32 * 2 ** 20, \
             {k: f"{v / 2 ** 20:.1f} MiB" for k, v in peaks.items()}
 
-    # Pass 1 is one whole-batch forward, which holds no tape: 98.4 MiB at
-    # 2,048 samples (99.0 MiB when it ran in 512-sample chunks). The bound
-    # stays below calibrate's 125.4 MiB, so pass 1 becoming the peak shows here.
+    # Pass 1 is one whole-batch forward, which holds no tape: 90.4 MiB at
+    # 2,048 samples since a forward frees each layer's output after its last
+    # reader (98.4 MiB before, 99.0 MiB when it ran in 512-sample chunks).
+    # The bound stays below calibrate's 119.3 MiB, so pass 1 becoming the
+    # peak shows here.
     def test_peak_traced_memory_of_pass1(self):
         spec = replace(FIXTURES["wide-mvit-ln"], calib_count=2048)
         graph, calib, _, _ = build_fixture(spec)
@@ -782,6 +793,20 @@ class TestCalibrate:
         finally:
             tracemalloc.stop()
         assert peak < 105 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+    # A forward runs the graph plan on one run list, which frees each layer's
+    # output after its last reader: 28.0 MiB at 2,048 samples, against 74.4
+    # MiB when the forward kept every output until it returned.
+    def test_peak_traced_memory_of_a_forward(self):
+        spec = replace(FIXTURES["wide-mvit-ln"], calib_count=2048)
+        graph, calib, _, _ = build_fixture(spec)
+        tracemalloc.start()
+        try:
+            forward_fp(graph, calib)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_deterministic_given_fixed_inputs(self):
         from hyquant.cli import qconfig_to_doc

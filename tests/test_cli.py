@@ -123,9 +123,43 @@ class TestQuantizeCommand:
         assert message in result.output
         assert not (tmp_path / "q.json").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["--candidates", "0"], "need at least one scale candidate"),
+        (["--iterations", "0"], "need at least one alternation round"),
+    ], ids=["--candidates-0", "--iterations-0"])
+    def test_empty_search_space_is_usage_error(self, runner, tmp_path, args,
+                                               message):
+        result = run_quantize(runner, tmp_path / "q.json", args)
+        assert result.exit_code == 2, result.output
+        assert len(error_lines(result.output)) == 1
+        assert message in result.output
+        assert not (tmp_path / "q.json").exists()
+
     def test_model_and_fixture_together_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["quantize", "--out", str(tmp_path / "q")])
         assert result.exit_code == 2
+
+    def test_model_without_calib_is_usage_error(self, runner, tmp_path):
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        result = runner.invoke(main, ["quantize", "--model", paths["manifest"],
+                                      "--out", str(tmp_path / "q.json")])
+        assert result.exit_code == 2, result.output
+        assert "--model requires --calib" in result.output
+
+    def test_degenerate_unit_is_warned_about(self, runner, tmp_path):
+        # with the MLP's weights zero, unit layer12 sees only zero outputs:
+        # its search cannot score, and it keeps the min-max defaults
+        paths = export_fixture("tiny-mvit-ln", str(tmp_path))
+        for name in ("l10_w", "l10_b", "l12_w"):
+            path = str(tmp_path / "blobs" / f"{name}.hqt")
+            save_tensor(path, Tensor(np.zeros_like(load_tensor(path).data)))
+        result = runner.invoke(main, [
+            "quantize", "--model", paths["manifest"], "--calib", paths["calib"],
+            "--out", str(tmp_path / "q.json"), "--candidates", "4",
+            "--iterations", "1"])
+        assert result.exit_code == 0, result.output
+        assert "warning: degenerate units kept min-max defaults: layer12" \
+            in result.output.splitlines()
 
     def test_repeat_runs_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -463,10 +497,13 @@ class TestEvaluateCommand:
 
     # outside input that no other test feeds in: two blobs cut short, a
     # depthwise kernel that is a grouped conv's, a norm without its shift,
-    # and a token-to-grid reshape whose grid does not hold the tokens
+    # and a token-to-grid reshape whose grid does not hold the tokens; then
+    # weights, an axis and an input that only the forward finds wrong, each
+    # refused by its own layer's slice of the graph plan, which names it
     @pytest.mark.parametrize("blob, layer, edit, message", [
-        (BLOB_MAGIC + b"\x01\x00", None, None, "truncated header"),
-        (BLOB_MAGIC + struct.pack("<II", 2, 8), None, None, "truncated dims"),
+        (("l0_w", BLOB_MAGIC + b"\x01\x00"), None, None, "truncated header"),
+        (("l0_w", BLOB_MAGIC + struct.pack("<II", 2, 8)), None, None,
+         "truncated dims"),
         (None, 0, {"kind": "depthwise_conv2d", "attrs": {"stride": 2}},
          "depthwise kernel must have one input channel per group"),
         (None, 6, {"weights": {"gamma": "blobs/l6_gamma.hqt"}},
@@ -474,13 +511,31 @@ class TestEvaluateCommand:
         (None, 14, {"kind": "reshape",
                     "attrs": {"op": "tokens_to_nchw", "h": 2, "w": 3}},
          "layer 14 (reshape): tokens_to_nchw: 2x3 != token count 16"),
+        (("l0_b", np.zeros(3)), None, None,
+         "layer 0 (conv2d): conv2d bias shape (3,) != (8,)"),
+        (("l4_w", np.zeros((8, 5, 1, 1))), None, None,
+         "layer 4 (conv2d): conv2d kernel expects 5 input channels per "
+         "group, input has 8"),
+        (("l6_gamma", np.ones(5)), None, None,
+         "layer 6 (layer_norm): layer_norm: affine params must have shape "
+         "(16,)"),
+        (None, 11, {"kind": "softmax", "attrs": {"axis": 5}},
+         "layer 11 (softmax): softmax axis 5 invalid for shape (32, 16, 32)"),
+        (None, 8, {"inputs": [4, 7]},
+         "layer 8 (add): add (32, 16, 4, 4) + (32, 16, 16): "),
     ], ids=["blob-header", "blob-dims", "depthwise-groups", "norm-weight",
-            "tokens-grid"])
+            "tokens-grid", "conv-bias", "conv-in-channels", "norm-affine",
+            "softmax-axis", "add-shapes"])
     def test_refused_outside_input_fails_cleanly(self, runner, tmp_path, blob,
                                                  layer, edit, message):
         paths = export_fixture("tiny-mvit-ln", str(tmp_path))
         if blob is not None:
-            (tmp_path / "blobs" / "l0_w.hqt").write_bytes(blob)
+            name, content = blob
+            path = tmp_path / "blobs" / f"{name}.hqt"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                save_tensor(str(path), Tensor(content.astype(np.float32)))
         else:
             with open(paths["manifest"]) as f:
                 doc = json.load(f)
@@ -919,8 +974,10 @@ class TestChunkedEvaluation:
         with pytest.raises(GraphError, match="empty"):
             evaluate_model(graph, {}, Tensor._wrap(ev.data[:0]), labels[:0])
 
-    # 20.6 MiB traced with 512-sample chunks, against 82.1 MiB when both
-    # forwards ran the 2,048 samples whole
+    # 7.1 MiB traced with 512-sample chunks, each forward freeing a layer's
+    # output after its last reader; 20.6 MiB when a forward kept every
+    # output until it returned, and 82.1 MiB when both forwards ran the
+    # 2,048 samples whole
     def test_peak_traced_memory(self):
         graph, qcfg, ev, labels = self.minmax_case("wide-mvit-ln", "partial",
                                                    2048)

@@ -10,11 +10,10 @@ from hyquant.graph import (ATTENTION_STEPS, GRAPH_INPUT, Graph, GraphError,
                            GraphExecutionError, LayerSpec, Plan,
                            SiteCoverageError,
                            check_site_coverage, forward_fp, forward_quant,
-                           load_manifest, run_layer, save_manifest, site_hook,
-                           taped_ops)
+                           load_manifest, save_manifest, taped_ops)
 from hyquant.quant import fake_quant_site, fit_minmax
 from hyquant.tensor import Tensor
-from hyquant.zoo import build_fixture
+from hyquant.zoo import FIXTURES, build_fixture
 from oracles import attention_oracle
 
 F32 = np.float32
@@ -114,22 +113,56 @@ class TestForwardFP:
         want = np.asarray(golden["logits"], dtype=np.float64).reshape(y.shape)
         np.testing.assert_allclose(y.data, want, atol=1e-5)
 
-    def test_layer_plan_is_compiled_once_and_reads_weights_anew(self):
+    def test_graph_plan_is_compiled_once_and_reads_weights_anew(self):
         # a plan holds no values: a weight replaced after a forward, as
         # build_fixture does, is the one the next forward reads
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")
         before = forward_fp(graph, calib)[0].data
-        plans = [layer.plan for layer in graph.layers]
+        plan = graph.plan
         head = graph.layer(15)
         head.weights["w"] = Tensor(head.weights["w"].data * 2)
         after = forward_fp(graph, calib)[0].data
-        assert all(layer.plan is p for layer, p in zip(graph.layers, plans))
+        assert graph.plan is plan
         fresh = Graph(layers=[LayerSpec(l.id, l.kind, dict(l.attrs),
                                         list(l.inputs), dict(l.weights))
                               for l in graph.layers],
                       input_shape=graph.input_shape)
         assert after.tobytes() == forward_fp(fresh, calib)[0].data.tobytes()
         assert after.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_watched_output_is_the_logits_of_that_output_id(self, name):
+        # each output is taken from the one run list right after its layer
+        # runs, before a later reader frees it
+        graph, calib, _, _ = build_fixture(name)
+        x = Tensor(calib.data[:4])
+        ids = [layer.id for layer in graph.layers]
+        logits, outs = forward_fp(graph, x, watch={GRAPH_INPUT, *ids})
+        assert outs[GRAPH_INPUT] is x and set(outs) == {GRAPH_INPUT, *ids}
+        assert logits.data.tobytes() == outs[graph.output_id].data.tobytes()
+        for lid in ids:
+            cut = Graph(layers=graph.layers, input_shape=graph.input_shape,
+                        output_id=lid)
+            want = forward_fp(cut, x)[0].data.tobytes()
+            assert forward_fp(graph, x, watch={lid})[1][lid].data.tobytes() \
+                == want, lid
+            assert outs[lid].data.tobytes() == want, lid
+
+    def test_watched_dead_layer_returns_its_value(self):
+        # layer 1 is read by no layer: never freed, it is still returned
+        rng = np.random.default_rng(3)
+        w0, w2 = (t(rng.normal(0, 1, (4, 4)).astype(F32)) for _ in range(2))
+        g = Graph(layers=[LayerSpec(0, "linear", {}, [-1], {"w": w0}),
+                          LayerSpec(1, "activation", {"fn": "relu"}, [0]),
+                          LayerSpec(2, "linear", {}, [0], {"w": w2})],
+                  input_shape=(4,))
+        x = t(rng.normal(0, 1, (3, 4)))
+        logits, outs = forward_fp(g, x, watch={1})
+        h = forward_fp(g, x, watch=iter([0]))[1][0].data  # any iterable
+        np.testing.assert_array_equal(outs[1].data, np.maximum(h, 0))
+        assert logits.data.tobytes() == forward_fp(g, x)[0].data.tobytes()
+        freed = {s for *_, free in g.plan.full for s in free}
+        assert g.plan.slot[(1, "out")] not in freed
 
     def test_taped_ops_are_the_kernels_tensor_ops(self):
         # a forward's ops: for each kernel a step may call, the Tensor op of
@@ -241,10 +274,7 @@ class TestQuantAttention:
     def test_post_softmax_rows_sum_to_one(self):
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")
         capture = {}
-        mhsa = graph.layer(7)
-        _, outs = forward_fp(graph, calib, watch={6})
-        run_layer(mhsa, {(6, "out"): outs[6]}, {}, taped_ops(None),
-                  site_hook(capture=capture))
+        forward_fp(graph, calib, capture=capture)
         probs = capture[(7, "attn_probs")]
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -359,23 +389,28 @@ class TestSites:
         assert sites >= {s.key for s in graph.quant_sites}
 
     @pytest.mark.parametrize("name,mode", sorted(_SITE_PINS))
-    def test_layer_plans_free_each_value_after_its_last_use(self, name, mode):
-        # full frees every value a step writes, the output excepted, once,
-        # at the step that last reads it (or writes it, if none does), and
-        # never a value the layer reads from outside; keep frees none
-        for layer in _pin_graph(name, mode).layers:
-            plan = layer.plan
-            last = {}
-            for i, (out, _, ins, _, _) in enumerate(plan.full):
-                for s in (out, *ins):
-                    last[s] = i
-            written = {out for out, *_ in plan.full}
-            want = [sorted(s for s in written - {plan.out} if last[s] == i)
-                    for i in range(len(plan.full))]
-            assert [sorted(step[4]) for step in plan.full] == want, layer.id
-            assert [step[:4] for step in plan.keep] == \
-                [step[:4] for step in plan.full]
-            assert not any(step[4] for step in plan.keep)
+    def test_graph_plan_frees_each_value_after_its_last_reader(self, name, mode):
+        # full frees every value a step writes and a later step reads, the
+        # logits excepted, once, at the step that last reads it; never a
+        # value no step reads, nor one the graph reads from outside (the
+        # input, a weight); keep frees none
+        graph = _pin_graph(name, mode)
+        plan = graph.plan
+        assert plan.out == plan.slot[(graph.output_id, "out")]
+        last = {}
+        for i, (_, _, ins, _, _) in enumerate(plan.full):
+            for s in ins:
+                last[s] = i
+        written = {out for out, *_ in plan.full}
+        want = [sorted(s for s in written - {plan.out} if last.get(s) == i)
+                for i in range(len(plan.full))]
+        assert [sorted(step[4]) for step in plan.full] == want
+        freed = [s for step in plan.full for s in step[4]]
+        assert len(freed) == len(set(freed)) and plan.out not in freed
+        assert set(freed) <= written & set(last)
+        assert [step[:4] for step in plan.keep] == \
+            [step[:4] for step in plan.full]
+        assert not any(step[4] for step in plan.keep)
 
     def test_layer_norm_refuses_the_channel_axis_it_does_not_read(self):
         # layer_norm always normalizes over the last axis, where its

@@ -18,11 +18,36 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf as _erf
 
 _F32 = np.float32
 _INV_SQRT2 = np.float32(1.0 / math.sqrt(2.0))
 _INV_SQRT2PI = np.float32(1.0 / math.sqrt(2.0 * math.pi))
+
+# erf's rational approximations from Cephes ndtr.c (S. L. Moshier, 1989),
+# highest power first; U and Q are monic, their leading 1 left out:
+# erf(y) = y T(y^2) / U(y^2) for |y| <= 1, 1 - exp(-y^2) P(|y|) / Q(|y|)
+# above
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+# float32 erf is 1 from |y| = 3.919206 on, and P/Q at 3.92 rounds to 1, so
+# |y| is clamped here: erf saturates and no power of a huge |y| overflows
+_ERF_SAT = 3.92
+# GELU runs over the flat array in blocks of this many elements, so that
+# the float64 temporaries stay in cache (2^14 to 2^16 timed alike)
+_GELU_BLOCK = 1 << 15
 
 BLOB_MAGIC = b"HQT1"
 
@@ -198,9 +223,10 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape  # the rules hold shapes, not arrays
     return _record(tape, _add(a.data, b.data), [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
     ])
 
 
@@ -231,9 +257,10 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None,
     A, B = a.data, b.data
     out = _matmul(A, B, transpose_b)
     Bm = np.swapaxes(B, -1, -2) if transpose_b else B
+    a_shape = A.shape  # grad_a holds A's shape; only grad_b holds A
 
     def grad_a(g):
-        return _unbroadcast(np.matmul(g, np.swapaxes(Bm, -1, -2)), A.shape)
+        return _unbroadcast(np.matmul(g, np.swapaxes(Bm, -1, -2)), a_shape)
 
     def grad_b(g):
         dBm = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), g), Bm.shape)
@@ -480,10 +507,54 @@ def batch_norm_folded(x: Tensor, scale_w: Tensor, shift: Tensor,
     return _record(tape, out, [(x, lambda g: g * sa)])
 
 
+def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Cephes' polevl (p1evl when monic): the polynomial at x by Horner's
+    rule, in the same order of float64 operations."""
+    r = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        r *= x
+        r += c
+    return r
+
+
+def _erf(y: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = erf(y), for 1-D float32 y and out of one length: Cephes'
+    double erf on y, rounded to float32, as scipy.special.erf computes it."""
+    a = np.minimum(np.abs(y, dtype=np.float64), _ERF_SAT)  # NaN stays NaN
+    z = a * a
+    r = _horner(z, _ERF_T)
+    r *= a
+    r /= _horner(z, _ERF_U, monic=True)
+    out[...] = r
+    mid = np.flatnonzero(a > 1.0)
+    if mid.size:
+        m = a[mid]
+        e = np.exp(-(m * m))
+        e *= _horner(m, _ERF_P)
+        e /= _horner(m, _ERF_Q, monic=True)
+        out[mid] = 1.0 - e
+    np.copysign(out, y, out=out)
+
+
 def _gelu(xa: np.ndarray):
-    """(output, phi), phi for the backward rule."""
-    phi = _F32(0.5) * (1.0 + _erf(xa * _INV_SQRT2))
-    return (xa * phi).astype(_F32, copy=False), phi
+    """(output, phi), phi for the backward rule, for float32 xa.
+
+    phi = 0.5 * (1 + erf(x / sqrt(2))) and output = x * phi, in float32,
+    with erf evaluated by `_erf` from Cephes ndtr.c's coefficients. `_erf`
+    gives scipy.special.erf's float32 bits on every one of the 2^32 float32
+    inputs (scripts/check_erf.py sweeps them all), so output and phi keep
+    the bytes they had when scipy computed erf. Each block of the flat array
+    runs erf and both float32 steps while it is in cache.
+    """
+    flat = xa.reshape(-1)
+    out, phi = np.empty_like(flat), np.empty_like(flat)
+    for s in range(0, flat.size, _GELU_BLOCK):
+        x, p = flat[s:s + _GELU_BLOCK], phi[s:s + _GELU_BLOCK]
+        _erf(x * _INV_SQRT2, p)
+        p += _F32(1.0)
+        p *= _F32(0.5)
+        np.multiply(x, p, out=out[s:s + _GELU_BLOCK])
+    return out.reshape(xa.shape), phi.reshape(xa.shape)
 
 
 def gelu(t: Tensor, tape: Tape | None = None) -> Tensor:

@@ -688,9 +688,11 @@ class TestCalibrate:
     # whole batch on one tape. Since pass 1 keeps each site's extremes
     # stand-in, not its tensor, the peaks are 58.2 and 125.4 MiB (63.7 and
     # 147.4 before), and 52.1 and 119.3 MiB since a forward frees each
-    # layer's output after its last reader. numpy reports its allocations to
+    # layer's output after its last reader. Since the backward rules of add
+    # and of matmul's first operand hold their operands' shapes, not the
+    # arrays, they are 42.1 and 109.3 MiB. numpy reports its allocations to
     # tracemalloc, so the figures do not vary by run.
-    @pytest.mark.parametrize("count, bound_mib", [(512, 65), (2048, 155)])
+    @pytest.mark.parametrize("count, bound_mib", [(512, 47), (2048, 115)])
     def test_peak_traced_memory_of_the_passes(self, count, bound_mib):
         spec = replace(FIXTURES["wide-mvit-ln"], calib_count=count)
         graph, calib, _, _ = build_fixture(spec)

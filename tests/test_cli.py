@@ -898,6 +898,19 @@ class TestBlasThreads:
         assert written[0] == written[1]
 
 
+def test_import_loads_no_scipy():
+    """The runtime needs only numpy and click: scipy, the tests' erf
+    reference, is not imported by the package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, hyquant.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 class TestDocuments:
     def test_qconfig_doc_round_trip(self, tmp_path):
         graph, calib, _, _ = build_fixture("tiny-mvit-ln")

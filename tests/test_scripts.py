@@ -1,11 +1,13 @@
 """Smoke test: the experiment scripts run end to end on one small fixture."""
 
+import importlib.util
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +80,26 @@ def test_never_run_lines_lists_what_a_run_skips(tmp_path):
           enumerate(source) for key in ("raise", "return") if key in line}
     assert any(line.startswith(at["raise"]) for line in listed)
     assert not any(line.startswith(at["return"]) for line in listed)
+
+
+def test_check_erf_stops_at_the_first_mismatch(monkeypatch, capsys):
+    # two chunks of 2^16 patterns: the real erf passes them, and one with a
+    # single wrong bit fails at that bit pattern
+    pytest.importorskip("scipy.special")
+    spec = importlib.util.spec_from_file_location(
+        "check_erf", ROOT / "scripts" / "check_erf.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    monkeypatch.setattr(check, "CHUNK", 1 << 16)
+    monkeypatch.setattr(check, "CHUNKS", 2)
+    assert check.main() == 0
+    assert capsys.readouterr().out.startswith(
+        "0 mismatches in 131072 float32 inputs")
+
+    def off_by_one_bit(y, out):
+        check._erf(y, out)
+        out.view(np.uint32)[y.view(np.uint32) == 0x00012345] ^= 1
+
+    assert check.main(erf=off_by_one_bit) == 1
+    assert capsys.readouterr().out.startswith(
+        "mismatch at bit pattern 0x00012345")

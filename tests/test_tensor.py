@@ -1,3 +1,5 @@
+import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -189,6 +191,75 @@ class TestSilu:
             warnings.simplefilter("error")
             out = T.silu(t([-100.0, -89.0, 0.0, 5.0])).data
         assert out.tobytes().hex() == "000000800000008000000000dded9e40"
+
+
+def erf_inputs():
+    """Every 4,099th float32 bit pattern, plus dense windows of both signs
+    around 0, the smallest normal, |y| = 1, 3.92 and 8, and infinity (the
+    last window reaches the largest finite values and the NaNs)."""
+    centres = [np.float32(v).view(np.uint32) for v in (1.0, 3.92, 8.0)]
+    centres += [0x00000800, 0x00800000, 0x7f800000]
+    windows = [np.arange(max(0, int(c) - 2048), int(c) + 2048, dtype=np.uint64)
+               for c in centres]
+    bits = np.concatenate([np.arange(0, 1 << 31, 4099, dtype=np.uint64)]
+                          + windows)
+    bits = np.concatenate([bits, bits | (1 << 31)])
+    bits = np.concatenate([bits, np.arange(1 << 31, 1 << 32, 4099,
+                                           dtype=np.uint64)])
+    return bits.astype(np.uint32).view(F32)
+
+
+class TestErf:
+    def test_matches_scipy_bit_for_bit(self):
+        special = pytest.importorskip("scipy.special")
+        y = erf_inputs()
+        a = np.abs(y)
+        assert (a <= 1).any() and ((a > 1) & (a < 3.92)).any()
+        assert (a >= 3.92).any() and np.isinf(a).any() and np.isnan(a).any()
+        got = np.empty_like(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T._erf(y, got)
+        want = special.erf(y)
+        same = (got.view(np.uint32) == want.view(np.uint32)) \
+            | (np.isnan(got) & np.isnan(want))
+        assert same.all(), f"first mismatch at 0x{y[~same].view(np.uint32)[0]:08x}"
+
+    def test_all_small_block_skips_the_second_branch(self):
+        y = np.linspace(-1, 1, 101, dtype=F32)
+        got = np.empty_like(y)
+        T._erf(y, got)
+        np.testing.assert_allclose(got, [math.erf(v) for v in y], rtol=2e-7,
+                                   atol=1e-12)
+
+    # sha256 of gelu's output and phi on 40,000 normal(0, 3) samples (seed
+    # 30) led by 0, -0, a subnormal, |y| near 1 and 3.92 and huge values of
+    # both signs: 14,460 samples take the |y| <= 1 branch, 23,020 the one
+    # above and 2,520 saturate, over one full block and a partial one.
+    # Recorded when scipy.special.erf computed GELU's erf.
+    GELU_OUT_SHA = "50f3cbbe81c752db2e81b125c98a519608e85095605896c5bbf637703d9c93b1"
+    GELU_PHI_SHA = "9f52bec53d7b69fa86f6a310125da92227434c5794ab318b0a335687fefe0745"
+
+    def test_gelu_keeps_its_bytes(self):
+        big = np.finfo(F32).max
+        x = np.random.default_rng(30).normal(0, 3, 40_000).astype(F32)
+        x[:12] = [0.0, -0.0, 1e-40, -1e-40, 1.4142135, -1.4142135, 5.544,
+                  -5.544, 3e38, -3e38, big, -big]
+        assert x.size % T._GELU_BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, phi = T._gelu(x)
+            op = T.gelu(T.Tensor(x.reshape(8, 5000))).data
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.GELU_OUT_SHA
+        assert hashlib.sha256(phi.tobytes()).hexdigest() == self.GELU_PHI_SHA
+        assert op.shape == (8, 5000) and op.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0, 3), (2, 3)])
+    def test_gelu_keeps_odd_shapes(self, shape):
+        x = np.full(shape, 1.5, dtype=F32)
+        out, phi = T._gelu(x)
+        assert out.shape == phi.shape == shape
+        assert out.dtype == phi.dtype == F32
 
 
 class TestNorms:
